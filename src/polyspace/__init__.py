@@ -13,9 +13,9 @@ from .frames import (Frame, GCPattern, conjugate_frame, frame_from_polygon,
                      u2_moment)
 from .polygon import (Polygon, SideLengths, closure_defect, diagonals,
                       enumerate_lined, even_diagonals, even_step,
-                      is_generic_lengths, is_lined, is_prodigal, is_proper,
-                      normalize, perimeter, reflect, side_lengths,
-                      stratum_index, wall_distance)
+                      is_feasible_lengths, is_generic_lengths, is_lined,
+                      is_prodigal, is_proper, normalize, perimeter, reflect,
+                      side_lengths, stratum_index, wall_distance)
 from .polytope import (ClassificationReport, Halfspace, RationalPolytope,
                        classify_pentagon, count_sides, dh_interval_equality,
                        diag_slice, even_step_polytope, gc_membership,

@@ -22,8 +22,9 @@ from . import verify
 from .bending import DiagonalRange, bend_range
 from .errors import (EmptyPolytope, NonGeneric, NotInHypersimplex,
                      PolyspaceError, TriangleViolation, ZeroDiagonal)
-from .polygon import (Polygon, as_fraction, closure_defect, diagonals,
-                      is_generic_lengths, perimeter, side_lengths)
+from .polygon import (MAX_BRUTE_FORCE_SIDES, Polygon, as_fraction,
+                      closure_defect, diagonals, is_generic_lengths, perimeter,
+                      side_lengths)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -59,9 +60,12 @@ def parse_rationals(text: str) -> tuple[Fraction, ...]:
 
 def parse_floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(","))
+        values = tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise InputError(f"cannot parse number list {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"number list {text!r} has a non-finite entry")
+    return values
 
 
 def polygon_to_doc(p: Polygon) -> dict:
@@ -185,7 +189,7 @@ def cmd_polytope(args) -> int:
         raise InputError("side lengths must be positive")
     if args.system == "diag":
         poly = pt.diag_slice(alpha)
-        if len(alpha) <= 24 and poly.generic is None:
+        if len(alpha) <= MAX_BRUTE_FORCE_SIDES and poly.generic is None:
             poly.generic = is_generic_lengths(alpha)
     else:
         if not 4 <= len(alpha) <= 6:
@@ -229,6 +233,9 @@ def cmd_reconstruct(args) -> int:
     ld = rec.LDPoint(alpha, diag)
     if args.angles:
         angles = parse_floats(args.angles)
+        if len(angles) != len(diag):
+            raise InputError(f"need {len(diag)} bending angles, one per free "
+                             f"diagonal, for m = {len(alpha)}")
         poly = rec.fiber_sample(ld, angles)
     else:
         poly = rec.reconstruct(ld, args.dim)
@@ -243,14 +250,25 @@ def cmd_bend(args) -> int:
     tol = read_tolerance()
     with open(getattr(args, "in")) as fh:
         poly = polygon_from_doc(json.load(fh), tol)
-    p, q = (int(t) for t in args.range.split(","))
-    out = bend_range(poly, DiagonalRange(p, q), args.angle)
+    try:
+        p, q = (int(t) for t in args.range.split(","))
+    except ValueError as exc:
+        raise InputError(f"--range needs two integers 'p,q', "
+                         f"got {args.range!r}") from exc
+    if not 1 <= p <= q <= poly.m or (p, q) == (1, poly.m):
+        raise InputError(f"--range {p},{q} is not a proper block of edges: "
+                         f"need 1 <= p <= q <= {poly.m}, not all of them")
+    out = bend_range(poly.embedded(3), DiagonalRange(p, q), args.angle)
     write_output(json.dumps(polygon_to_doc(out), indent=2), args.out)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     alpha = parse_rationals(args.alpha)
+    if len(alpha) < 3:
+        raise InputError("sampling needs at least 3 lengths")
+    if args.count < 0:
+        raise InputError(f"--count must be >= 0, got {args.count}")
     polys = rec.sample_moduli(alpha, args.dim, args.count, args.seed)
     if args.format == "json":
         text = json.dumps([polygon_to_doc(p) for p in polys], indent=2)
@@ -271,6 +289,8 @@ def cmd_section(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 0:
+        raise InputError(f"--trials must be >= 0, got {args.trials}")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = [verify.run_suite(name, args.trials, args.seed)
                for name in names]

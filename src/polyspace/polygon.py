@@ -7,6 +7,7 @@ even-step map) live here.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -187,32 +188,81 @@ def even_diagonals(p: Polygon) -> np.ndarray:
     return side_lengths(even_step(p))
 
 
-def _signed_sums(alpha: tuple[Fraction, ...]):
-    """All sign vectors with first sign +1 (one representative per +- pair)."""
+def is_feasible_lengths(alpha) -> bool:
+    """Closing condition: some polygon has these side lengths.
+
+    That holds iff every length is nonnegative and none exceeds the sum
+    of the others, i.e. 2 * max(alpha) <= sum(alpha).
+    """
+    alpha = exact_lengths(alpha)
+    return min(alpha) >= 0 and 2 * max(alpha) <= sum(alpha)
+
+
+def _split_sums(alpha: tuple[Fraction, ...]):
+    """Meet-in-the-middle form of the signed sums with first sign +1.
+
+    Scales alpha to integers by the common denominator ``den``.  A sign
+    vector with minus set T in {2..m} has signed sum
+    (total - 2 * (a + b)) / den, where a is the sum of T's entries among
+    alpha_2..alpha_h, b among alpha_{h+1}..alpha_m, and h = ceil(m/2)
+    (Horowitz-Sahni).  ``left`` and ``right`` list those partial sums for
+    every sign vector of their half, in ``itertools.product((1, -1))``
+    order.  Returns (total, den, left, right).
+    """
     m = len(alpha)
     if m > MAX_BRUTE_FORCE_SIDES:
         raise TooManySides(f"brute force limited to m <= {MAX_BRUTE_FORCE_SIDES}")
-    for rest in itertools.product((1, -1), repeat=m - 1):
-        eps = (1,) + rest
-        yield eps, sum(e * a for e, a in zip(eps, alpha))
+    den = math.lcm(*(a.denominator for a in alpha))
+    ints = [a.numerator * (den // a.denominator) for a in alpha]
+    h = (m + 1) // 2
+
+    def minus_sums(values):
+        sums = [0]
+        for v in values:
+            sums = [s + t for s in sums for t in (0, v)]
+        return sums
+
+    return sum(ints), den, minus_sums(ints[1:h]), minus_sums(ints[h:])
 
 
 def is_generic_lengths(alpha) -> bool:
     """True iff no signed combination of the side lengths vanishes."""
-    alpha = exact_lengths(alpha)
-    return all(total != 0 for _, total in _signed_sums(alpha))
+    total, _, left, right = _split_sums(exact_lengths(alpha))
+    if total % 2:
+        return True
+    reach = set(right)
+    return all(total // 2 - a not in reach for a in left)
 
 
 def enumerate_lined(alpha) -> list[tuple[int, ...]]:
-    """Sign vectors with vanishing signed sum, one per antipodal pair."""
+    """Sign vectors with vanishing signed sum, one per antipodal pair.
+
+    Listed in ``itertools.product((1, -1))`` order with first sign +1.
+    """
     alpha = exact_lengths(alpha)
-    return [eps for eps, total in _signed_sums(alpha) if total == 0]
+    total, _, left, right = _split_sums(alpha)
+    if total % 2:
+        return []
+    h = (len(alpha) + 1) // 2
+    matches = {}
+    for signs, b in zip(itertools.product((1, -1), repeat=len(alpha) - h),
+                        right):
+        matches.setdefault(b, []).append(signs)
+    return [(1,) + lead + tail
+            for lead, a in zip(itertools.product((1, -1), repeat=h - 1), left)
+            for tail in matches.get(total // 2 - a, ())]
 
 
 def wall_distance(alpha) -> Fraction:
     """Exact distance min |sum eps_i alpha_i| to the nearest inner wall."""
-    alpha = exact_lengths(alpha)
-    return min(abs(total) for _, total in _signed_sums(alpha))
+    total, den, left, right = _split_sums(exact_lengths(alpha))
+    doubled = sorted(2 * b for b in right)
+    gaps = []
+    for a in left:
+        key = total - 2 * a
+        i = bisect.bisect_left(doubled, key)
+        gaps += [abs(key - b) for b in doubled[max(i - 1, 0):i + 1]]
+    return Fraction(min(gaps), den)
 
 
 def random_rotation(rng, dim: int = 3) -> np.ndarray:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import Degenerate, EmptyPolytope, NonGeneric
-from .polygon import as_fraction, exact_lengths, wall_distance
+from .polygon import (as_fraction, exact_lengths, is_feasible_lengths,
+                      wall_distance)
 
 __all__ = [
     "Halfspace", "RationalPolytope", "GCReport", "ClassificationReport",
@@ -217,8 +218,9 @@ def hypersimplex(m: int) -> RationalPolytope:
 
 
 def in_hypersimplex(alpha) -> bool:
+    """0 <= alpha_i <= 1 and sum(alpha) == 2, exactly."""
     alpha = exact_lengths(alpha)
-    return hypersimplex(len(alpha)).contains(alpha)
+    return all(0 <= a <= 1 for a in alpha) and sum(alpha) == 2
 
 
 @dataclass(frozen=True)
@@ -279,12 +281,15 @@ def diag_slice(alpha) -> RationalPolytope:
     """Feasible region of the free diagonals d_2..d_{m-2} at fixed lengths.
 
     Scale-free: the lengths need not sum to 2.  Raises EmptyPolytope when
-    the fixed data already violates a triangle inequality.
+    the lengths fail the closing condition, which is exactly when the
+    triangle inequalities below have no common solution.
     """
     alpha = exact_lengths(alpha)
     m = len(alpha)
     if m < 3:
         raise ValueError("need m >= 3")
+    if not is_feasible_lengths(alpha):
+        raise EmptyPolytope("no polygon has these side lengths")
     n = m - 3
     # d_1 = alpha_1, d_{m-1} = alpha_m, d_0 = d_m = 0 are substituted;
     # d_{1+k} for k = 1..n are the free coordinates.
@@ -299,7 +304,6 @@ def diag_slice(alpha) -> RationalPolytope:
         return row, ZERO
 
     halfspaces = []
-    constants_ok = True
     for i in range(m):
         ri, ci = coord(i)
         rj, cj = coord(i + 1)
@@ -309,18 +313,11 @@ def diag_slice(alpha) -> RationalPolytope:
             ([a - b for a, b in zip(ri, rj)], alpha[i] - ci + cj),   # B
             ([b - a for a, b in zip(ri, rj)], alpha[i] + ci - cj),   # C
         ]
-        for normal, offset in rows:
-            if any(c != 0 for c in normal):
-                halfspaces.append(Halfspace(tuple(normal), offset))
-            elif offset < 0:
-                constants_ok = False
-    if not constants_ok:
-        raise EmptyPolytope("fixed length data violates a triangle inequality")
+        # rows without a free coordinate follow from the closing condition
+        halfspaces += [Halfspace(tuple(normal), offset)
+                       for normal, offset in rows if any(normal)]
     names = tuple(f"d{k}" for k in range(2, m - 1))
-    poly = RationalPolytope(names, tuple(halfspaces))
-    if n <= 3 and poly.is_empty():
-        raise EmptyPolytope("no diagonal data is compatible with these lengths")
-    return poly
+    return RationalPolytope(names, tuple(halfspaces))
 
 
 def _interval_pair(a, b) -> tuple[Fraction, Fraction]:

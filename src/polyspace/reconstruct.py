@@ -16,8 +16,8 @@ import numpy as np
 from .bending import bend
 from .errors import (EmptyPolytope, NotInHypersimplex, TriangleViolation,
                      ZeroDiagonal)
-from .polygon import Polygon, as_fraction, exact_lengths
-from .polytope import diag_slice, in_hypersimplex
+from .polygon import Polygon, exact_lengths, is_feasible_lengths
+from .polytope import in_hypersimplex
 
 _SLACK_TOL = 1e-9
 
@@ -59,7 +59,7 @@ def _check_triangles(ld: LDPoint) -> None:
             ("C", a + d[i] - d[i + 1]),
         )
         for name, slack in checks:
-            if slack < -_SLACK_TOL:
+            if not slack >= -_SLACK_TOL:  # NaN fails too
                 raise TriangleViolation(i, name, slack)
 
 
@@ -167,7 +167,7 @@ def _frac_uniform(rng, lo: Fraction, hi: Fraction, denom: int = 720720):
     return lo + span * Fraction(k, denom)
 
 
-def sample_ld(alpha, rng, max_tries: int = 10000) -> LDPoint:
+def sample_ld(alpha, rng) -> LDPoint:
     """One exact rational interior-ish point of the diagonal slice."""
     alpha = exact_lengths(alpha)
     m = len(alpha)
@@ -199,9 +199,12 @@ def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:
     if k not in (2, 3):
         raise ValueError("k must be 2 or 3")
     alpha = exact_lengths(alpha)
-    diag_slice(alpha)  # raises EmptyPolytope when infeasible
-    rng = np.random.default_rng(seed)
     m = len(alpha)
+    if m < 3:
+        raise ValueError("need m >= 3")
+    if not is_feasible_lengths(alpha):
+        raise EmptyPolytope("no polygon has these side lengths")
+    rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         ld = sample_ld(alpha, rng)

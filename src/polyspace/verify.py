@@ -17,8 +17,8 @@ import numpy as np
 
 from . import bending, frames, polytope, quat, reconstruct
 from .errors import EmptyPolytope
-from .polygon import (Polygon, diagonals, enumerate_lined, normalize,
-                      perimeter, side_lengths)
+from .polygon import (Polygon, diagonals, enumerate_lined,
+                      is_feasible_lengths, normalize, perimeter, side_lengths)
 
 MASK64 = (1 << 64) - 1
 
@@ -248,11 +248,8 @@ def random_rational_lengths(rng, m: int) -> tuple[Fraction, ...]:
         nums = [int(n) for n in rng.integers(1, 30, size=m)]
         total = sum(nums)
         alpha = tuple(Fraction(2 * n, total) for n in nums)
-        try:
-            polytope.diag_slice(alpha)
-        except EmptyPolytope:
-            continue
-        return alpha
+        if is_feasible_lengths(alpha):
+            return alpha
 
 
 @_timed

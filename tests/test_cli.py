@@ -16,6 +16,16 @@ def run(capsys, *argv):
     return code, out
 
 
+def run_input_error(capsys, *argv):
+    """Run a command that must fail with exit 1 and a one-line message."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1, (argv, captured.out)
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1, captured.err
+
+
 def test_polytope_json(capsys):
     code, out = run(capsys, "polytope", "--alpha", "2,1,5,1,2")
     assert code == 0
@@ -54,6 +64,12 @@ def test_polytope_csv_and_svg(tmp_path, capsys):
 def test_polytope_empty_exit_code(capsys):
     code, _ = run(capsys, "polytope", "--alpha", "1,1,10,1")
     assert code == 3
+
+
+def test_polytope_infeasible_heptagon_exits_3(capsys):
+    code, out = run(capsys, "polytope", "--alpha", "1,1,1,1,1,1,100")
+    assert code == 3
+    assert out == ""
 
 
 def test_classify_pentagon(capsys):
@@ -209,3 +225,49 @@ def test_emitted_polygon_parses_back(tmp_path, capsys):
     poly = cli.polygon_from_doc(doc, 1e-9)
     assert np.array_equal(poly.edges, np.array(doc["edges"]))
     assert pg.perimeter(poly) == pytest.approx(12.0)
+
+
+def test_non_finite_numbers_exit_1(capsys):
+    run_input_error(capsys, "reconstruct", "--alpha", "1,1,1,1,1",
+                    "--diag", "nan,1.2")
+    run_input_error(capsys, "reconstruct", "--alpha", "1,1,1,1,1",
+                    "--diag", "inf,1.2")
+    run_input_error(capsys, "reconstruct", "--alpha", "1,1,nan", "--dim", "2")
+    run_input_error(capsys, "reconstruct", "--alpha", "1,1,1,1,1",
+                    "--diag", "1.2,1.2", "--angles", "0.5,-inf")
+
+
+def test_reconstruct_wrong_angle_count_exits_1(capsys):
+    for angles in ("0.5", "0.5,0.7,0.9"):
+        run_input_error(capsys, "reconstruct", "--alpha", "1,1,1,1,1",
+                        "--diag", "1.2,1.2", "--angles", angles)
+
+
+def test_bend_bad_range_exits_1(tmp_path, capsys):
+    src = tmp_path / "p.json"
+    assert run(capsys, "reconstruct", "--alpha", "1,1,1,1,1",
+               "--diag", "1.2,1.2", "--out", str(src))[0] == 0
+    for block in ("1,x", "2,1", "0,2", "1,5", "2,6", "1,2,3"):
+        run_input_error(capsys, "bend", "--in", str(src), "--range", block,
+                        "--angle", "0.5")
+    assert run(capsys, "bend", "--in", str(src), "--range", "2,5",
+               "--angle", "0.5")[0] == 0
+
+
+def test_bend_planar_polygon(tmp_path, capsys):
+    src = tmp_path / "planar.json"
+    assert run(capsys, "reconstruct", "--alpha", "1,1,1,1", "--diag",
+               "1.2", "--dim", "2", "--out", str(src))[0] == 0
+    code, out = run(capsys, "bend", "--in", str(src), "--range", "1,2",
+                    "--angle", "0.5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dim"] == 3
+    assert np.allclose(doc["meta"]["alpha"], 1.0)
+    assert np.allclose(doc["meta"]["diagonals"][1], 1.2)
+
+
+def test_negative_counts_exit_1(capsys):
+    run_input_error(capsys, "sample", "--alpha", "1,1,1,1", "--count", "-3")
+    run_input_error(capsys, "verify", "--suite", "hexcount", "--trials", "-1")
+    run_input_error(capsys, "sample", "--alpha", "1,1", "--count", "1")

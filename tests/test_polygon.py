@@ -1,10 +1,11 @@
 """Polygon data model: lengths, diagonals, strata, predicates."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polyspace import polygon as pg
 from polyspace.errors import DimensionOne, TooManySides, ZeroPolygon
@@ -156,3 +157,57 @@ def test_wall_distance_zero_iff_lined_exists(alpha):
     alpha = tuple(alpha)
     lined = pg.enumerate_lined(alpha)
     assert (pg.wall_distance(alpha) == 0) == bool(lined)
+
+
+def _signed_sums(alpha):
+    """Oracle: all 2^(m-1) signed sums with first sign +1, summed one by one
+    in itertools.product((1, -1)) order."""
+    alpha = pg.exact_lengths(alpha)
+    for rest in itertools.product((1, -1), repeat=len(alpha) - 1):
+        eps = (1,) + rest
+        yield eps, sum(e * a for e, a in zip(eps, alpha))
+
+
+def _assert_wall_kernels_match_oracle(alpha):
+    sums = list(_signed_sums(alpha))
+    assert pg.is_generic_lengths(alpha) == all(t != 0 for _, t in sums)
+    distance = pg.wall_distance(alpha)
+    assert isinstance(distance, Fraction)
+    assert distance == min(abs(t) for _, t in sums)
+    assert pg.enumerate_lined(alpha) == [eps for eps, t in sums if t == 0]
+
+
+def test_wall_kernels_match_oracle_seeded(rng):
+    walls = 0
+    for _ in range(100):
+        m = int(rng.integers(1, 13))
+        dens = rng.choice([1, 2, 3, 4, 6, 7, 12], size=m)
+        alpha = [Fraction(int(n), int(d))
+                 for n, d in zip(rng.integers(0, 30, size=m), dens)]
+        if m >= 3 and rng.random() < 0.5:
+            # balance a random split with the last entry: a wall vector
+            split = int(rng.integers(1, m - 1))
+            alpha[-1] = abs(sum(alpha[:split]) - sum(alpha[split:-1]))
+            walls += 1
+        alpha = tuple(alpha)
+        _assert_wall_kernels_match_oracle(alpha)
+    assert walls > 25
+
+
+@settings(deadline=None)
+@given(st.lists(st.fractions(min_value=0, max_value=5, max_denominator=12),
+                min_size=1, max_size=9),
+       st.integers(min_value=0, max_value=9))
+def test_wall_kernels_match_oracle(alpha, split):
+    _assert_wall_kernels_match_oracle(tuple(alpha))
+    wall = tuple(alpha) + (abs(sum(alpha[:split]) - sum(alpha[split:])),)
+    _assert_wall_kernels_match_oracle(wall)
+    assert not pg.is_generic_lengths(wall)
+
+
+def test_feasible_lengths_is_closing_condition():
+    assert pg.is_feasible_lengths((1, 1, 1))
+    assert pg.is_feasible_lengths((1, 1, 2))  # degenerate, still closes
+    assert not pg.is_feasible_lengths((1, 1, 3))
+    assert not pg.is_feasible_lengths((-1, 1, 1, 1))
+    assert not pg.is_feasible_lengths((1, 1, 1, 1, 1, 1, 100))

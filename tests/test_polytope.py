@@ -17,6 +17,21 @@ def test_hypersimplex_membership():
     assert not xi3.contains((F(1, 2), F(1, 2), F(1, 2)))
 
 
+def test_in_hypersimplex_matches_polytope(rng):
+    seen = set()
+    for m in range(3, 9):
+        xi = pt.hypersimplex(m)
+        for _ in range(40):
+            den = int(rng.integers(1, 5))
+            alpha = tuple(F(int(n), den) for n in rng.integers(0, 5, size=m))
+            if rng.random() < 0.5 and sum(alpha):
+                alpha = tuple(2 * a / sum(alpha) for a in alpha)
+            inside = pt.in_hypersimplex(alpha)
+            assert inside == xi.contains(alpha), alpha
+            seen.add(inside)
+    assert seen == {True, False}
+
+
 def test_gc_membership_square():
     ell = (F(1, 2),) * 4
     good = pt.gc_membership(ell, (F(1, 2), F(7, 10), F(1, 2), 0))
@@ -52,6 +67,27 @@ def test_diag_slice_triangle():
     assert pt.diag_slice((3, 4, 5)).vertices() == ((),)
     with pytest.raises(EmptyPolytope):
         pt.diag_slice((1, 1, 3))
+
+
+def test_diag_slice_empty_iff_closing_condition_fails(rng):
+    for m in range(3, 11):
+        for trial in range(24):
+            nums, dens = rng.integers(1, 30, size=m), rng.integers(1, 7, size=m)
+            alpha = [F(int(n), int(d)) for n, d in zip(nums, dens)]
+            if trial % 2:
+                # one side near the sum of the others: just under, on or over
+                k = int(rng.integers(0, m))
+                rest = sum(alpha) - alpha[k]
+                step = F(int(rng.integers(-2, 3)), int(rng.integers(1, 4)))
+                alpha[k] = rest + step
+            alpha = tuple(alpha)
+            if 2 * max(alpha) > sum(alpha):
+                with pytest.raises(EmptyPolytope):
+                    pt.diag_slice(alpha)
+                continue
+            poly = pt.diag_slice(alpha)
+            if poly.dim <= 3:
+                assert poly.vertices()  # vertex enumeration agrees
 
 
 def test_diag_slice_matches_pentagon_polytope():

@@ -63,6 +63,12 @@ def test_violations_report_first_index():
     assert (err.value.index, err.value.inequality) == (1, "A")
 
 
+def test_nan_diagonal_is_a_violation():
+    with pytest.raises(TriangleViolation) as err:
+        rec.reconstruct(LDPoint((1, 1, 1, 1, 1), (math.nan, 1.2)), 3)
+    assert (err.value.index, err.value.inequality) == (1, "A")
+
+
 def test_round_trip_random(rng):
     for _ in range(50):
         m = int(rng.integers(4, 8))
