@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,10 +23,15 @@ _FD_STEP = 1e-6
 STEPS_PER_TURN = 2000
 
 
+def cross_matrix(n) -> np.ndarray:
+    """The matrix K with K @ v = n x v."""
+    x, y, z = n
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
 def rodrigues(axis: np.ndarray, theta: float) -> np.ndarray:
     """Rotation matrix about the unit vector ``axis`` by ``theta`` radians."""
-    x, y, z = axis
-    K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    K = cross_matrix(axis)
     return np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
 
 
@@ -160,11 +164,33 @@ def diagonal_hamiltonian(i: int):
     return H
 
 
+def diagonal_field(i: int):
+    """Hamiltonian field of |x_1 + ... + x_i| in closed form.
+
+    The gradient of |d_i| is n = d_i/|d_i| on rows 1..i and zero on the
+    rest, so the field -x_r x n = n x x_r rotates rows 1..i about n; as
+    row vectors, n x x_r = x_r @ K.T with K = cross_matrix(n).
+    """
+
+    def X(points: np.ndarray) -> np.ndarray:
+        head = points[:i]
+        s0, s1, s2 = head.sum(axis=0).tolist()
+        norm = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
+        if norm == 0.0:
+            raise LeftProdigalRegion(f"diagonal {i} vanished; no bending axis")
+        K = cross_matrix((s0 / norm, s1 / norm, s2 / norm))
+        out = np.zeros_like(points)
+        np.matmul(head, K.T, out=out[:i])
+        return out
+
+    return X
+
+
 def _grad(H, points: np.ndarray) -> np.ndarray:
     """Central-difference Euclidean gradient of H at the given tuple.
 
-    H is evaluated on plain nested lists: the flow spends nearly all its
-    time here and python-float access is several times cheaper.
+    H is evaluated on plain nested lists: python-float access is several
+    times cheaper than numpy indexing for the 6m evaluations.
     """
     pts = points.tolist()
     g = np.zeros_like(points)
@@ -188,45 +214,40 @@ def _field(H, points: np.ndarray) -> np.ndarray:
 
 
 def hamiltonian_flow(w: SphereProductPoint, H, t: float,
-                     steps: int | None = None) -> SphereProductPoint:
-    """Fixed-step RK4 for the Hamiltonian field of H, staying on the spheres."""
+                     steps: int | None = None,
+                     field=None) -> SphereProductPoint:
+    """Fixed-step RK4 for the Hamiltonian field of H, staying on the spheres.
+
+    ``field`` is the Hamiltonian vector field of H when it is known in
+    closed form (``diagonal_field``); without it the field is -x x grad H
+    with a central-difference gradient.
+    """
     if steps is None:
         steps = max(1, math.ceil(STEPS_PER_TURN * abs(t) / (2.0 * math.pi)))
+    if field is None:
+        def field(p):
+            return _field(H, p)
     points = w.points.copy()
     radii = w.radii
     h = t / steps
     for _ in range(steps):
-        k1 = _field(H, points)
-        k2 = _field(H, points + 0.5 * h * k1)
-        k3 = _field(H, points + 0.5 * h * k2)
-        k4 = _field(H, points + h * k3)
+        k1 = field(points)
+        k2 = field(points + 0.5 * h * k1)
+        k3 = field(points + 0.5 * h * k2)
+        k4 = field(points + h * k3)
         points = points + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(points)):
+        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+        if not np.isfinite(norms).all():
             raise LeftProdigalRegion("flow left the domain of definition")
-        norms = np.linalg.norm(points, axis=1)
-        if np.any(norms < 1e-12):
+        if norms.min() < 1e-12:
             raise LeftProdigalRegion("a factor point collapsed to the origin")
         points = points * (radii / norms)[:, None]
     return SphereProductPoint(points, radii.copy())
 
 
-@lru_cache(maxsize=1)
-def bending_flow_sign() -> int:
-    """Measured once: the sign s with flow of d_i = bend(+s*t)."""
-    edges = np.array([
-        [1.0, 0.0, 0.0],
-        [0.3, 0.9, 0.1],
-        [-0.5, 0.2, 0.6],
-        [-0.4, -0.8, -0.3],
-    ])
-    edges = np.vstack([edges, -edges.sum(axis=0)])
-    p = Polygon(3, edges)
-    w = SphereProductPoint.from_polygon(p)
-    t = 0.5
-    flowed = hamiltonian_flow(w, diagonal_hamiltonian(2), t).to_polygon()
-    dev_plus = np.abs(bend(p, 2, t).edges - flowed.edges).max()
-    dev_minus = np.abs(bend(p, 2, -t).edges - flowed.edges).max()
-    return 1 if dev_plus < dev_minus else -1
+# The field of |d_i| is -x x n = n x x, the right-handed rotation about n,
+# so its flow for time t is bend(+t).
+BENDING_FLOW_SIGN = 1
 
 
 def horizontal_tangent(u: complex, v: complex, z: complex) -> np.ndarray:
@@ -236,11 +257,17 @@ def horizontal_tangent(u: complex, v: complex, z: complex) -> np.ndarray:
 
 
 def _hopf_differential(row: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-    plus = quat.hopf_complex(row[0] + _FD_STEP * tangent[0],
-                             row[1] + _FD_STEP * tangent[1])
-    minus = quat.hopf_complex(row[0] - _FD_STEP * tangent[0],
-                              row[1] - _FD_STEP * tangent[1])
-    return (plus - minus) / (2.0 * _FD_STEP)
+    """Derivative of ``hopf_complex`` at (u, v) along (a, b), in closed form.
+
+    hopf_complex is (|u|^2 - |v|^2, -Im c, Re c) with c = 2 conj(u) v, so
+    the derivative is (2 Re(conj(u) a - conj(v) b), -Im dc, Re dc) with
+    dc = 2 (conj(a) v + conj(u) b).
+    """
+    u, v = complex(row[0]), complex(row[1])
+    a, b = complex(tangent[0]), complex(tangent[1])
+    dc = 2.0 * (a.conjugate() * v + u.conjugate() * b)
+    return np.array([2.0 * (u.conjugate() * a - v.conjugate() * b).real,
+                     -dc.imag, dc.real])
 
 
 def _flat_form(u: np.ndarray, v: np.ndarray) -> float:

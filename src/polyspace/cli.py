@@ -69,12 +69,17 @@ def parse_floats(text: str) -> tuple[float, ...]:
 
 
 def polygon_to_doc(p: Polygon) -> dict:
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, diags = side_lengths(p), diagonals(p)
+    if not all(np.isfinite(a).all() for a in (p.edges, alpha, diags)):
+        raise InputError("the polygon is not finite in floating point; "
+                         "the input lengths are out of range")
     return {
         "dim": p.dim,
         "edges": [[float(c) for c in row] for row in p.edges],
         "meta": {
-            "alpha": [float(a) for a in side_lengths(p)],
-            "diagonals": [float(d) for d in diagonals(p)],
+            "alpha": [float(a) for a in alpha],
+            "diagonals": [float(d) for d in diags],
         },
     }
 

@@ -49,6 +49,10 @@ class DegeneratePair(PolyspaceError):
     pass
 
 
+class RetryLimit(PolyspaceError):
+    """A rejection sampler reached its draw cap without accepting a draw."""
+
+
 class EmptyPolytope(PolyspaceError):
     pass
 

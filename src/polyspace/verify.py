@@ -16,11 +16,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import bending, frames, polytope, quat, reconstruct
-from .errors import EmptyPolytope
+from .errors import EmptyPolytope, RetryLimit
 from .polygon import (Polygon, diagonals, enumerate_lined,
                       is_feasible_lengths, normalize, perimeter, side_lengths)
 
 MASK64 = (1 << 64) - 1
+# Draws a rejection sampler makes before giving up; every sampler below
+# accepts more than 80% of its draws.
+MAX_DRAWS = 1000
 
 
 def mix_seed(seed: int, index: int) -> int:
@@ -127,19 +130,19 @@ def suite_gc(trials: int, seed: int) -> RunReport:
 
 def random_prodigal_polygon(rng, m: int) -> Polygon:
     """Closed m-gon in R^3 whose diagonals stay well away from zero."""
-    while True:
+    for _ in range(MAX_DRAWS):
         edges = rng.standard_normal((m, 3))
         edges -= edges.mean(axis=0)
         poly = Polygon(3, edges)
         d = diagonals(poly)[: m - 1]
         if d.min() > 0.15 * perimeter(poly) / m:
             return poly
+    raise RetryLimit(f"no prodigal {m}-gon in {MAX_DRAWS} draws")
 
 
 @_timed
 def suite_bend(trials: int, seed: int) -> RunReport:
     report = RunReport("bend", trials)
-    sign = bending.bending_flow_sign()
     for k in range(trials):
         rng = trial_rng(seed, k)
         m = 5 + k % 2
@@ -147,9 +150,10 @@ def suite_bend(trials: int, seed: int) -> RunReport:
         i = int(rng.integers(2, m - 1))
         w = bending.SphereProductPoint.from_polygon(poly)
         H = bending.diagonal_hamiltonian(i)
+        X = bending.diagonal_field(i)
         for t in (0.1, 1.0, math.pi, 2.0 * math.pi):
-            flowed = bending.hamiltonian_flow(w, H, t).to_polygon()
-            target = bending.bend(poly, i, sign * t)
+            flowed = bending.hamiltonian_flow(w, H, t, field=X).to_polygon()
+            target = bending.bend(poly, i, bending.BENDING_FLOW_SIGN * t)
             dev = np.abs(flowed.edges - target.edges).max()
             report.record(f"flow[{k},i={i},t={t:.3g}]", dev, 1e-6)
             drift = abs(H(flowed.edges) - H(poly.edges))
@@ -201,7 +205,7 @@ def suite_kahler(trials: int, seed: int) -> RunReport:
 
 def random_quad_lengths(rng) -> tuple[Fraction, ...]:
     den = int(rng.integers(1, 12))
-    while True:
+    for _ in range(MAX_DRAWS):
         nums = rng.integers(1, 40, size=4)
         alpha = tuple(Fraction(int(n), den) for n in nums)
         try:
@@ -209,6 +213,7 @@ def random_quad_lengths(rng) -> tuple[Fraction, ...]:
         except EmptyPolytope:
             continue
         return alpha
+    raise RetryLimit(f"no closing quadrilateral in {MAX_DRAWS} draws")
 
 
 @_timed
@@ -244,12 +249,13 @@ def suite_hexcount(trials: int, seed: int) -> RunReport:
 
 def random_rational_lengths(rng, m: int) -> tuple[Fraction, ...]:
     """Normalized (sum 2) positive rational lengths with a nonempty slice."""
-    while True:
+    for _ in range(MAX_DRAWS):
         nums = [int(n) for n in rng.integers(1, 30, size=m)]
         total = sum(nums)
         alpha = tuple(Fraction(2 * n, total) for n in nums)
         if is_feasible_lengths(alpha):
             return alpha
+    raise RetryLimit(f"no closing {m}-gon lengths in {MAX_DRAWS} draws")
 
 
 @_timed

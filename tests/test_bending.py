@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from polyspace import bending, polygon as pg
+from polyspace import bending, polygon as pg, quat
 from polyspace.bending import DiagonalRange, SphereProductPoint
-from polyspace.errors import (DegeneratePair, NotTangent, ZeroDiagonal)
-from polyspace.verify import random_prodigal_polygon
+from polyspace.errors import (DegeneratePair, LeftProdigalRegion, NotTangent,
+                              ZeroDiagonal)
+from polyspace.verify import random_prodigal_polygon, trial_rng
 
 SQUARE = pg.Polygon(3, [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
 
@@ -118,14 +119,69 @@ def test_flow_of_constant_is_identity(rng):
 
 
 def test_flow_matches_bend(rng):
-    sign = bending.bending_flow_sign()
     p = random_prodigal_polygon(rng, 5)
     w = SphereProductPoint.from_polygon(p)
     H = bending.diagonal_hamiltonian(3)
     for t in (0.1, 1.0):
         flowed = bending.hamiltonian_flow(w, H, t).to_polygon()
-        target = bending.bend(p, 3, sign * t)
+        target = bending.bend(p, 3, bending.BENDING_FLOW_SIGN * t)
         assert np.abs(flowed.edges - target.edges).max() < 1e-6
+
+
+def test_flow_sign_is_measured_by_finite_differences():
+    # the finite-difference flow of d_2 on this pentagon is bend(+t)
+    edges = np.array([
+        [1.0, 0.0, 0.0],
+        [0.3, 0.9, 0.1],
+        [-0.5, 0.2, 0.6],
+        [-0.4, -0.8, -0.3],
+    ])
+    p = pg.Polygon(3, np.vstack([edges, -edges.sum(axis=0)]))
+    w = SphereProductPoint.from_polygon(p)
+    t = 0.5
+    flowed = bending.hamiltonian_flow(w, bending.diagonal_hamiltonian(2),
+                                      t).to_polygon()
+    dev_plus = np.abs(bending.bend(p, 2, t).edges - flowed.edges).max()
+    dev_minus = np.abs(bending.bend(p, 2, -t).edges - flowed.edges).max()
+    assert dev_plus < 1e-6 < dev_minus
+    assert bending.BENDING_FLOW_SIGN == 1
+
+
+def test_diagonal_field_matches_finite_differences(rng):
+    for m in range(4, 9):
+        p = random_prodigal_polygon(rng, m)
+        for i in range(1, m):
+            H = bending.diagonal_hamiltonian(i)
+            fd = -np.cross(p.edges, bending._grad(H, p.edges))
+            exact = bending.diagonal_field(i)(p.edges)
+            assert np.abs(exact - fd).max() < 1e-7, (m, i)
+            assert not exact[i:].any()
+
+
+def test_flow_with_and_without_field_agree():
+    # the bend suite's polygons and diagonals at seed 0
+    for k in range(2):
+        rng = trial_rng(0, k)
+        p = random_prodigal_polygon(rng, 5 + k % 2)
+        i = int(rng.integers(2, p.m - 1))
+        w = SphereProductPoint.from_polygon(p)
+        H = bending.diagonal_hamiltonian(i)
+        for t in (0.1, 1.0):
+            fd = bending.hamiltonian_flow(w, H, t)
+            exact = bending.hamiltonian_flow(w, H, t,
+                                             field=bending.diagonal_field(i))
+            assert np.abs(exact.points - fd.points).max() < 1e-8, (k, t)
+
+
+def test_diagonal_field_zero_diagonal_raises():
+    flat = pg.Polygon(3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
+    X = bending.diagonal_field(2)
+    with pytest.raises(LeftProdigalRegion):
+        X(flat.edges)
+    w = SphereProductPoint.from_polygon(flat)
+    with pytest.raises(LeftProdigalRegion):
+        bending.hamiltonian_flow(w, bending.diagonal_hamiltonian(2), 0.1,
+                                 field=X)
 
 
 def test_flow_conserves_energy(rng):
@@ -156,6 +212,21 @@ def test_kahler_ratio_random(rng):
         except DegeneratePair:
             continue
         assert abs(ratio - 4.0) < 1e-6
+
+
+def _central_hopf_differential(row, tangent, h=1e-6):
+    plus = quat.hopf_complex(row[0] + h * tangent[0], row[1] + h * tangent[1])
+    minus = quat.hopf_complex(row[0] - h * tangent[0], row[1] - h * tangent[1])
+    return (plus - minus) / (2.0 * h)
+
+
+def test_hopf_differential_matches_central_differences(rng):
+    for _ in range(200):
+        row = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        tangent = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        exact = bending._hopf_differential(row, tangent)
+        fd = _central_hopf_differential(row, tangent)
+        assert np.abs(exact - fd).max() < 1e-7
 
 
 def test_degenerate_probe_pair():

@@ -271,3 +271,8 @@ def test_negative_counts_exit_1(capsys):
     run_input_error(capsys, "sample", "--alpha", "1,1,1,1", "--count", "-3")
     run_input_error(capsys, "verify", "--suite", "hexcount", "--trials", "-1")
     run_input_error(capsys, "sample", "--alpha", "1,1", "--count", "1")
+
+
+def test_overflowing_polygon_exits_1(capsys):
+    run_input_error(capsys, "reconstruct", "--alpha", "1e200,1e200,1e200",
+                    "--dim", "2")
