@@ -19,8 +19,7 @@ from .polygon import (Polygon, SideLengths, closure_defect, diagonals,
 from .polytope import (ClassificationReport, Halfspace, RationalPolytope,
                        classify_pentagon, count_sides, dh_interval_equality,
                        diag_slice, even_step_polytope, gc_membership,
-                       hexagon_even_polytope, hypersimplex, in_hypersimplex,
-                       pentagon_generic, pentagon_polytope, quad_interval)
+                       hypersimplex, in_hypersimplex, quad_interval)
 from .quat import (Quaternion, act_right, eta, eta_inv, hopf, hopf_complex,
                    hopf_section, quat_mul)
 from .reconstruct import (LDPoint, fiber_sample, sample_moduli,

@@ -293,7 +293,5 @@ def kahler_probe_terms(row: np.ndarray, u: np.ndarray,
 
 
 def kahler_factor_probe(row, u, v) -> float:
-    num, den = kahler_probe_terms(np.asarray(row, dtype=complex),
-                                  np.asarray(u, dtype=complex),
-                                  np.asarray(v, dtype=complex))
+    num, den = kahler_probe_terms(row, u, v)
     return num / den

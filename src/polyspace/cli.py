@@ -22,9 +22,8 @@ from . import verify
 from .bending import DiagonalRange, bend_range
 from .errors import (EmptyPolytope, NonGeneric, NotInHypersimplex,
                      PolyspaceError, TriangleViolation, ZeroDiagonal)
-from .polygon import (MAX_BRUTE_FORCE_SIDES, Polygon, as_fraction,
-                      closure_defect, diagonals, is_generic_lengths, perimeter,
-                      side_lengths)
+from .polygon import (Polygon, as_fraction, closure_defect, diagonals,
+                      perimeter, side_lengths)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -56,6 +55,13 @@ def parse_rationals(text: str) -> tuple[Fraction, ...]:
         return tuple(as_fraction(tok.strip()) for tok in text.split(","))
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"cannot parse rational list {text!r}") from exc
+
+
+def parse_lengths(text: str) -> tuple[Fraction, ...]:
+    alpha = parse_rationals(text)
+    if any(a <= 0 for a in alpha):
+        raise InputError("side lengths must be positive")
+    return alpha
 
 
 def parse_floats(text: str) -> tuple[float, ...]:
@@ -189,13 +195,9 @@ def svg_polytope(poly: pt.RationalPolytope) -> str:
 
 
 def cmd_polytope(args) -> int:
-    alpha = parse_rationals(args.alpha)
-    if any(a <= 0 for a in alpha):
-        raise InputError("side lengths must be positive")
+    alpha = parse_lengths(args.alpha)
     if args.system == "diag":
         poly = pt.diag_slice(alpha)
-        if len(alpha) <= MAX_BRUTE_FORCE_SIDES and poly.generic is None:
-            poly.generic = is_generic_lengths(alpha)
     else:
         if not 4 <= len(alpha) <= 6:
             raise InputError("the even-step system needs 4 to 6 lengths")
@@ -213,7 +215,7 @@ def cmd_polytope(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    alpha = parse_rationals(args.alpha)
+    alpha = parse_lengths(args.alpha)
     if len(alpha) == 4:
         report = pt.quad_interval(alpha)
         if not report.generic:

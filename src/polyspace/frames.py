@@ -67,8 +67,7 @@ def frame_orthonormalize(a, b) -> Frame:
 
 def frame_to_polygon(f: Frame) -> Polygon:
     """Rowwise Hopf map; closure comes from orthogonality of the columns."""
-    edges = np.array([quat.hopf_complex(u, v) for u, v in zip(f.a, f.b)])
-    return Polygon(3, edges)
+    return Polygon(3, quat.hopf_complex(f.a, f.b))
 
 
 def torus_act(f: Frame, theta) -> Frame:

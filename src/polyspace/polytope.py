@@ -12,15 +12,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import Degenerate, EmptyPolytope, NonGeneric
-from .polygon import (as_fraction, exact_lengths, is_feasible_lengths,
-                      wall_distance)
+from .polygon import (MAX_BRUTE_FORCE_SIDES, as_fraction, exact_lengths,
+                      is_feasible_lengths, is_generic_lengths, wall_distance)
 
 __all__ = [
     "Halfspace", "RationalPolytope", "GCReport", "ClassificationReport",
     "QuadReport", "hypersimplex", "in_hypersimplex", "gc_membership",
-    "diag_slice", "pentagon_polytope", "pentagon_generic", "count_sides",
-    "classify_pentagon", "quad_interval", "dh_interval_equality",
-    "hexagon_even_polytope", "even_step_polytope", "wall_distance",
+    "diag_slice", "count_sides", "classify_pentagon", "quad_interval",
+    "dh_interval_equality", "even_step_polytope", "wall_distance",
     "PENTAGON_TABLE",
 ]
 
@@ -152,9 +151,6 @@ class RationalPolytope:
         self._vertices = tuple(sorted(found))
         return self._vertices
 
-    def is_empty(self) -> bool:
-        return len(self.vertices()) == 0
-
     def is_full_dimensional(self) -> bool:
         return _affinely_independent_count(self.vertices(), self.dim) == self.dim + 1
 
@@ -234,13 +230,11 @@ class GCReport:
     perimeter_ok: bool | None = None
 
 
-_TRIANGLE_NAMES = ("A", "B", "C")
-
-
 def triangle_slacks(alpha, diag):
-    """All 3m slacks at steps i = 0..m-1, with d_0 = d_m = 0 implied.
+    """All 3m slacks at steps i = 0..m-1, with d_0 = 0 implied.
 
-    At step i the three inequalities relate l_{i+1}, d_i and d_{i+1}:
+    ``diag`` is d_1..d_m, as Fractions or floats.  At step i the three
+    inequalities relate l_{i+1}, d_i and d_{i+1}:
       A: l_{i+1} <= d_i + d_{i+1}
       B: d_i <= l_{i+1} + d_{i+1}
       C: d_{i+1} <= l_{i+1} + d_i
@@ -282,7 +276,8 @@ def diag_slice(alpha) -> RationalPolytope:
 
     Scale-free: the lengths need not sum to 2.  Raises EmptyPolytope when
     the lengths fail the closing condition, which is exactly when the
-    triangle inequalities below have no common solution.
+    triangle inequalities below have no common solution.  ``generic`` is
+    :func:`is_generic_lengths` for m <= MAX_BRUTE_FORCE_SIDES, else None.
     """
     alpha = exact_lengths(alpha)
     m = len(alpha)
@@ -317,53 +312,13 @@ def diag_slice(alpha) -> RationalPolytope:
         halfspaces += [Halfspace(tuple(normal), offset)
                        for normal, offset in rows if any(normal)]
     names = tuple(f"d{k}" for k in range(2, m - 1))
-    return RationalPolytope(names, tuple(halfspaces))
+    generic = (is_generic_lengths(alpha) if m <= MAX_BRUTE_FORCE_SIDES
+               else None)
+    return RationalPolytope(names, tuple(halfspaces), generic=generic)
 
 
 def _interval_pair(a, b) -> tuple[Fraction, Fraction]:
     return abs(a - b), a + b
-
-
-def pentagon_polytope(alpha) -> RationalPolytope:
-    """The planar region for (d_2, d_3): a box cut by a three-line wedge."""
-    alpha = exact_lengths(alpha)
-    if len(alpha) != 5:
-        raise ValueError("need exactly 5 lengths")
-    a1, a2, a3, a4, a5 = alpha
-    one = Fraction(1)
-    x_lo, x_hi = _interval_pair(a1, a2)
-    y_lo, y_hi = _interval_pair(a5, a4)
-    halfspaces = (
-        Halfspace((-one, ZERO), -x_lo),
-        Halfspace((one, ZERO), x_hi),
-        Halfspace((ZERO, -one), -y_lo),
-        Halfspace((ZERO, one), y_hi),
-        Halfspace((-one, -one), -a3),   # x + y >= a3
-        Halfspace((one, -one), a3),     # x - y <= a3
-        Halfspace((-one, one), a3),     # y - x <= a3
-        Halfspace((-one, ZERO), ZERO),  # x >= 0
-        Halfspace((ZERO, -one), ZERO),  # y >= 0
-    )
-    poly = RationalPolytope(("d2", "d3"), halfspaces,
-                            generic=pentagon_generic(alpha))
-    if poly.is_empty():
-        raise EmptyPolytope("no pentagon has these side lengths")
-    return poly
-
-
-def pentagon_generic(alpha) -> bool:
-    """No corner of the (d_2, d_3) box lies on the three wedge lines."""
-    alpha = exact_lengths(alpha)
-    if len(alpha) != 5:
-        raise ValueError("need exactly 5 lengths")
-    a1, a2, a3, a4, a5 = alpha
-    xs = _interval_pair(a1, a2)
-    ys = _interval_pair(a5, a4)
-    for x in xs:
-        for y in ys:
-            if x + y == a3 or y - x == a3 or x - y == a3:
-                return False
-    return True
 
 
 def count_sides(poly: RationalPolytope) -> int:
@@ -428,9 +383,11 @@ def _box_in_wedge(alpha) -> bool:
 
 def classify_pentagon(alpha) -> ClassificationReport:
     alpha = exact_lengths(alpha)
-    if not pentagon_generic(alpha):
-        raise NonGeneric("a box corner lies on a wedge line")
-    poly = pentagon_polytope(alpha)
+    if len(alpha) != 5:
+        raise ValueError("need exactly 5 lengths")
+    poly = diag_slice(alpha)
+    if not poly.generic:
+        raise NonGeneric("the side lengths lie on a wall")
     sides = count_sides(poly)
     orientable = _box_in_wedge(alpha)
     if sides == 4:
@@ -482,8 +439,7 @@ def quad_interval(alpha) -> QuadReport:
     nested = ((i1[0] >= i2[0] and i1[1] <= i2[1])
               or (i2[0] >= i1[0] and i2[1] <= i1[1]))
     label = "S^1 u S^1" if nested else "S^1"
-    generic = not ({i1[0], i1[1]} & {i2[0], i2[1]})
-    return QuadReport((lo, hi), i1, i2, label, generic,
+    return QuadReport((lo, hi), i1, i2, label, is_generic_lengths(alpha),
                       diagonal_can_vanish=(lo == 0))
 
 
@@ -524,25 +480,6 @@ def _even_box(alpha) -> list[tuple[Fraction, Fraction]]:
             for i in range(len(alpha) // 2)]
 
 
-def hexagon_even_polytope(alpha) -> RationalPolytope:
-    """Even-step image of a hexagon: a box cut by the triangle cone."""
-    alpha = exact_lengths(alpha)
-    if len(alpha) != 6:
-        raise ValueError("need exactly 6 lengths")
-    return even_step_polytope(alpha)
-
-
-def _box_corner_generic(box) -> bool:
-    """No box corner satisfies a cone equality x_i = sum of the others."""
-    n = len(box)
-    for corner in itertools.product(*box):
-        total = sum(corner)
-        for i in range(n):
-            if corner[i] == total - corner[i]:
-                return False
-    return True
-
-
 def even_step_polytope(alpha) -> RationalPolytope:
     """Feasible even-step side lengths: a box cut by the simplex cone.
 
@@ -554,24 +491,21 @@ def even_step_polytope(alpha) -> RationalPolytope:
     m = len(alpha)
     if not 4 <= m <= 6:
         raise ValueError("vertex enumeration supported for 4 <= m <= 6")
-    box = _even_box(alpha)
+    one = Fraction(1)
     if m == 4:
         # the cone forces x1 = x2; the polytope is the diagonal interval
         rep = quad_interval(alpha)
         lo, hi = rep.interval
-        one = Fraction(1)
-        poly = RationalPolytope(
-            ("x1",),
-            (Halfspace((-one,), -lo), Halfspace((one,), hi)),
-            generic=rep.generic,
-        )
-        return poly
+        return RationalPolytope(
+            ("x1",), (Halfspace((-one,), -lo), Halfspace((one,), hi)),
+            generic=rep.generic)
+    if not is_feasible_lengths(alpha):
+        raise EmptyPolytope("no polygon has these even-step lengths")
     n = (m + 1) // 2
     fixed_last = alpha[-1] if m % 2 == 1 else None
     free = n - 1 if fixed_last is not None else n
     halfspaces = []
-    one = Fraction(1)
-    for i, (lo, hi) in enumerate(box):
+    for i, (lo, hi) in enumerate(_even_box(alpha)):
         axis = [ZERO] * free
         axis[i] = one
         halfspaces.append(Halfspace(tuple(-c for c in axis), -lo))
@@ -584,13 +518,6 @@ def even_step_polytope(alpha) -> RationalPolytope:
             offset = h.offset - h.normal[-1] * fixed_last
             if any(c != 0 for c in normal):
                 halfspaces.append(Halfspace(normal, offset))
-            elif offset < 0:
-                raise EmptyPolytope("fixed last coordinate violates the cone")
-    corner_box = box + ([(fixed_last, fixed_last)] if fixed_last is not None
-                        else [])
-    generic = _box_corner_generic(corner_box)
     names = tuple(f"x{i+1}" for i in range(free))
-    poly = RationalPolytope(names, tuple(halfspaces), generic=generic)
-    if poly.is_empty():
-        raise EmptyPolytope("no polygon has these even-step lengths")
-    return poly
+    return RationalPolytope(names, tuple(halfspaces),
+                            generic=is_generic_lengths(alpha))

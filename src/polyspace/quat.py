@@ -102,18 +102,20 @@ def hopf(q: Quaternion) -> np.ndarray:
     The real part of the product vanishes identically; only the imaginary
     coordinates are returned.  |hopf(q)| = |q|^2.
     """
-    return quat_mul(quat_mul(q.conjugate(), I), q).imaginary()
+    return hopf_complex(*q.complex_pair())
 
 
-def hopf_complex(u: complex, v: complex) -> np.ndarray:
+def hopf_complex(u, v) -> np.ndarray:
     """Hopf map in the complex chart: q = u + v j.
 
     Expanding conj(q) i q gives i [(|u|^2 - |v|^2) + 2 conj(u) v j], whose
     (i, j, k) coordinates are (|u|^2 - |v|^2, -Im(2 conj(u) v), Re(2 conj(u) v)).
+    u and v are complex numbers or 1-d arrays, giving one row per entry
+    with the coordinates on the last axis.  ``conjugate`` and ``abs``
+    serve both and skip numpy's per-call overhead on a single row.
     """
-    u, v = complex(u), complex(v)
     c = 2.0 * u.conjugate() * v
-    return np.array([abs(u) ** 2 - abs(v) ** 2, -c.imag, c.real])
+    return np.array([abs(u) ** 2 - abs(v) ** 2, -c.imag, c.real]).T
 
 
 def check_unitary(P: np.ndarray, tol: float = _UNITARY_TOL) -> np.ndarray:

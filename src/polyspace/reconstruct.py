@@ -17,7 +17,7 @@ from .bending import bend
 from .errors import (EmptyPolytope, NotInHypersimplex, TriangleViolation,
                      ZeroDiagonal)
 from .polygon import Polygon, exact_lengths, is_feasible_lengths
-from .polytope import in_hypersimplex
+from .polytope import in_hypersimplex, triangle_slacks
 
 _SLACK_TOL = 1e-9
 
@@ -50,17 +50,9 @@ class LDPoint:
 
 def _check_triangles(ld: LDPoint) -> None:
     """Raise on the first violated inequality, in step then A/B/C order."""
-    d = ld.full_diagonals()
-    for i in range(ld.m):
-        a = ld.alpha[i]
-        checks = (
-            ("A", d[i] + d[i + 1] - a),
-            ("B", a + d[i + 1] - d[i]),
-            ("C", a + d[i] - d[i + 1]),
-        )
-        for name, slack in checks:
-            if not slack >= -_SLACK_TOL:  # NaN fails too
-                raise TriangleViolation(i, name, slack)
+    for i, name, slack in triangle_slacks(ld.alpha, ld.full_diagonals()[1:]):
+        if not slack >= -_SLACK_TOL:  # NaN fails too
+            raise TriangleViolation(i, name, slack)
 
 
 def reconstruct(ld: LDPoint, k: int = 3) -> Polygon:
@@ -175,16 +167,14 @@ def sample_ld(alpha, rng) -> LDPoint:
         return LDPoint(tuple(float(a) for a in alpha), ())
     d_prev = alpha[0]
     delta = []
-    last = alpha[m - 1]
     for i in range(1, m - 2):
         a = alpha[i]
-        # the chain d_{i+1}, alpha_{i+2..m-1}, alpha_m must itself close:
-        # every member of that multiset is at most the sum of the others
-        ahead = alpha[i + 1:m - 1]
-        rest = sum(ahead)
-        lo = max(abs(d_prev - a), last - rest,
-                 2 * max(ahead) - rest - last)
-        hi = min(d_prev + a, last + rest)
+        # d_{i+1} closes a triangle with d_i and alpha_{i+1}, and a polygon
+        # with the tail alpha_{i+2..m}: 2 max(d, tail) <= d + sum(tail)
+        tail = alpha[i + 1:]
+        rest = sum(tail)
+        lo = max(abs(d_prev - a), 2 * max(tail) - rest)
+        hi = min(d_prev + a, rest)
         if lo > hi:
             raise EmptyPolytope("no diagonal data fits these lengths")
         d_next = _frac_uniform(rng, lo, hi)

@@ -14,7 +14,7 @@ import pytest
 
 from polyspace import bending, frames, polygon as pg, polytope as pt, \
     quat, reconstruct as rec, verify
-from polyspace.errors import EmptyPolytope, TriangleViolation
+from polyspace.errors import TriangleViolation
 from polyspace.reconstruct import LDPoint
 
 SEED = 20260823
@@ -86,14 +86,7 @@ def test_criterion_06_kahler_factor():
 
 
 def _random_ld(rng, m):
-    while True:
-        nums = [int(n) for n in rng.integers(1, 30, size=m)]
-        total = sum(nums)
-        alpha = tuple(F(2 * n, total) for n in nums)
-        try:
-            return rec.sample_ld(alpha, rng)
-        except EmptyPolytope:
-            continue
+    return rec.sample_ld(verify.random_rational_lengths(rng, m), rng)
 
 
 def _expected_violation(ld, j, rng):

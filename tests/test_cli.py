@@ -95,6 +95,14 @@ def test_classify_wrong_m_exits_1(capsys):
     assert run(capsys, "classify", "--alpha", "1,1,1")[0] == 1
 
 
+def test_classify_non_positive_lengths_exit_1(capsys):
+    for alpha in ("0,1,1,1", "1,1,0,1,1"):
+        assert cli.main(["classify", "--alpha", alpha]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: side lengths must be positive\n"
+
+
 def test_reconstruct_square(capsys):
     code, out = run(capsys, "reconstruct", "--alpha", "1,1,1,1",
                     "--diag", str(math.sqrt(2)), "--dim", "2")

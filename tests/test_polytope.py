@@ -1,12 +1,75 @@
 """Exact polytopes: hypersimplex, diagonal slices, classification tables."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+from polyspace import polygon as pg
 from polyspace import polytope as pt
 from polyspace.errors import Degenerate, EmptyPolytope, NonGeneric
+
+
+# Test-only oracles: the box-corner wall tests and the box-and-wedge
+# pentagon region that is_generic_lengths and diag_slice replaced.
+
+def _pair(a, b):
+    return abs(a - b), a + b
+
+
+def _pentagon_box_generic(alpha):
+    """No corner of the (d_2, d_3) box lies on the three wedge lines."""
+    a1, a2, a3, a4, a5 = alpha
+    return not any(x + y == a3 or y - x == a3 or x - y == a3
+                   for x in _pair(a1, a2) for y in _pair(a5, a4))
+
+
+def _even_box(alpha):
+    """Ranges of the even-step sides; for odd m the last is pinned."""
+    box = [_pair(alpha[i], alpha[i + 1]) for i in range(0, len(alpha) - 1, 2)]
+    if len(alpha) % 2:
+        box.append((alpha[-1], alpha[-1]))
+    return box
+
+
+def _box_corner_generic(box):
+    """No box corner satisfies a cone equality x_i = sum of the others.
+
+    For m = 4 this says no endpoint of I_1 meets an endpoint of I_2.
+    """
+    return not any(2 * x == sum(corner)
+                   for corner in itertools.product(*box) for x in corner)
+
+
+def _pentagon_polytope(alpha):
+    """The (d_2, d_3) region: a box cut by a three-line wedge."""
+    a1, a2, a3, a4, a5 = alpha
+    x_lo, x_hi = _pair(a1, a2)
+    y_lo, y_hi = _pair(a5, a4)
+    halfspaces = (
+        pt.Halfspace((-1, 0), -x_lo), pt.Halfspace((1, 0), x_hi),
+        pt.Halfspace((0, -1), -y_lo), pt.Halfspace((0, 1), y_hi),
+        pt.Halfspace((-1, -1), -a3),  # x + y >= a3
+        pt.Halfspace((1, -1), a3),    # x - y <= a3
+        pt.Halfspace((-1, 1), a3),    # y - x <= a3
+        pt.Halfspace((-1, 0), 0), pt.Halfspace((0, -1), 0),
+    )
+    return pt.RationalPolytope(("d2", "d3"), halfspaces)
+
+
+def _even_box_cone(alpha):
+    """The even-step box cut by the cone x_i <= sum of the others."""
+    box = _even_box(alpha)
+    n = len(box)
+    halfspaces = []
+    for i, (lo, hi) in enumerate(box):
+        axis = tuple(int(j == i) for j in range(n))
+        halfspaces += [pt.Halfspace(tuple(-c for c in axis), -lo),
+                       pt.Halfspace(axis, hi),
+                       pt.Halfspace(tuple(2 * c - 1 for c in axis), 0)]
+    return pt.RationalPolytope(tuple(f"x{i + 1}" for i in range(n)),
+                               halfspaces)
 
 
 def test_hypersimplex_membership():
@@ -91,27 +154,94 @@ def test_diag_slice_empty_iff_closing_condition_fails(rng):
 
 
 def test_diag_slice_matches_pentagon_polytope():
-    for alpha in [(2, 1, 5, 1, 2), (3, 1, 3, 1, 3), (4, 2, 2, 2, 4)]:
-        a = pt.diag_slice(alpha)
-        b = pt.pentagon_polytope(alpha)
-        assert set(a.vertices()) == set(b.vertices())
-        assert pt.count_sides(a) == pt.count_sides(b)
+    # the examples, then every pentagon with entries 0..3
+    cases = [(2, 1, 5, 1, 2), (3, 1, 3, 1, 3), (4, 2, 2, 2, 4)]
+    cases += itertools.product(range(4), repeat=5)
+    for alpha in cases:
+        oracle = _pentagon_polytope(alpha)
+        if not pg.is_feasible_lengths(alpha):
+            assert not oracle.vertices(), alpha
+            with pytest.raises(EmptyPolytope):
+                pt.diag_slice(alpha)
+            continue
+        poly = pt.diag_slice(alpha)
+        assert poly.generic == _pentagon_box_generic(alpha), alpha
+        assert set(poly.vertices()) == set(oracle.vertices()), alpha
+        if oracle.is_full_dimensional():
+            assert pt.count_sides(poly) == pt.count_sides(oracle), alpha
+
+
+def test_wall_oracles_match_is_generic_lengths_on_pentagons():
+    # every feasible pentagon with entries 0..6, through the pentagon box
+    # and the even-step box (pinned last side)
+    feasible = 0
+    for alpha in itertools.product(range(7), repeat=5):
+        if not pg.is_feasible_lengths(alpha):
+            continue
+        feasible += 1
+        generic = pg.is_generic_lengths(alpha)
+        assert _pentagon_box_generic(alpha) == generic, alpha
+        assert _box_corner_generic(_even_box(alpha)) == generic, alpha
+    assert feasible == 15547
+
+
+def test_quad_generic_and_emptiness_exhaustive():
+    # every quadrilateral with entries 0..8
+    seen = set()
+    for alpha in itertools.product(range(9), repeat=4):
+        if not pg.is_feasible_lengths(alpha):
+            with pytest.raises(EmptyPolytope):
+                pt.quad_interval(alpha)
+            with pytest.raises(EmptyPolytope):
+                pt.even_step_polytope(alpha)
+            continue
+        generic = _box_corner_generic(_even_box(alpha))
+        assert pg.is_generic_lengths(alpha) == generic, alpha
+        assert pt.quad_interval(alpha).generic == generic, alpha
+        assert pt.even_step_polytope(alpha).generic == generic, alpha
+        seen.add(generic)
+    assert seen == {True, False}
+
+
+def test_even_step_matches_box_oracles(rng):
+    seen = set()
+    for m in (5, 6):
+        for trial in range(150):
+            alpha = [int(n) for n in rng.integers(0, 7, size=m)]
+            if trial % 3 == 0:
+                # one side near the sum of the others: under, on or over
+                k = int(rng.integers(0, m))
+                alpha[k] = max(sum(alpha) - alpha[k]
+                               + int(rng.integers(-1, 2)), 0)
+            alpha = tuple(alpha)
+            feasible = pg.is_feasible_lengths(alpha)
+            assert bool(_even_box_cone(alpha).vertices()) == feasible, alpha
+            if not feasible:
+                with pytest.raises(EmptyPolytope):
+                    pt.even_step_polytope(alpha)
+                seen.add("empty")
+                continue
+            generic = _box_corner_generic(_even_box(alpha))
+            assert pt.even_step_polytope(alpha).generic == generic, alpha
+            assert pg.is_generic_lengths(alpha) == generic, alpha
+            seen.add(generic)
+    assert seen == {True, False, "empty"}
 
 
 def test_pentagon_table_examples():
-    assert pt.count_sides(pt.pentagon_polytope((2, 1, 5, 1, 2))) == 3
-    assert pt.count_sides(pt.pentagon_polytope((3, 2, 5, 1, 2))) == 4
-    assert pt.count_sides(pt.pentagon_polytope((3, 1, 3, 1, 3))) == 4
-    assert pt.count_sides(pt.pentagon_polytope((2, 1, 3, 1, 2))) == 5
-    assert pt.count_sides(pt.pentagon_polytope((4, 2, 2, 2, 4))) == 6
-    assert pt.count_sides(pt.pentagon_polytope((4, 3, 4, 3, 4))) == 7
+    assert pt.count_sides(pt.diag_slice((2, 1, 5, 1, 2))) == 3
+    assert pt.count_sides(pt.diag_slice((3, 2, 5, 1, 2))) == 4
+    assert pt.count_sides(pt.diag_slice((3, 1, 3, 1, 3))) == 4
+    assert pt.count_sides(pt.diag_slice((2, 1, 3, 1, 2))) == 5
+    assert pt.count_sides(pt.diag_slice((4, 2, 2, 2, 4))) == 6
+    assert pt.count_sides(pt.diag_slice((4, 3, 4, 3, 4))) == 7
 
 
 def test_pentagon_side_bound(rng):
     for _ in range(50):
         alpha = tuple(F(int(n)) for n in rng.integers(1, 12, size=5))
         try:
-            poly = pt.pentagon_polytope(alpha)
+            poly = pt.diag_slice(alpha)
             sides = pt.count_sides(poly)
         except (EmptyPolytope, Degenerate):
             continue
@@ -119,12 +249,13 @@ def test_pentagon_side_bound(rng):
 
 
 def test_pentagon_generic():
-    assert pt.pentagon_generic((2, 1, 5, 1, 2))
-    # corner (2, 2) of the box for (1, 1, 2, 1, 1) lies on x + y = 2? no:
-    # 2 + 2 = 4; but (0, 0) lies on neither line, so this one is generic
-    assert pt.pentagon_generic((1, 1, 2, 1, 1)) is False  # corner (0,2): y-x=2
-    # constructed boundary case on y = x - a3
-    assert not pt.pentagon_generic((5, 1, 2, 1, 3))  # corner (6,4): x-y=2
+    for generic_of in (pg.is_generic_lengths, _pentagon_box_generic,
+                       lambda alpha: pt.diag_slice(alpha).generic):
+        assert generic_of((2, 1, 5, 1, 2))
+        # the box corner (0, 2) of (1, 1, 2, 1, 1) lies on y - x = 2
+        assert generic_of((1, 1, 2, 1, 1)) is False
+        # the box corner (6, 4) of (5, 1, 2, 1, 3) lies on x - y = 2
+        assert not generic_of((5, 1, 2, 1, 3))
 
 
 def test_non_generic_pentagon_is_rejected():
@@ -132,8 +263,8 @@ def test_non_generic_pentagon_is_rejected():
     # corner (6, 2) lies on the line x - y = 4
     with pytest.raises(NonGeneric):
         pt.classify_pentagon((4, 2, 4, 2, 4))
-    assert pt.pentagon_polytope((4, 2, 4, 2, 4)).generic is False
-    assert pt.count_sides(pt.pentagon_polytope((4, 2, 4, 2, 4))) == 4
+    assert pt.diag_slice((4, 2, 4, 2, 4)).generic is False
+    assert pt.count_sides(pt.diag_slice((4, 2, 4, 2, 4))) == 4
 
 
 def test_classify_pentagon_rows():
@@ -196,14 +327,14 @@ def test_dh_equality_property(nums):
 
 
 def test_hexagon_box_inside_cone():
-    poly = pt.hexagon_even_polytope((4, 1, 4, 1, 4, 1))
+    poly = pt.even_step_polytope((4, 1, 4, 1, 4, 1))
     assert poly.facet_count() == 6
     assert poly.generic
     assert len(poly.vertices()) == 8
 
 
 def test_hexagon_regular_not_generic():
-    poly = pt.hexagon_even_polytope((1, 1, 1, 1, 1, 1))
+    poly = pt.even_step_polytope((1, 1, 1, 1, 1, 1))
     assert poly.generic is False
 
 
@@ -212,7 +343,7 @@ def test_hexagon_facet_bound(rng):
     for _ in range(60):
         alpha = tuple(F(int(n)) for n in rng.integers(1, 10, size=6))
         try:
-            poly = pt.hexagon_even_polytope(alpha)
+            poly = pt.even_step_polytope(alpha)
             count = poly.facet_count()
         except EmptyPolytope:
             continue
@@ -223,7 +354,7 @@ def test_hexagon_facet_bound(rng):
 
 def test_hexagon_one_cut():
     # box [3,5] x [3,5] x [5,7]: only z <= x + y cuts, at one corner
-    poly = pt.hexagon_even_polytope((4, 1, 4, 1, 6, 1))
+    poly = pt.even_step_polytope((4, 1, 4, 1, 6, 1))
     assert poly.facet_count() == 7
     assert poly.generic
 
@@ -242,7 +373,7 @@ def test_even_step_polytope_m5():
 
 
 def test_vertices_satisfy_halfspaces():
-    poly = pt.pentagon_polytope((2, 1, 3, 1, 2))
+    poly = pt.diag_slice((2, 1, 3, 1, 2))
     for v in poly.vertices():
         assert poly.contains(v)
         tight = sum(1 for h in poly.halfspaces if h.slack(v) == 0)
@@ -284,7 +415,7 @@ def test_rejects_floats():
 
 
 def test_json_round_trip():
-    doc = pt.pentagon_polytope((2, 1, 5, 1, 2)).to_json_dict()
+    doc = pt.diag_slice((2, 1, 5, 1, 2)).to_json_dict()
     assert doc["variables"] == ["d2", "d3"]
     assert doc["facets"] == 3
     assert doc["generic"] is True

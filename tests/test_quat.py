@@ -60,7 +60,21 @@ def test_hopf_complex_matches_full_product(rng):
         w, x, y, z = rng.standard_normal(4)
         q = Quaternion(w, x, y, z)
         u, v = q.complex_pair()
-        assert np.abs(quat.hopf_complex(u, v) - quat.hopf(q)).max() < 1e-13
+        product = quat.quat_mul(quat.quat_mul(q.conjugate(), I), q)
+        assert np.abs(quat.hopf_complex(u, v) - product.imaginary()).max() < 1e-13
+        assert np.abs(quat.hopf(q) - product.imaginary()).max() < 1e-13
+
+
+def test_hopf_complex_on_arrays_matches_rows(rng):
+    for m in (1, 3, 8):
+        u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        rows = np.array([quat.hopf_complex(a, b) for a, b in zip(u, v)])
+        stacked = quat.hopf_complex(u, v)
+        assert stacked.shape == (m, 3)
+        # |hopf(u, v)| = |u|^2 + |v|^2 bounds the rounding of each row
+        scale = np.abs(u) ** 2 + np.abs(v) ** 2
+        assert (np.abs(stacked - rows).max(axis=1) <= 1e-14 * scale).all()
 
 
 def test_hopf_squares_the_radius(rng):

@@ -2,9 +2,11 @@
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from polyspace import polygon as pg, polytope as pt, reconstruct as rec
 from polyspace.errors import (EmptyPolytope, NotInHypersimplex,
@@ -175,3 +177,32 @@ def test_quad_sampling_covers_interval():
     d2 = [pg.diagonals(p)[1] for p in samples]
     assert min(d2) < float(lo) + 1e-2
     assert max(d2) > float(hi) - 1e-2
+
+
+@given(st.lists(st.integers(min_value=1, max_value=12), min_size=4,
+                max_size=9),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_sample_ld_draws_inside_triangle_and_closing_ranges(nums, seed):
+    alpha = tuple(F(n) for n in nums)
+    drawn = []
+    draw = rec._frac_uniform
+
+    def recording_draw(rng, lo, hi):
+        drawn.append(draw(rng, lo, hi))
+        return drawn[-1]
+
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(rec, "_frac_uniform", recording_draw):
+        if not pg.is_feasible_lengths(alpha):
+            # the first step already fails, before any draw
+            with pytest.raises(EmptyPolytope):
+                rec.sample_ld(alpha, rng)
+            assert drawn == []
+            return
+        ld = rec.sample_ld(alpha, rng)
+    assert ld.delta == tuple(float(d) for d in drawn)
+    d_prev = alpha[0]
+    for i, d in enumerate(drawn, start=1):
+        assert abs(d_prev - alpha[i]) <= d <= d_prev + alpha[i]
+        assert pg.is_feasible_lengths((d,) + alpha[i + 1:])
+        d_prev = d
