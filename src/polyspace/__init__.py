@@ -20,8 +20,7 @@ from .polytope import (ClassificationReport, Halfspace, RationalPolytope,
                        classify_pentagon, count_sides, dh_interval_equality,
                        diag_slice, even_step_polytope, gc_membership,
                        hypersimplex, in_hypersimplex, quad_interval)
-from .quat import (Quaternion, act_right, eta, eta_inv, hopf, hopf_complex,
-                   hopf_section, quat_mul)
+from .quat import hopf, hopf_complex, hopf_section
 from .reconstruct import (LDPoint, fiber_sample, sample_moduli,
                           section_sigma)
 from .reconstruct import reconstruct as reconstruct_polygon

@@ -45,9 +45,12 @@ def read_tolerance() -> float:
     if raw is None:
         return 1e-9
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise InputError(f"POLYSPACE_TOL is not a float: {raw!r}") from exc
+    if not 0.0 <= tol < math.inf:
+        raise InputError(f"POLYSPACE_TOL must be finite and >= 0: {raw!r}")
+    return tol
 
 
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
@@ -95,7 +98,9 @@ def polygon_from_doc(doc: dict, tol: float) -> Polygon:
         poly = Polygon(int(doc["dim"]), np.array(doc["edges"], dtype=float))
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"bad polygon document: {exc}") from exc
-    if closure_defect(poly) > tol * max(perimeter(poly), 1e-300):
+    if not np.isfinite(poly.edges).all():
+        raise InputError("polygon document has a non-finite edge")
+    if not closure_defect(poly) <= tol * max(perimeter(poly), 1e-300):
         raise InputError("polygon document is not closed")
     return poly
 

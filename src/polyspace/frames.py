@@ -7,14 +7,12 @@ length/diagonal coordinates through their eigenvalues.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import quat
-from .errors import (DependentColumns, NotClosed, NotHermitian,
-                     NotNormalized, NonUnitary)
+from .errors import DependentColumns, NotClosed, NotHermitian, NotNormalized
 from .polygon import Polygon, closure_defect, perimeter
 
 _FRAME_TOL = 1e-10
@@ -55,12 +53,12 @@ def frame_orthonormalize(a, b) -> Frame:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     na = np.linalg.norm(a)
-    if na < 1e-12:
+    if not na >= 1e-12:
         raise DependentColumns("first column is (numerically) zero")
     a = a / na
     b = b - np.vdot(a, b) * a
     nb = np.linalg.norm(b)
-    if nb < 1e-12:
+    if not nb >= 1e-12:
         raise DependentColumns("columns are (numerically) linearly dependent")
     return Frame(a, b / nb)
 
@@ -80,8 +78,7 @@ def torus_act(f: Frame, theta) -> Frame:
 
 def u2_act(f: Frame, P) -> Frame:
     """Right action (a, b) -> (a, b) P; conjugates every edge of the polygon."""
-    P = quat.check_unitary(P)
-    return Frame(P[0, 0] * f.a + P[1, 0] * f.b, P[0, 1] * f.a + P[1, 1] * f.b)
+    return Frame(*quat.act_right((f.a, f.b), P))
 
 
 def conjugate_frame(f: Frame) -> Frame:
@@ -106,27 +103,35 @@ def moment_mu(f: Frame) -> np.ndarray:
     return np.abs(f.a) ** 2 + np.abs(f.b) ** 2
 
 
+def _gram_stack(f: Frame) -> np.ndarray:
+    """The m truncated Gram matrices; entry i - 1 sums rows 1..i."""
+    ab = np.cumsum(f.a.conj() * f.b)
+    h = np.empty((f.m, 2, 2), dtype=complex)
+    h[:, 0, 0] = np.cumsum(abs(f.a) ** 2)
+    h[:, 1, 1] = np.cumsum(abs(f.b) ** 2)
+    h[:, 0, 1] = ab
+    h[:, 1, 0] = ab.conj()
+    return h
+
+
 def truncated_gram2(f: Frame, i: int) -> np.ndarray:
     """Sum over the first i rows of the rank-1 matrices row* row."""
     if not 1 <= i <= f.m:
         raise ValueError(f"truncation index must be in 1..{f.m}")
-    a, b = f.a[:i], f.b[:i]
-    return np.array([
-        [np.vdot(a, a), np.vdot(a, b)],
-        [np.vdot(b, a), np.vdot(b, b)],
-    ])
+    return _gram_stack(f)[i - 1]
 
 
-def eig2(h, tol: float = 1e-10) -> tuple[float, float]:
-    """Eigenvalues of a 2x2 hermitian matrix by the closed-form quadratic."""
+def eig2(h, tol: float = 1e-10):
+    """Eigenvalues (lo, hi) of a hermitian 2x2 matrix or stack (..., 2, 2)."""
     h = np.asarray(h, dtype=complex)
-    if h.shape != (2, 2):
+    if h.shape[-2:] != (2, 2):
         raise NotHermitian(f"expected a 2x2 matrix, got shape {h.shape}")
-    if np.linalg.norm(h - h.conj().T) > tol:
+    defect = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if not np.all(defect <= tol):
         raise NotHermitian("matrix is not hermitian within tolerance")
-    half_tr = (h[0, 0].real + h[1, 1].real) / 2.0
-    half_gap = (h[0, 0].real - h[1, 1].real) / 2.0
-    radius = math.hypot(half_gap, abs(h[0, 1]))
+    half_tr = (h[..., 0, 0].real + h[..., 1, 1].real) / 2.0
+    half_gap = (h[..., 0, 0].real - h[..., 1, 1].real) / 2.0
+    radius = np.hypot(half_gap, abs(h[..., 0, 1]))
     return half_tr - radius, half_tr + radius
 
 
@@ -147,13 +152,8 @@ class GCPattern:
 
 
 def gc_pattern(f: Frame) -> GCPattern:
-    sums = np.empty(f.m)
-    diffs = np.empty(f.m)
-    for i in range(1, f.m + 1):
-        lo, hi = eig2(truncated_gram2(f, i))
-        sums[i - 1] = lo + hi
-        diffs[i - 1] = hi - lo
-    return GCPattern(sums, diffs)
+    lo, hi = eig2(_gram_stack(f))
+    return GCPattern(lo + hi, hi - lo)
 
 
 def frame_from_polygon(p: Polygon) -> Frame:
@@ -161,14 +161,11 @@ def frame_from_polygon(p: Polygon) -> Frame:
     if p.dim != 3:
         p = p.embedded(3)
     per = perimeter(p)
-    if abs(per - 2.0) > 1e-9:
+    if not abs(per - 2.0) <= 1e-9:
         raise NotNormalized(f"perimeter is {per}, expected 2")
-    if closure_defect(p) > 1e-9 * per:
+    if not closure_defect(p) <= 1e-9 * per:
         raise NotClosed("edge vectors do not sum to zero")
-    rows = [quat.hopf_section(edge).complex_pair() for edge in p.edges]
-    a = np.array([u for u, _ in rows])
-    b = np.array([v for _, v in rows])
-    return Frame(a, b)
+    return Frame(*quat.hopf_section(p.edges))
 
 
 def random_frame(m: int, rng) -> Frame:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -165,15 +166,17 @@ def sample_ld(alpha, rng) -> LDPoint:
     m = len(alpha)
     if m == 3:
         return LDPoint(tuple(float(a) for a in alpha), ())
+    # sums and maxima of the tails alpha[j:], each computed once
+    rests = list(accumulate(reversed(alpha)))[::-1]
+    tops = list(accumulate(reversed(alpha), max))[::-1]
     d_prev = alpha[0]
     delta = []
     for i in range(1, m - 2):
         a = alpha[i]
         # d_{i+1} closes a triangle with d_i and alpha_{i+1}, and a polygon
         # with the tail alpha_{i+2..m}: 2 max(d, tail) <= d + sum(tail)
-        tail = alpha[i + 1:]
-        rest = sum(tail)
-        lo = max(abs(d_prev - a), 2 * max(tail) - rest)
+        rest = rests[i + 1]
+        lo = max(abs(d_prev - a), 2 * tops[i + 1] - rest)
         hi = min(d_prev + a, rest)
         if lo > hi:
             raise EmptyPolytope("no diagonal data fits these lengths")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from polyspace import bending, frames, polygon as pg, polytope as pt, \
-    quat, reconstruct as rec, verify
+    reconstruct as rec, verify
 from polyspace.errors import TriangleViolation
 from polyspace.reconstruct import LDPoint
 

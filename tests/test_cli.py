@@ -159,6 +159,9 @@ def test_read_enforces_closure(tmp_path, capsys):
     src.write_text(json.dumps(doc))
     assert run(capsys, "bend", "--in", str(src), "--range", "1,2",
                "--angle", "1.0")[0] == 1
+    src.write_text('{"dim": 3, "edges": [[1, 0, 0], [NaN, 0, 0], [-1, 0, 0]]}')
+    run_input_error(capsys, "bend", "--in", str(src), "--range", "1,2",
+                    "--angle", "1.0")
 
 
 def test_read_tolerance_env(tmp_path, capsys, monkeypatch):
@@ -170,6 +173,12 @@ def test_read_tolerance_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("POLYSPACE_TOL", "1e-3")
     assert run(capsys, "bend", "--in", str(src), "--range", "1,2",
                "--angle", "0.0")[0] == 0
+    # a tolerance that is not finite or is negative would switch the
+    # closure check off or make it fail on every input
+    for bad in ("nan", "inf", "-1"):
+        monkeypatch.setenv("POLYSPACE_TOL", bad)
+        run_input_error(capsys, "bend", "--in", str(src), "--range", "1,2",
+                        "--angle", "0.0")
 
 
 def test_sample_deterministic(capsys):

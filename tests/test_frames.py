@@ -42,6 +42,8 @@ def test_orthonormalize_random(rng):
 def test_orthonormalize_dependent():
     with pytest.raises(DependentColumns):
         frames.frame_orthonormalize([1, 1j, 0], [2, 2j, 0])
+    with pytest.raises(DependentColumns):
+        frames.frame_orthonormalize([math.nan, 1, 0], [0, 1, 0])
 
 
 def test_frame_to_polygon_basis():
@@ -105,6 +107,8 @@ def test_u2_preserves_lengths_and_gram(rng):
     assert np.abs(frames.gram(g) - frames.gram(f)).max() < 1e-12
     with pytest.raises(NonUnitary):
         frames.u2_act(f, np.ones((2, 2)))
+    with pytest.raises(NonUnitary):
+        frames.u2_act(f, [[math.nan, 0], [0, 1]])
 
 
 def test_conjugate_frame_is_reflection(rng):
@@ -165,6 +169,8 @@ def test_eig2():
         (0.0, 2.0))
     with pytest.raises(NotHermitian):
         frames.eig2(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotHermitian):
+        frames.eig2(np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_eig2_matches_numpy(rng):
@@ -189,6 +195,16 @@ def test_gc_pattern_identities(rng):
         assert pat.interlacing_slack() > -1e-9
 
 
+def test_gc_pattern_matches_truncated_loop(rng):
+    for m in range(3, 11):
+        f = frames.random_frame(m, rng)
+        pat = frames.gc_pattern(f)
+        for i in range(1, m + 1):
+            lo, hi = frames.eig2(frames.truncated_gram2(f, i))
+            assert abs(pat.sums[i - 1] - (lo + hi)) <= 1e-14
+            assert abs(pat.diffs[i - 1] - (hi - lo)) <= 1e-14
+
+
 def test_gc_first_row():
     pat = frames.gc_pattern(basis_frame())
     assert pat.sums[0] == pytest.approx(pat.diffs[0])
@@ -211,6 +227,9 @@ def test_frame_from_polygon_validation():
     open_path = pg.Polygon(3, [[1, 0, 0], [0, 0.75, 0], [-0.25, 0, 0]])
     with pytest.raises(NotClosed):
         frames.frame_from_polygon(open_path)
+    nan_edge = pg.Polygon(3, [[1, 0, 0], [math.nan, 0, 0], [-0.5, 0, 0]])
+    with pytest.raises((NotNormalized, NotClosed)):
+        frames.frame_from_polygon(nan_edge)
 
 
 def test_frame_from_polygon_deterministic():
