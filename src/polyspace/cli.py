@@ -67,6 +67,12 @@ def parse_lengths(text: str) -> tuple[Fraction, ...]:
     return alpha
 
 
+def require_polygon(values):
+    if len(values) < 3:
+        raise InputError(f"a polygon needs at least 3 lengths, got "
+                         f"{len(values)}")
+
+
 def parse_floats(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in text.split(","))
@@ -96,7 +102,7 @@ def polygon_to_doc(p: Polygon) -> dict:
 def polygon_from_doc(doc: dict, tol: float) -> Polygon:
     try:
         poly = Polygon(int(doc["dim"]), np.array(doc["edges"], dtype=float))
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"bad polygon document: {exc}") from exc
     if not np.isfinite(poly.edges).all():
         raise InputError("polygon document has a non-finite edge")
@@ -173,6 +179,8 @@ def svg_polygon(p: Polygon) -> str:
 def svg_polytope(poly: pt.RationalPolytope) -> str:
     if poly.dim > 2:
         raise InputError("SVG output is only available in dimension <= 2")
+    if poly.dim == 0:
+        raise InputError("a 0-dimensional polytope has no SVG drawing")
     verts = poly.vertices()
     if not verts:
         raise EmptyPolytope("nothing to draw")
@@ -202,6 +210,7 @@ def svg_polytope(poly: pt.RationalPolytope) -> str:
 def cmd_polytope(args) -> int:
     alpha = parse_lengths(args.alpha)
     if args.system == "diag":
+        require_polygon(alpha)
         poly = pt.diag_slice(alpha)
     else:
         if not 4 <= len(alpha) <= 6:
@@ -238,6 +247,7 @@ def cmd_classify(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     alpha = parse_floats(args.alpha)
+    require_polygon(alpha)
     diag = parse_floats(args.diag) if args.diag else ()
     if len(diag) != max(len(alpha) - 3, 0):
         raise InputError(f"need {max(len(alpha) - 3, 0)} free diagonals "
@@ -259,6 +269,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_bend(args) -> int:
+    if not math.isfinite(args.angle):
+        raise InputError(f"--angle must be finite, got {args.angle}")
     tol = read_tolerance()
     with open(getattr(args, "in")) as fh:
         poly = polygon_from_doc(json.load(fh), tol)
@@ -277,8 +289,7 @@ def cmd_bend(args) -> int:
 
 def cmd_sample(args) -> int:
     alpha = parse_rationals(args.alpha)
-    if len(alpha) < 3:
-        raise InputError("sampling needs at least 3 lengths")
+    require_polygon(alpha)
     if args.count < 0:
         raise InputError(f"--count must be >= 0, got {args.count}")
     polys = rec.sample_moduli(alpha, args.dim, args.count, args.seed)
@@ -377,19 +388,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except TriangleViolation as exc:
+    except (TriangleViolation, EmptyPolytope, NonGeneric, NotInHypersimplex,
+            ZeroDiagonal) as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
-    except (EmptyPolytope, NonGeneric, NotInHypersimplex, ZeroDiagonal) as exc:
-        sys.stderr.write(f"infeasible: {exc}\n")
-        return EXIT_INFEASIBLE
-    except (OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except PolyspaceError as exc:
+    except (InputError, OSError, json.JSONDecodeError, PolyspaceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

@@ -1,13 +1,14 @@
 """Exact rational polytopes for length and diagonal data.
 
-Everything here runs in fractions.Fraction arithmetic: side and facet
-counts jump at walls, and floats cannot certify which side of a wall a
-given length vector sits on.
+Everything here is exact (fractions.Fraction, and integers for vertex
+enumeration): side and facet counts jump at walls, and floats cannot
+certify which side of a wall a given length vector sits on.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -44,67 +45,42 @@ class Halfspace:
     def holds(self, point) -> bool:
         return self.slack(point) >= 0
 
-    def canonical_boundary(self):
-        """Scale-invariant key for the hyperplane normal . x = offset."""
-        lead = next((c for c in self.normal if c != 0), None)
-        if lead is None:
-            return None
-        return (tuple(c / lead for c in self.normal), self.offset / lead)
+
+def _integer_row(h: Halfspace) -> tuple[tuple[int, ...], int]:
+    """(normal, offset) of ``h`` scaled by their common denominator."""
+    den = math.lcm(*(c.denominator for c in h.normal + (h.offset,)))
+    return (tuple(c.numerator * (den // c.denominator) for c in h.normal),
+            h.offset.numerator * (den // h.offset.denominator))
 
 
-def _solve_square(rows, rhs):
-    """Exact Gaussian elimination; returns None for singular systems."""
-    n = len(rhs)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [c / inv for c in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [c - factor * d for c, d in zip(aug[r], aug[col])]
-    return tuple(aug[r][n] for r in range(n))
-
-
-def _affinely_independent_count(points, dim):
-    """Size of a largest affinely independent subset, capped at dim + 1."""
-    if not points:
-        return 0
-    base = points[0]
-    basis = []
-    for p in points[1:]:
-        vec = [x - y for x, y in zip(p, base)]
-        # reduce against the current basis
-        for b in basis:
-            lead = next((i for i, c in enumerate(b) if c != 0))
-            if vec[lead] != 0:
-                f = vec[lead] / b[lead]
-                vec = [c - f * d for c, d in zip(vec, b)]
-        if any(c != 0 for c in vec):
-            basis.append(vec)
-            if len(basis) == dim:
-                break
-    return len(basis) + 1
+def _det(rows) -> int:
+    """Determinant of a square integer matrix of size at most 3."""
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    return rows[0][0] if rows else 1
 
 
 @dataclass
 class RationalPolytope:
     """An intersection of rational halfspaces with exact vertex data.
 
-    Vertex enumeration is brute force over dim-subsets of the boundary
-    hyperplanes and is only attempted for dim <= 3; membership testing
-    works in any dimension.
+    For dim <= 3 the vertices come from one incidence table, built once:
+    each dim-subset of the rows, scaled to integers, is solved by
+    Cramer's rule, and a solution that satisfies every row becomes a
+    vertex, mapped to the indices of the rows tight at it.  The vertices,
+    full-dimensionality and the facets are all read from that table.
+    Membership testing works in any dimension.
     """
 
     variables: tuple[str, ...]
     halfspaces: tuple[Halfspace, ...]
     equalities: tuple[Halfspace, ...] = ()
     generic: bool | None = None
-    _vertices: tuple | None = field(default=None, repr=False)
+    _table: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.variables = tuple(self.variables)
@@ -128,46 +104,64 @@ class RationalPolytope:
         slacks += [-abs(h.slack(point)) for h in self.equalities]
         return min(slacks) if slacks else ZERO
 
-    def vertices(self) -> tuple:
-        if self._vertices is not None:
-            return self._vertices
+    def _incidence(self) -> dict:
+        """{vertex: frozenset of indices of the rows tight at it}, sorted."""
+        if self._table is not None:
+            return self._table
         if self.equalities:
             raise ValueError("vertex enumeration expects substituted equalities")
         n = self.dim
         if n > 3:
             raise ValueError("vertex enumeration limited to dimension <= 3")
-        if n == 0:
-            ok = all(h.offset >= 0 for h in self.halfspaces)
-            self._vertices = ((),) if ok else ()
-            return self._vertices
-        found = set()
-        for combo in itertools.combinations(self.halfspaces, n):
-            point = _solve_square([h.normal for h in combo],
-                                  [h.offset for h in combo])
-            if point is None:
+        rows = [_integer_row(h) for h in self.halfspaces]
+        found = {}
+        for combo in itertools.combinations(rows, n):
+            normals = [a for a, _ in combo]
+            den = _det(normals)
+            if den == 0:
                 continue
-            if all(h.holds(point) for h in self.halfspaces):
-                found.add(point)
-        self._vertices = tuple(sorted(found))
-        return self._vertices
+            # Cramer: the j-th numerator replaces column j by the offsets
+            num = [_det([a[:j] + (b,) + a[j + 1:] for a, b in combo])
+                   for j in range(n)]
+            if den < 0:
+                den, num = -den, [-c for c in num]
+            tight = []
+            for k, (a, b) in enumerate(rows):
+                # the slack of row k at num / den, times den > 0
+                slack = b * den - sum(c * x for c, x in zip(a, num))
+                if slack < 0:
+                    break
+                if slack == 0:
+                    tight.append(k)
+            else:
+                found[tuple(Fraction(c, den) for c in num)] = frozenset(tight)
+        self._table = dict(sorted(found.items()))
+        return self._table
+
+    def vertices(self) -> tuple:
+        return tuple(self._incidence())
+
+    def _faces(self) -> list[frozenset]:
+        """The set of vertices tight on each row with a nonzero normal."""
+        table = self._incidence()
+        return [frozenset(v for v, tight in table.items() if k in tight)
+                for k, h in enumerate(self.halfspaces) if any(h.normal)]
 
     def is_full_dimensional(self) -> bool:
-        return _affinely_independent_count(self.vertices(), self.dim) == self.dim + 1
+        """Nonempty, and no row with a nonzero normal is tight everywhere."""
+        table = self._incidence()
+        return bool(table) and all(len(face) < len(table)
+                                   for face in self._faces())
 
     def facet_count(self) -> int:
-        """Number of (dim-1)-faces; collinear boundary pieces merge."""
-        verts = self.vertices()
-        if not verts:
+        """Number of (dim-1)-faces: distinct faces holding >= dim vertices.
+
+        For dim <= 3 a face with that many vertices is a facet, since
+        extreme points are never collinear and an edge has two vertices.
+        """
+        if not self._incidence():
             raise EmptyPolytope("no vertices")
-        n = self.dim
-        if n == 0:
-            return 0
-        faces = set()
-        for h in self.halfspaces:
-            on = [v for v in verts if h.slack(v) == 0]
-            if _affinely_independent_count(on, n) >= n:
-                faces.add(h.canonical_boundary())
-        return len(faces)
+        return len({face for face in self._faces() if len(face) >= self.dim})
 
     def interval(self) -> tuple[Fraction, Fraction]:
         if self.dim != 1:
@@ -446,19 +440,9 @@ def quad_interval(alpha) -> QuadReport:
 def dh_interval_equality(alpha) -> tuple[Fraction, Fraction]:
     """Lengths of the variation intervals of the two diagonals; equal."""
     alpha = exact_lengths(alpha)
-    if len(alpha) != 4:
-        raise ValueError("need exactly 4 lengths")
-    a1, a2, a3, a4 = alpha
-
-    def overlap(p, q):
-        lo, hi = max(p[0], q[0]), min(p[1], q[1])
-        if lo > hi:
-            raise EmptyPolytope("empty variation interval")
-        return hi - lo
-
-    len1 = overlap(_interval_pair(a1, a2), _interval_pair(a3, a4))
-    len2 = overlap(_interval_pair(a2, a3), _interval_pair(a4, a1))
-    return len1, len2
+    lo1, hi1 = quad_interval(alpha).interval
+    lo2, hi2 = quad_interval(alpha[1:] + alpha[:1]).interval
+    return hi1 - lo1, hi2 - lo2
 
 
 def _cone_halfspaces(n: int) -> list[Halfspace]:

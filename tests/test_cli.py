@@ -293,3 +293,37 @@ def test_negative_counts_exit_1(capsys):
 def test_overflowing_polygon_exits_1(capsys):
     run_input_error(capsys, "reconstruct", "--alpha", "1e200,1e200,1e200",
                     "--dim", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    "polytope --alpha 1,1",
+    "reconstruct --alpha 1,1",
+    "polytope --alpha 1,1,1 --out {tmp}/t.json --svg {tmp}/t.svg",
+    "bend --in {tmp}/p.json --range 1,2 --angle inf",
+    "bend --in {tmp}/huge.json --range 1,2 --angle 0.5",
+])
+def test_bad_input_exits_1_without_traceback(tmp_path, capsys, argv):
+    assert run(capsys, "reconstruct", "--alpha", "1,1,1,1,1", "--diag",
+               "1.2,1.2", "--out", str(tmp_path / "p.json"))[0] == 0
+    # an integer edge too large for a float
+    (tmp_path / "huge.json").write_text(
+        '{"dim": 3, "edges": [[1%s, 0, 0], [-1, 0, 0]]}' % ("0" * 400))
+    run_input_error(capsys, *argv.format(tmp=tmp_path).split())
+
+
+def test_bend_refuses_non_finite_angle_by_name(tmp_path, capsys):
+    src = tmp_path / "p.json"
+    assert run(capsys, "reconstruct", "--alpha", "1,1,1,1,1",
+               "--diag", "1.2,1.2", "--out", str(src))[0] == 0
+    for angle in ("nan", "inf", "-inf"):
+        assert cli.main(["bend", "--in", str(src), "--range", "1,2",
+                         "--angle", angle]) == 1
+        assert "--angle" in capsys.readouterr().err
+
+
+def test_svg_above_dimension_2_keeps_its_message(tmp_path, capsys):
+    assert cli.main(["polytope", "--alpha", "1,1,1,1,1,1,1", "--out",
+                     str(tmp_path / "p.json"), "--svg",
+                     str(tmp_path / "p.svg")]) == 1
+    assert capsys.readouterr().err == (
+        "error: SVG output is only available in dimension <= 2\n")

@@ -72,6 +72,77 @@ def _even_box_cone(alpha):
                                halfspaces)
 
 
+# Test-only oracle: the Fraction elimination and the affine-rank facet
+# rule that the integer incidence table of RationalPolytope replaced.
+
+def _solve_square(rows, rhs):
+    """Exact Gaussian elimination; returns None for singular systems."""
+    n = len(rhs)
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col]
+        aug[col] = [c / inv for c in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [c - factor * d for c, d in zip(aug[r], aug[col])]
+    return tuple(aug[r][n] for r in range(n))
+
+
+def _affinely_independent_count(points, dim):
+    """Size of a largest affinely independent subset, capped at dim + 1."""
+    if not points:
+        return 0
+    base = points[0]
+    basis = []
+    for p in points[1:]:
+        vec = [x - y for x, y in zip(p, base)]
+        for b in basis:
+            lead = next((i for i, c in enumerate(b) if c != 0))
+            if vec[lead] != 0:
+                f = vec[lead] / b[lead]
+                vec = [c - f * d for c, d in zip(vec, b)]
+        if any(c != 0 for c in vec):
+            basis.append(vec)
+            if len(basis) == dim:
+                break
+    return len(basis) + 1
+
+
+def _canonical_boundary(h):
+    """Scale-invariant key for the hyperplane normal . x = offset."""
+    lead = next((c for c in h.normal if c != 0), None)
+    if lead is None:
+        return None
+    return (tuple(c / lead for c in h.normal), h.offset / lead)
+
+
+def _oracle_vertices(poly):
+    found = set()
+    for combo in itertools.combinations(poly.halfspaces, poly.dim):
+        point = _solve_square([h.normal for h in combo],
+                              [h.offset for h in combo])
+        if point is not None and all(h.holds(point) for h in poly.halfspaces):
+            found.add(point)
+    return tuple(sorted(found))
+
+
+def _oracle_facet_count(poly, verts):
+    """Distinct hyperplanes holding dim affinely independent vertices."""
+    if poly.dim == 0:
+        return 0
+    faces = set()
+    for h in poly.halfspaces:
+        on = [v for v in verts if h.slack(v) == 0]
+        if _affinely_independent_count(on, poly.dim) >= poly.dim:
+            faces.add(_canonical_boundary(h))
+    return len(faces)
+
+
 def test_hypersimplex_membership():
     xi3 = pt.hypersimplex(3)
     assert xi3.contains((F(2, 3), F(2, 3), F(2, 3)))
@@ -420,3 +491,124 @@ def test_json_round_trip():
     assert doc["facets"] == 3
     assert doc["generic"] is True
     assert all(isinstance(c, str) for v in doc["vertices"] for c in v)
+
+
+def _random_system(rng, n, flat):
+    """A box around the origin in n variables cut by random rational rows.
+
+    With ``flat`` the polytope is lower-dimensional: one box side has zero
+    width, or a row through the origin is paired with its negation.
+    """
+    def frac(lo, hi):
+        return F(int(rng.integers(lo, hi)), int(rng.integers(1, 4)))
+
+    pinned = flat and rng.random() < 0.5
+    rows = []
+    for i in range(n):
+        axis = tuple(F(int(j == i)) for j in range(n))
+        lo = frac(-3, 1)
+        hi = lo if pinned and i == 0 else frac(0, 4)
+        rows += [pt.Halfspace(tuple(-c for c in axis), -lo),
+                 pt.Halfspace(axis, hi)]
+    for _ in range(int(rng.integers(0, 5))):
+        normal = tuple(frac(-3, 4) for _ in range(n))
+        if any(normal):
+            rows.append(pt.Halfspace(normal, frac(-2, 6)))
+    if flat and not pinned:
+        normal = tuple(F(int(c)) for c in rng.choice([-2, -1, 1, 2], size=n))
+        rows += [pt.Halfspace(normal, 0),
+                 pt.Halfspace(tuple(-c for c in normal), 0)]
+    order = rng.permutation(len(rows))
+    return pt.RationalPolytope(tuple(f"x{i}" for i in range(n)),
+                               tuple(rows[k] for k in order))
+
+
+def _seeded_polytopes(rng):
+    for m in range(3, 7):
+        for _ in range(25):
+            nums, dens = rng.integers(1, 13, size=m), rng.integers(1, 4, size=m)
+            alpha = [F(int(n), int(d)) for n, d in zip(nums, dens)]
+            if pg.is_feasible_lengths(alpha):
+                yield pt.diag_slice(alpha)
+    for m in range(4, 7):
+        for _ in range(25):
+            alpha = [int(n) for n in rng.integers(1, 10, size=m)]
+            if pg.is_feasible_lengths(alpha):
+                yield pt.even_step_polytope(alpha)
+    for n in range(4):
+        for trial in range(40):
+            yield _random_system(rng, n, flat=trial % 2 == 1)
+
+
+def test_incidence_table_matches_elimination_oracle(rng):
+    seen = set()
+    for poly in _seeded_polytopes(rng):
+        verts = _oracle_vertices(poly)
+        full = _affinely_independent_count(verts, poly.dim) == poly.dim + 1
+        assert poly.vertices() == verts, poly
+        assert poly.is_full_dimensional() == full, poly
+        doc = poly.to_json_dict()
+        assert doc["vertices"] == [[str(c) for c in v] for v in verts]
+        if verts:
+            facets = _oracle_facet_count(poly, verts)
+            assert poly.facet_count() == facets == doc["facets"], poly
+        else:
+            assert doc["facets"] == 0
+        seen.add((poly.dim, bool(verts), full))
+    # every dimension, full and flat nonempty polytopes, and empty ones
+    assert {(n, True, full) for n in (1, 2, 3)
+            for full in (True, False)} <= seen
+    assert (0, True, True) in seen
+    assert {(n, False, False) for n in (1, 2, 3)} <= seen
+
+
+def test_zero_normal_row_is_not_a_facet():
+    one, zero = F(1), F(0)
+    square = (pt.Halfspace((-one, zero), zero), pt.Halfspace((one, zero), one),
+              pt.Halfspace((zero, -one), zero), pt.Halfspace((zero, one), one))
+    for offset in (zero, one):
+        poly = pt.RationalPolytope(
+            ("x", "y"), square + (pt.Halfspace((zero, zero), offset),))
+        assert poly.is_full_dimensional()
+        assert pt.count_sides(poly) == 4
+    interval = pt.RationalPolytope(
+        ("x",), (pt.Halfspace((-one,), one), pt.Halfspace((one,), one),
+                 pt.Halfspace((zero,), zero)))
+    assert interval.vertices() == ((-1,), (1,))
+    assert interval.facet_count() == 2
+    assert interval.to_json_dict()["facets"] == 2
+    # an unsatisfiable zero row empties the polytope
+    empty = pt.RationalPolytope(("x",), interval.halfspaces
+                                + (pt.Halfspace((zero,), -one),))
+    assert empty.vertices() == ()
+    with pytest.raises(EmptyPolytope):
+        empty.facet_count()
+
+
+def _euler_characteristic(alpha):
+    """chi(M_alpha) = sum over short J containing m of (m - 2|J|).
+
+    The Poincare polynomial of Klyachko and Hausmann-Knutson at t = -1.
+    """
+    m, total = len(alpha), sum(alpha)
+    return sum(m - 2 * (len(rest) + 1)
+               for r in range(m)
+               for rest in itertools.combinations(alpha[:-1], r)
+               if 2 * (sum(rest) + alpha[-1]) < total)
+
+
+@pytest.mark.parametrize("m, top, checked", [(5, 5, 1292), (6, 3, 40)])
+def test_vertex_count_is_euler_characteristic(m, top, checked):
+    # every feasible generic vector in {1..top}^m whose diagonal polytope
+    # has no vertex on a coordinate hyperplane (d_j = 0 breaks the count)
+    count = 0
+    for alpha in itertools.product(range(1, top + 1), repeat=m):
+        if not (pg.is_feasible_lengths(alpha)
+                and pg.is_generic_lengths(alpha)):
+            continue
+        verts = pt.diag_slice(alpha).vertices()
+        if any(c == 0 for v in verts for c in v):
+            continue
+        assert len(verts) == _euler_characteristic(alpha), alpha
+        count += 1
+    assert count == checked
