@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 input error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -222,9 +223,9 @@ def cmd_polytope(args) -> int:
         if poly.dim > 3:
             raise InputError("CSV vertices need dimension <= 3")
         text = polytope_to_csv(poly)
-    write_output(text, args.out)
-    if args.svg:
+    if args.svg:  # first, so that a failed drawing leaves no output
         write_output(svg_polytope(poly), args.svg)
+    write_output(text, args.out)
     return EXIT_OK
 
 
@@ -262,9 +263,9 @@ def cmd_reconstruct(args) -> int:
     else:
         poly = rec.reconstruct(ld, args.dim)
     text = json.dumps(polygon_to_doc(poly), indent=2)
-    write_output(text, args.out)
-    if args.svg:
+    if args.svg:  # first, so that a failed drawing leaves no output
         write_output(svg_polygon(poly), args.svg)
+    write_output(text, args.out)
     return EXIT_OK
 
 
@@ -303,11 +304,12 @@ def cmd_sample(args) -> int:
 
 def cmd_section(args) -> int:
     alpha = parse_rationals(args.alpha)
+    require_polygon(alpha)
     poly = rec.section_sigma(alpha)
     text = json.dumps(polygon_to_doc(poly), indent=2)
-    write_output(text, args.out)
-    if args.svg:
+    if args.svg:  # first, so that a failed drawing leaves no output
         write_output(svg_polygon(poly), args.svg)
+    write_output(text, args.out)
     return EXIT_OK
 
 
@@ -322,6 +324,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="polyspace")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -98,12 +98,6 @@ class RationalPolytope:
         return (all(h.holds(point) for h in self.halfspaces)
                 and all(h.slack(point) == 0 for h in self.equalities))
 
-    def min_slack(self, point) -> Fraction:
-        point = tuple(as_fraction(x) for x in point)
-        slacks = [h.slack(point) for h in self.halfspaces]
-        slacks += [-abs(h.slack(point)) for h in self.equalities]
-        return min(slacks) if slacks else ZERO
-
     def _incidence(self) -> dict:
         """{vertex: frozenset of indices of the rows tight at it}, sorted."""
         if self._table is not None:
@@ -326,15 +320,15 @@ def count_sides(poly: RationalPolytope) -> int:
     return poly.facet_count()
 
 
-# sides -> (key, 4-manifold, planar quotient, planar rotation quotient)
+# row -> (4-manifold, planar quotient, planar rotation quotient)
 PENTAGON_TABLE = {
-    3: ("3", "CP^2", "RP^2", "S^2"),
-    5: ("5", "(S^2 x S^2) # CP^2-bar", "T^2 # RP^2", "Sigma_2"),
-    6: ("6", "(S^2 x S^2) # 2 CP^2-bar", "T^2 # 2 RP^2", "Sigma_3"),
-    7: ("7", "(S^2 x S^2) # 3 CP^2-bar", "T^2 # 3 RP^2", "Sigma_4"),
+    "3": ("CP^2", "RP^2", "S^2"),
+    "4a": ("CP^2 # CP^2-bar", "Klein bottle", "T^2"),
+    "4b": ("S^2 x S^2", "T^2", "T^2 u T^2"),
+    "5": ("(S^2 x S^2) # CP^2-bar", "T^2 # RP^2", "Sigma_2"),
+    "6": ("(S^2 x S^2) # 2 CP^2-bar", "T^2 # 2 RP^2", "Sigma_3"),
+    "7": ("(S^2 x S^2) # 3 CP^2-bar", "T^2 # 3 RP^2", "Sigma_4"),
 }
-PENTAGON_TABLE_4A = ("4a", "CP^2 # CP^2-bar", "Klein bottle", "T^2")
-PENTAGON_TABLE_4B = ("4b", "S^2 x S^2", "T^2", "T^2 u T^2")
 
 
 @dataclass(frozen=True)
@@ -365,33 +359,32 @@ class ClassificationReport:
         }
 
 
-def _box_in_wedge(alpha) -> bool:
-    """All four box corners satisfy the wedge inequalities."""
-    a1, a2, a3, a4, a5 = alpha
-    for x in _interval_pair(a1, a2):
-        for y in _interval_pair(a5, a4):
-            if x + y < a3 or y - x > a3 or x - y > a3:
-                return False
-    return True
-
-
 def classify_pentagon(alpha) -> ClassificationReport:
+    """Row of the pentagon table from the L long pairs of sides.
+
+    A pair is long when it exceeds half the perimeter.  For generic
+    lengths a 3-set is short exactly when its complement is a long pair,
+    so chi(M_alpha) = 7 - L (Hausmann-Knutson).  Long pairs always meet,
+    so at L = 3 they share a side (F_1, row 4a) or form a triangle
+    (F_even, row 4b).  ``sides`` is chi: off the axes, the side count.
+    """
     alpha = exact_lengths(alpha)
     if len(alpha) != 5:
         raise ValueError("need exactly 5 lengths")
-    poly = diag_slice(alpha)
-    if not poly.generic:
+    if not is_feasible_lengths(alpha):
+        raise EmptyPolytope("no polygon has these side lengths")
+    if not is_generic_lengths(alpha):
         raise NonGeneric("the side lengths lie on a wall")
-    sides = count_sides(poly)
-    orientable = _box_in_wedge(alpha)
+    total = sum(alpha)
+    long_pairs = [{i, j} for i, j in itertools.combinations(range(5), 2)
+                  if 2 * (alpha[i] + alpha[j]) > total]
+    sides = 7 - len(long_pairs)
+    row = str(sides)
     if sides == 4:
-        row = PENTAGON_TABLE_4B if orientable else PENTAGON_TABLE_4A
-    else:
-        row = PENTAGON_TABLE[sides]
-    key, space, planar, planar_rot = row
+        row = "4a" if set.intersection(*long_pairs) else "4b"
+    space, planar, planar_rot = PENTAGON_TABLE[row]
     return ClassificationReport(
-        m=5, generic=True, sides=sides, row=key,
-        orientable=orientable if sides == 4 else False,
+        m=5, generic=True, sides=sides, row=row, orientable=row == "4b",
         label_space=space, label_planar=planar,
         label_planar_rotation=planar_rot, euler_planar=4 - sides,
     )

@@ -301,6 +301,8 @@ def test_overflowing_polygon_exits_1(capsys):
     "polytope --alpha 1,1,1 --out {tmp}/t.json --svg {tmp}/t.svg",
     "bend --in {tmp}/p.json --range 1,2 --angle inf",
     "bend --in {tmp}/huge.json --range 1,2 --angle 0.5",
+    "section --alpha 1,1",
+    "section --alpha 1",
 ])
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, argv):
     assert run(capsys, "reconstruct", "--alpha", "1,1,1,1,1", "--diag",
@@ -327,3 +329,21 @@ def test_svg_above_dimension_2_keeps_its_message(tmp_path, capsys):
                      str(tmp_path / "p.svg")]) == 1
     assert capsys.readouterr().err == (
         "error: SVG output is only available in dimension <= 2\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "polytope --alpha 1,1,1 --svg {tmp}/f.svg",
+    "polytope --alpha 1,1,1,1,1,1 --svg {tmp}/f.svg",
+    "polytope --alpha 1,1,1,1 --svg {tmp}/missing/f.svg",
+    "reconstruct --alpha 3,4,5 --svg {tmp}/missing/f.svg",
+    "section --alpha 2/3,2/3,2/3 --svg {tmp}/missing/f.svg",
+])
+def test_failed_svg_writes_no_output(tmp_path, capsys, argv):
+    run_input_error(capsys, *argv.format(tmp=tmp_path).split())
+
+
+def test_parser_is_reused_after_a_parse_error(capsys):
+    run_input_error(capsys, "classify", "--bogus")
+    first = run(capsys, "classify", "--alpha", "2,1,5,1,2")
+    assert first[0] == 0
+    assert run(capsys, "classify", "--alpha", "2,1,5,1,2") == first

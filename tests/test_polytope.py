@@ -1,6 +1,8 @@
 """Exact polytopes: hypersimplex, diagonal slices, classification tables."""
 
+import functools
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -612,3 +614,99 @@ def test_vertex_count_is_euler_characteristic(m, top, checked):
         assert len(verts) == _euler_characteristic(alpha), alpha
         count += 1
     assert count == checked
+
+
+def _classify_or_error(alpha):
+    try:
+        return pt.classify_pentagon(alpha)
+    except (EmptyPolytope, NonGeneric) as exc:
+        return type(exc)
+
+
+def test_classify_pentagon_is_permutation_invariant():
+    # M_alpha depends only on the multiset of the lengths
+    multisets = list(itertools.combinations_with_replacement(range(1, 7), 5))
+    for multiset in multisets:
+        want = _classify_or_error(multiset)
+        for alpha in set(itertools.permutations(multiset)):
+            assert _classify_or_error(alpha) == want, alpha
+    assert len(multisets) == 252
+
+
+def test_classify_pentagon_row_is_euler_characteristic():
+    checked = 0
+    for alpha in itertools.product(range(1, 7), repeat=5):
+        if not (pg.is_feasible_lengths(alpha)
+                and pg.is_generic_lengths(alpha)):
+            continue
+        r = pt.classify_pentagon(alpha)
+        chi = _euler_characteristic(alpha)
+        assert (r.sides, int(r.row[0]), r.euler_planar) == (
+            chi, chi, 4 - chi), alpha
+        checked += 1
+    assert checked == 4536
+
+
+@pytest.mark.parametrize("alpha, row", [
+    ((1, 1, 1, 1, 1), "7"), ((5, 5, 10, 6, 5), "6"),
+    ((1, 1, 2, 2, 1), "6"), ((1, 1, 1, 5, 5), "6"),
+])
+def test_axis_pentagon_rows(alpha, row):
+    # the (d_2, d_3) polygon reaches an axis, so its side count is not chi
+    r = pt.classify_pentagon(alpha)
+    assert (r.row, r.sides) == (row, _euler_characteristic(alpha))
+
+
+@functools.cache
+def _off_axis_pentagons(top):
+    """(alpha, diag_slice) for generic feasible alpha in {1..top}^5 with
+    alpha_1 != alpha_2 and alpha_4 != alpha_5.  Then d_2, d_3 > 0 on the
+    polygon, so both bending flows are defined on all of M_alpha and the
+    polygon is its moment polygon."""
+    return [(alpha, pt.diag_slice(alpha))
+            for alpha in itertools.product(range(1, top + 1), repeat=5)
+            if alpha[0] != alpha[1] and alpha[3] != alpha[4]
+            and pg.is_feasible_lengths(alpha)
+            and pg.is_generic_lengths(alpha)]
+
+
+def _hirzebruch_parity(poly):
+    """k mod 2 for a quadrilateral with primitive inward normals n_1..n_4
+    in cyclic order, n_3 = -n_1 and n_4 = -n_2 + k n_1: the Hirzebruch
+    surface F_k is S^2 x S^2 for even k and CP^2 # CP^2-bar for odd k."""
+    verts = poly.vertices()
+    edges = {}
+    for h in poly.halfspaces:
+        tight = frozenset(v for v in verts if h.slack(v) == 0)
+        if len(tight) == 2:
+            g = math.gcd(*(int(c) for c in h.normal))
+            edges[tight] = tuple(-int(c) // g for c in h.normal)
+    normals = sorted(edges.values(), key=lambda n: math.atan2(n[1], n[0]))
+    assert len(normals) == 4
+    for i in range(4):
+        a, b = normals[i], normals[(i + 1) % 4]
+        assert abs(a[0] * b[1] - a[1] * b[0]) == 1   # a smooth corner
+    for i in range(4):
+        n1, n2, n3, n4 = (normals[(i + j) % 4] for j in range(4))
+        if n3 == (-n1[0], -n1[1]):
+            s = (n2[0] + n4[0], n2[1] + n4[1])
+            k = s[0] // n1[0] if n1[0] else s[1] // n1[1]
+            assert (k * n1[0], k * n1[1]) == s
+            return k % 2
+    raise AssertionError("no two opposite edges are parallel")
+
+
+def test_four_sided_rows_follow_hirzebruch_parity():
+    checked = 0
+    for alpha, poly in _off_axis_pentagons(6):
+        if pt.count_sides(poly) != 4:
+            continue
+        want = "4b" if _hirzebruch_parity(poly) == 0 else "4a"
+        assert pt.classify_pentagon(alpha).row == want, alpha
+        checked += 1
+    assert checked == 780
+
+
+def test_side_count_is_classify_sides_off_the_axes():
+    for alpha, poly in _off_axis_pentagons(6):
+        assert pt.count_sides(poly) == pt.classify_pentagon(alpha).sides, alpha
