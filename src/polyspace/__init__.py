@@ -19,7 +19,7 @@ from .polygon import (Polygon, SideLengths, closure_defect, diagonals,
 from .polytope import (ClassificationReport, Halfspace, RationalPolytope,
                        classify_pentagon, count_sides, dh_interval_equality,
                        diag_slice, even_step_polytope, gc_membership,
-                       hypersimplex, in_hypersimplex, quad_interval)
+                       in_hypersimplex, quad_interval)
 from .quat import hopf, hopf_complex, hopf_section
 from .reconstruct import (LDPoint, fiber_sample, sample_moduli,
                           section_sigma)

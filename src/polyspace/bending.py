@@ -19,7 +19,6 @@ from .errors import (DegeneratePair, LeftProdigalRegion, NotTangent,
 from .polygon import Polygon, perimeter, side_lengths
 
 _TANGENT_TOL = 1e-9
-_FD_STEP = 1e-6
 STEPS_PER_TURN = 2000
 
 
@@ -146,10 +145,9 @@ def so3_moment(w: SphereProductPoint) -> np.ndarray:
 
 
 def diagonal_hamiltonian(i: int):
-    """H(w) = |x_1 + ... + x_i| as a fast plain-float callable.
+    """H(w) = |x_1 + ... + x_i| as a plain-float callable.
 
-    Accepts a nested sequence of rows; the explicit loop keeps the
-    central-difference gradient cheap.
+    Accepts an (m, 3) array or a nested sequence of rows.
     """
 
     def H(points) -> float:
@@ -186,47 +184,15 @@ def diagonal_field(i: int):
     return X
 
 
-def _grad(H, points: np.ndarray) -> np.ndarray:
-    """Central-difference Euclidean gradient of H at the given tuple.
+def hamiltonian_flow(w: SphereProductPoint, field, t: float,
+                     steps: int | None = None) -> SphereProductPoint:
+    """Fixed-step RK4 for a Hamiltonian field, staying on the spheres.
 
-    H is evaluated on plain nested lists: python-float access is several
-    times cheaper than numpy indexing for the 6m evaluations.
-    """
-    pts = points.tolist()
-    g = np.zeros_like(points)
-    inv = 1.0 / (2.0 * _FD_STEP)
-    for r, row in enumerate(pts):
-        for c in range(3):
-            saved = row[c]
-            row[c] = saved + _FD_STEP
-            hp = H(pts)
-            row[c] = saved - _FD_STEP
-            hm = H(pts)
-            row[c] = saved
-            g[r, c] = (hp - hm) * inv
-    return g
-
-
-def _field(H, points: np.ndarray) -> np.ndarray:
-    # For the form <x/r^2, u x v> the Hamiltonian field of H is
-    # X = -r n x grad H per factor, with n = x/|x|, i.e. -x x grad H.
-    return -np.cross(points, _grad(H, points))
-
-
-def hamiltonian_flow(w: SphereProductPoint, H, t: float,
-                     steps: int | None = None,
-                     field=None) -> SphereProductPoint:
-    """Fixed-step RK4 for the Hamiltonian field of H, staying on the spheres.
-
-    ``field`` is the Hamiltonian vector field of H when it is known in
-    closed form (``diagonal_field``); without it the field is -x x grad H
-    with a central-difference gradient.
+    ``field`` maps an (m, 3) array of factor points to the field there,
+    e.g. ``diagonal_field(i)``.
     """
     if steps is None:
         steps = max(1, math.ceil(STEPS_PER_TURN * abs(t) / (2.0 * math.pi)))
-    if field is None:
-        def field(p):
-            return _field(H, p)
     points = w.points.copy()
     radii = w.radii
     h = t / steps

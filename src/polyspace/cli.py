@@ -122,8 +122,8 @@ def write_output(text: str, path: str | None):
             fh.write(text)
 
 
-def polygons_to_csv(polys: list[Polygon]) -> str:
-    dim = max(p.dim for p in polys)
+def polygons_to_csv(polys: list[Polygon], dim: int) -> str:
+    """One row per edge, with coordinates padded with zeros to ``dim``."""
     header = "polygon,edge," + ",".join("xyz"[:dim])
     lines = [header]
     for idx, p in enumerate(polys):
@@ -255,6 +255,9 @@ def cmd_reconstruct(args) -> int:
                          f"for m = {len(alpha)}")
     ld = rec.LDPoint(alpha, diag)
     if args.angles:
+        if args.dim == 2:
+            raise InputError("--angles bends the polygon in 3-space; "
+                             "it cannot be combined with --dim 2")
         angles = parse_floats(args.angles)
         if len(angles) != len(diag):
             raise InputError(f"need {len(diag)} bending angles, one per free "
@@ -293,11 +296,13 @@ def cmd_sample(args) -> int:
     require_polygon(alpha)
     if args.count < 0:
         raise InputError(f"--count must be >= 0, got {args.count}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     polys = rec.sample_moduli(alpha, args.dim, args.count, args.seed)
     if args.format == "json":
         text = json.dumps([polygon_to_doc(p) for p in polys], indent=2)
     else:
-        text = polygons_to_csv(polys) if polys else "polygon,edge,x,y,z\n"
+        text = polygons_to_csv(polys, args.dim)
     write_output(text, args.out)
     return EXIT_OK
 

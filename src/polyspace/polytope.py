@@ -18,7 +18,7 @@ from .polygon import (MAX_BRUTE_FORCE_SIDES, as_fraction, exact_lengths,
 
 __all__ = [
     "Halfspace", "RationalPolytope", "GCReport", "ClassificationReport",
-    "QuadReport", "hypersimplex", "in_hypersimplex", "gc_membership",
+    "QuadReport", "in_hypersimplex", "gc_membership",
     "diag_slice", "count_sides", "classify_pentagon", "quad_interval",
     "dh_interval_equality", "even_step_polytope", "wall_distance",
     "PENTAGON_TABLE",
@@ -78,14 +78,12 @@ class RationalPolytope:
 
     variables: tuple[str, ...]
     halfspaces: tuple[Halfspace, ...]
-    equalities: tuple[Halfspace, ...] = ()
     generic: bool | None = None
     _table: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.variables = tuple(self.variables)
         self.halfspaces = tuple(self.halfspaces)
-        self.equalities = tuple(self.equalities)
 
     @property
     def dim(self) -> int:
@@ -95,15 +93,12 @@ class RationalPolytope:
         point = tuple(as_fraction(x) for x in point)
         if len(point) != self.dim:
             raise ValueError(f"expected {self.dim} coordinates")
-        return (all(h.holds(point) for h in self.halfspaces)
-                and all(h.slack(point) == 0 for h in self.equalities))
+        return all(h.holds(point) for h in self.halfspaces)
 
     def _incidence(self) -> dict:
         """{vertex: frozenset of indices of the rows tight at it}, sorted."""
         if self._table is not None:
             return self._table
-        if self.equalities:
-            raise ValueError("vertex enumeration expects substituted equalities")
         n = self.dim
         if n > 3:
             raise ValueError("vertex enumeration limited to dimension <= 3")
@@ -173,32 +168,12 @@ class RationalPolytope:
                 for h in self.halfspaces
             ],
         }
-        if self.equalities:
-            doc["equalities"] = [
-                {"normal": [str(c) for c in h.normal], "offset": str(h.offset)}
-                for h in self.equalities
-            ]
-        if self.dim <= 3 and not self.equalities:
+        if self.dim <= 3:
             verts = self.vertices()
             doc["vertices"] = [[str(c) for c in v] for v in verts]
             doc["facets"] = self.facet_count() if verts else 0
         doc["generic"] = self.generic
         return doc
-
-
-def hypersimplex(m: int) -> RationalPolytope:
-    """{x in R^m : 0 <= x_i <= 1, sum x_i = 2}, in membership form."""
-    if m < 3:
-        raise ValueError("need m >= 3")
-    halfspaces = []
-    for i in range(m):
-        e = [ZERO] * m
-        e[i] = Fraction(1)
-        halfspaces.append(Halfspace(tuple(-c for c in e), ZERO))
-        halfspaces.append(Halfspace(tuple(e), Fraction(1)))
-    total = Halfspace((Fraction(1),) * m, Fraction(2))
-    return RationalPolytope(tuple(f"x{i+1}" for i in range(m)),
-                            tuple(halfspaces), equalities=(total,))
 
 
 def in_hypersimplex(alpha) -> bool:
@@ -218,14 +193,22 @@ class GCReport:
     perimeter_ok: bool | None = None
 
 
-def triangle_slacks(alpha, diag):
-    """All 3m slacks at steps i = 0..m-1, with d_0 = 0 implied.
+# The triangle inequalities at step i, as signs on (d_i, d_{i+1}, l_{i+1}):
+# the two terms signed +1 sum to at least the term signed -1.
+#   A: l_{i+1} <= d_i + d_{i+1}
+#   B: d_i <= d_{i+1} + l_{i+1}
+#   C: d_{i+1} <= d_i + l_{i+1}
+TRIANGLE_SIGNS = (("A", (1, 1, -1)), ("B", (-1, 1, 1)), ("C", (1, -1, 1)))
+# (name, the two terms signed +1, the term signed -1) for each row
+_TRIANGLE_TERMS = tuple(
+    (name, *(k for k in range(3) if signs[k] > 0), signs.index(-1))
+    for name, signs in TRIANGLE_SIGNS)
 
-    ``diag`` is d_1..d_m, as Fractions or floats.  At step i the three
-    inequalities relate l_{i+1}, d_i and d_{i+1}:
-      A: l_{i+1} <= d_i + d_{i+1}
-      B: d_i <= l_{i+1} + d_{i+1}
-      C: d_{i+1} <= l_{i+1} + d_i
+
+def triangle_slacks(alpha, diag):
+    """All 3m slacks of TRIANGLE_SIGNS at steps i = 0..m-1, with d_0 = 0.
+
+    ``diag`` is d_1..d_m, as Fractions or floats.
     """
     m = len(alpha)
     if len(diag) != m:
@@ -233,9 +216,9 @@ def triangle_slacks(alpha, diag):
     d = (ZERO,) + tuple(diag)
     out = []
     for i in range(m):
-        out.append((i, "A", d[i] + d[i + 1] - alpha[i]))
-        out.append((i, "B", alpha[i] + d[i + 1] - d[i]))
-        out.append((i, "C", alpha[i] + d[i] - d[i + 1]))
+        terms = (d[i], d[i + 1], alpha[i])
+        for name, p, q, n in _TRIANGLE_TERMS:
+            out.append((i, name, terms[p] + terms[q] - terms[n]))
     return tuple(out)
 
 
@@ -274,31 +257,23 @@ def diag_slice(alpha) -> RationalPolytope:
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no polygon has these side lengths")
     n = m - 3
-    # d_1 = alpha_1, d_{m-1} = alpha_m, d_0 = d_m = 0 are substituted;
-    # d_{1+k} for k = 1..n are the free coordinates.
+    # d_0 = d_m = 0, d_1 = alpha_1 and d_{m-1} = alpha_m are substituted;
+    # d_2..d_{m-2} are the free coordinates 0..n-1.
     fixed = {0: ZERO, 1: alpha[0], m - 1: alpha[m - 1], m: ZERO}
-
-    def coord(j):
-        """(coefficient row, constant) decomposition of d_j."""
-        row = [ZERO] * n
-        if j in fixed:
-            return row, fixed[j]
-        row[j - 2] = Fraction(1)
-        return row, ZERO
-
     halfspaces = []
     for i in range(m):
-        ri, ci = coord(i)
-        rj, cj = coord(i + 1)
-        # rows written as normal . x <= offset
-        rows = [
-            ([-a - b for a, b in zip(ri, rj)], ci + cj - alpha[i]),  # A
-            ([a - b for a, b in zip(ri, rj)], alpha[i] - ci + cj),   # B
-            ([b - a for a, b in zip(ri, rj)], alpha[i] + ci - cj),   # C
-        ]
-        # rows without a free coordinate follow from the closing condition
-        halfspaces += [Halfspace(tuple(normal), offset)
-                       for normal, offset in rows if any(normal)]
+        for _, (s_i, s_j, s_a) in TRIANGLE_SIGNS:
+            # s_i d_i + s_j d_{i+1} + s_a l_{i+1} >= 0 as normal . x <= offset
+            normal = [ZERO] * n
+            offset = s_a * alpha[i]
+            for j, s in ((i, s_i), (i + 1, s_j)):
+                if j in fixed:
+                    offset += s * fixed[j]
+                else:
+                    normal[j - 2] = -s
+            # rows without a free coordinate follow from the closing condition
+            if any(normal):
+                halfspaces.append(Halfspace(tuple(normal), offset))
     names = tuple(f"d{k}" for k in range(2, m - 1))
     generic = (is_generic_lengths(alpha) if m <= MAX_BRUTE_FORCE_SIDES
                else None)
@@ -306,6 +281,7 @@ def diag_slice(alpha) -> RationalPolytope:
 
 
 def _interval_pair(a, b) -> tuple[Fraction, Fraction]:
+    """The triangle inequalities solved for the third side c of (a, b, c)."""
     return abs(a - b), a + b
 
 
@@ -417,12 +393,12 @@ def quad_interval(alpha) -> QuadReport:
     alpha = exact_lengths(alpha)
     if len(alpha) != 4:
         raise ValueError("need exactly 4 lengths")
+    if not is_feasible_lengths(alpha):
+        raise EmptyPolytope("no quadrilateral has these side lengths")
     a1, a2, a3, a4 = alpha
     i1 = _interval_pair(a1, a2)
     i2 = _interval_pair(a4, a3)
     lo, hi = max(i1[0], i2[0]), min(i1[1], i2[1])
-    if lo > hi:
-        raise EmptyPolytope("no quadrilateral has these side lengths")
     nested = ((i1[0] >= i2[0] and i1[1] <= i2[1])
               or (i2[0] >= i1[0] and i2[1] <= i1[1]))
     label = "S^1 u S^1" if nested else "S^1"

@@ -18,7 +18,7 @@ from .bending import bend
 from .errors import (EmptyPolytope, NotInHypersimplex, TriangleViolation,
                      ZeroDiagonal)
 from .polygon import Polygon, exact_lengths, is_feasible_lengths
-from .polytope import in_hypersimplex, triangle_slacks
+from .polytope import _interval_pair, in_hypersimplex, triangle_slacks
 
 _SLACK_TOL = 1e-9
 
@@ -176,8 +176,9 @@ def sample_ld(alpha, rng) -> LDPoint:
         # d_{i+1} closes a triangle with d_i and alpha_{i+1}, and a polygon
         # with the tail alpha_{i+2..m}: 2 max(d, tail) <= d + sum(tail)
         rest = rests[i + 1]
-        lo = max(abs(d_prev - a), 2 * tops[i + 1] - rest)
-        hi = min(d_prev + a, rest)
+        tri_lo, tri_hi = _interval_pair(d_prev, a)
+        lo = max(tri_lo, 2 * tops[i + 1] - rest)
+        hi = min(tri_hi, rest)
         if lo > hi:
             raise EmptyPolytope("no diagonal data fits these lengths")
         d_next = _frac_uniform(rng, lo, hi)

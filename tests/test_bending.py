@@ -13,6 +13,31 @@ from polyspace.verify import random_prodigal_polygon, trial_rng
 
 SQUARE = pg.Polygon(3, [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
 
+# Test-only oracle: the Hamiltonian field of an arbitrary H from central
+# differences of H, against which the closed-form diagonal field is checked.
+FD_STEP = 1e-6
+
+
+def fd_field(H):
+    """X = -x x grad H per factor, with a central-difference gradient."""
+
+    def X(points):
+        pts = points.tolist()
+        g = np.zeros_like(points)
+        inv = 1.0 / (2.0 * FD_STEP)
+        for r, row in enumerate(pts):
+            for c in range(3):
+                saved = row[c]
+                row[c] = saved + FD_STEP
+                hp = H(pts)
+                row[c] = saved - FD_STEP
+                hm = H(pts)
+                row[c] = saved
+                g[r, c] = (hp - hm) * inv
+        return -np.cross(points, g)
+
+    return X
+
 
 def test_bend_identity_and_period():
     assert np.allclose(bending.bend(SQUARE, 2, 0.0).edges, SQUARE.edges)
@@ -114,16 +139,16 @@ def test_so3_moment(rng):
 def test_flow_of_constant_is_identity(rng):
     p = random_prodigal_polygon(rng, 5)
     w = SphereProductPoint.from_polygon(p)
-    out = bending.hamiltonian_flow(w, lambda pts: 1.0, 1.0, steps=50)
+    out = bending.hamiltonian_flow(w, np.zeros_like, 1.0, steps=50)
     assert np.abs(out.points - w.points).max() < 1e-12
 
 
 def test_flow_matches_bend(rng):
     p = random_prodigal_polygon(rng, 5)
     w = SphereProductPoint.from_polygon(p)
-    H = bending.diagonal_hamiltonian(3)
+    X = bending.diagonal_field(3)
     for t in (0.1, 1.0):
-        flowed = bending.hamiltonian_flow(w, H, t).to_polygon()
+        flowed = bending.hamiltonian_flow(w, X, t).to_polygon()
         target = bending.bend(p, 3, bending.BENDING_FLOW_SIGN * t)
         assert np.abs(flowed.edges - target.edges).max() < 1e-6
 
@@ -139,8 +164,8 @@ def test_flow_sign_is_measured_by_finite_differences():
     p = pg.Polygon(3, np.vstack([edges, -edges.sum(axis=0)]))
     w = SphereProductPoint.from_polygon(p)
     t = 0.5
-    flowed = bending.hamiltonian_flow(w, bending.diagonal_hamiltonian(2),
-                                      t).to_polygon()
+    flowed = bending.hamiltonian_flow(
+        w, fd_field(bending.diagonal_hamiltonian(2)), t).to_polygon()
     dev_plus = np.abs(bending.bend(p, 2, t).edges - flowed.edges).max()
     dev_minus = np.abs(bending.bend(p, 2, -t).edges - flowed.edges).max()
     assert dev_plus < 1e-6 < dev_minus
@@ -152,7 +177,7 @@ def test_diagonal_field_matches_finite_differences(rng):
         p = random_prodigal_polygon(rng, m)
         for i in range(1, m):
             H = bending.diagonal_hamiltonian(i)
-            fd = -np.cross(p.edges, bending._grad(H, p.edges))
+            fd = fd_field(H)(p.edges)
             exact = bending.diagonal_field(i)(p.edges)
             assert np.abs(exact - fd).max() < 1e-7, (m, i)
             assert not exact[i:].any()
@@ -167,9 +192,8 @@ def test_flow_with_and_without_field_agree():
         w = SphereProductPoint.from_polygon(p)
         H = bending.diagonal_hamiltonian(i)
         for t in (0.1, 1.0):
-            fd = bending.hamiltonian_flow(w, H, t)
-            exact = bending.hamiltonian_flow(w, H, t,
-                                             field=bending.diagonal_field(i))
+            fd = bending.hamiltonian_flow(w, fd_field(H), t)
+            exact = bending.hamiltonian_flow(w, bending.diagonal_field(i), t)
             assert np.abs(exact.points - fd.points).max() < 1e-8, (k, t)
 
 
@@ -180,15 +204,14 @@ def test_diagonal_field_zero_diagonal_raises():
         X(flat.edges)
     w = SphereProductPoint.from_polygon(flat)
     with pytest.raises(LeftProdigalRegion):
-        bending.hamiltonian_flow(w, bending.diagonal_hamiltonian(2), 0.1,
-                                 field=X)
+        bending.hamiltonian_flow(w, X, 0.1)
 
 
 def test_flow_conserves_energy(rng):
     p = random_prodigal_polygon(rng, 5)
     w = SphereProductPoint.from_polygon(p)
     H = bending.diagonal_hamiltonian(2)
-    out = bending.hamiltonian_flow(w, H, 2 * math.pi)
+    out = bending.hamiltonian_flow(w, bending.diagonal_field(2), 2 * math.pi)
     assert abs(H(out.points) - H(w.points)) < 1e-8
 
 

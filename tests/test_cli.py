@@ -200,6 +200,28 @@ def test_sample_csv_header(capsys):
     assert out.splitlines()[0] == "polygon,edge,x,y,z"
 
 
+@pytest.mark.parametrize("count", ["0", "1"])
+@pytest.mark.parametrize("dim,header", [("2", "polygon,edge,x,y"),
+                                        ("3", "polygon,edge,x,y,z")])
+def test_sample_csv_header_follows_dim(capsys, count, dim, header):
+    code, out = run(capsys, "sample", "--alpha", "1,1,1,1", "--count", count,
+                    "--dim", dim, "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == header
+    assert len(lines) == 1 + 4 * int(count)
+    assert all(len(row.split(",")) == 2 + int(dim) for row in lines[1:])
+
+
+def test_angles_with_dim_2_names_the_conflict(capsys):
+    argv = ["reconstruct", "--alpha", "1,1,1,1", "--diag", "1",
+            "--angles", "0.5"]
+    assert cli.main(argv + ["--dim", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "--angles" in err and "--dim 2" in err
+    assert run(capsys, *argv, "--dim", "3")[0] == 0
+
+
 def test_sample_count_zero(capsys):
     code, out = run(capsys, "sample", "--alpha", "1,1,1,1", "--count", "0")
     assert code == 0
@@ -303,6 +325,8 @@ def test_overflowing_polygon_exits_1(capsys):
     "bend --in {tmp}/huge.json --range 1,2 --angle 0.5",
     "section --alpha 1,1",
     "section --alpha 1",
+    "sample --alpha 1,1,1 --count 1 --seed -1",
+    "reconstruct --alpha 1,1,1,1 --diag 1 --dim 2 --angles 0.5",
 ])
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, argv):
     assert run(capsys, "reconstruct", "--alpha", "1,1,1,1,1", "--diag",

@@ -145,25 +145,41 @@ def _oracle_facet_count(poly, verts):
     return len(faces)
 
 
+# Test-only oracle: the hypersimplex as the unit box cut by sum(x) = 2.
+
+def _unit_box(m):
+    """{x in R^m : 0 <= x_i <= 1} as a polytope."""
+    rows = []
+    for i in range(m):
+        e = [0] * m
+        e[i] = 1
+        rows += [pt.Halfspace(tuple(-c for c in e), 0), pt.Halfspace(e, 1)]
+    return pt.RationalPolytope(tuple(f"x{i+1}" for i in range(m)), rows)
+
+
+def _in_hypersimplex_oracle(x):
+    return _unit_box(len(x)).contains(x) and sum(F(c) for c in x) == 2
+
+
 def test_hypersimplex_membership():
-    xi3 = pt.hypersimplex(3)
-    assert xi3.contains((F(2, 3), F(2, 3), F(2, 3)))
-    assert xi3.contains((1, 1, 0))
-    assert not xi3.contains((F(3, 2), F(1, 2), 0))
-    assert not xi3.contains((F(1, 2), F(1, 2), F(1, 2)))
+    for point, inside in [((F(2, 3), F(2, 3), F(2, 3)), True),
+                          ((1, 1, 0), True),
+                          ((F(3, 2), F(1, 2), 0), False),
+                          ((F(1, 2), F(1, 2), F(1, 2)), False)]:
+        assert _in_hypersimplex_oracle(point) is inside, point
+        assert pt.in_hypersimplex(point) is inside, point
 
 
 def test_in_hypersimplex_matches_polytope(rng):
     seen = set()
     for m in range(3, 9):
-        xi = pt.hypersimplex(m)
         for _ in range(40):
             den = int(rng.integers(1, 5))
             alpha = tuple(F(int(n), den) for n in rng.integers(0, 5, size=m))
             if rng.random() < 0.5 and sum(alpha):
                 alpha = tuple(2 * a / sum(alpha) for a in alpha)
             inside = pt.in_hypersimplex(alpha)
-            assert inside == xi.contains(alpha), alpha
+            assert inside == _in_hypersimplex_oracle(alpha), alpha
             seen.add(inside)
     assert seen == {True, False}
 
