@@ -112,7 +112,7 @@ def km_metric(x, u, v) -> complex:
 
 @dataclass(frozen=True)
 class SphereProductPoint:
-    """A tuple of points x_i on spheres of radii alpha_i."""
+    """Points x_i on spheres of radii alpha_i, as (..., m, 3) batches."""
 
     points: np.ndarray = field(repr=False)
     radii: np.ndarray = field(repr=False)
@@ -120,8 +120,8 @@ class SphereProductPoint:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         radii = np.asarray(self.radii, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3 or radii.shape != (pts.shape[0],):
-            raise ValueError("need (m, 3) points and m radii")
+        if pts.ndim < 2 or pts.shape[-1] != 3 or radii.shape != pts.shape[:-1]:
+            raise ValueError("need (..., m, 3) points and (..., m) radii")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "radii", radii)
 
@@ -135,13 +135,13 @@ class SphereProductPoint:
         return Polygon(3, self.points.copy())
 
     def radial_defect(self) -> float:
-        return float(np.abs(np.linalg.norm(self.points, axis=1)
+        return float(np.abs(np.linalg.norm(self.points, axis=-1)
                             - self.radii).max())
 
 
 def so3_moment(w: SphereProductPoint) -> np.ndarray:
     """Sum of the factor points; zero exactly on closed polygons."""
-    return w.points.sum(axis=0)
+    return w.points.sum(axis=-2)
 
 
 def diagonal_hamiltonian(i: int):
@@ -162,53 +162,69 @@ def diagonal_hamiltonian(i: int):
     return H
 
 
-def diagonal_field(i: int):
+def diagonal_field(i):
     """Hamiltonian field of |x_1 + ... + x_i| in closed form.
 
     The gradient of |d_i| is n = d_i/|d_i| on rows 1..i and zero on the
     rest, so the field -x_r x n = n x x_r rotates rows 1..i about n; as
-    row vectors, n x x_r = x_r @ K.T with K = cross_matrix(n).
+    row vectors, n x x_r = x_r @ K.T with K = cross_matrix(n). ``i`` is
+    one head length or one per member of a (B, m, 3) batch of points.
     """
+    heads = np.asarray(i)
+    masks = {}   # rows 1..i per member, by m
+    # Levi-Civita table: n @ levi is cross_matrix(n).T, flattened
+    levi = np.stack([cross_matrix(e).T.ravel() for e in np.eye(3)])
 
     def X(points: np.ndarray) -> np.ndarray:
-        head = points[:i]
-        s0, s1, s2 = head.sum(axis=0).tolist()
-        norm = math.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
-        if norm == 0.0:
-            raise LeftProdigalRegion(f"diagonal {i} vanished; no bending axis")
-        K = cross_matrix((s0 / norm, s1 / norm, s2 / norm))
-        out = np.zeros_like(points)
-        np.matmul(head, K.T, out=out[:i])
-        return out
+        m = points.shape[-2]
+        if m not in masks:
+            masks[m] = (np.arange(m) < heads[..., None])[..., None]
+        head = points * masks[m]
+        d = head.sum(axis=-2)
+        norm = np.sqrt(np.einsum("...k,...k->...", d, d))
+        if not norm.all():
+            b = np.flatnonzero(norm == 0.0)[0]
+            raise LeftProdigalRegion(f"member {b}: diagonal vanished; no axis")
+        KT = np.dot(d / norm[..., None], levi)
+        return head @ KT.reshape(KT.shape[:-1] + (3, 3))
 
     return X
 
 
-def hamiltonian_flow(w: SphereProductPoint, field, t: float,
-                     steps: int | None = None) -> SphereProductPoint:
-    """Fixed-step RK4 for a Hamiltonian field, staying on the spheres.
+def hamiltonian_flow(w: SphereProductPoint, field, t,
+                     steps=None) -> SphereProductPoint:
+    """Fixed-step RK4 for a Hamiltonian field such as ``diagonal_field(i)``.
 
-    ``field`` maps an (m, 3) array of factor points to the field there,
-    e.g. ``diagonal_field(i)``.
+    ``w`` is one (m, 3) point or a (B, m, 3) batch, and ``t`` and ``steps``
+    are one value or one per member. Member b takes steps_b steps of
+    t_b/steps_b and is checked only until they are done.
     """
+    points, radii = w.points.copy(), w.radii
+    t = np.broadcast_to(np.asarray(t, dtype=float), radii.shape[:-1])
     if steps is None:
-        steps = max(1, math.ceil(STEPS_PER_TURN * abs(t) / (2.0 * math.pi)))
-    points = w.points.copy()
-    radii = w.radii
-    h = t / steps
-    for _ in range(steps):
-        k1 = field(points)
-        k2 = field(points + 0.5 * h * k1)
-        k3 = field(points + 0.5 * h * k2)
-        k4 = field(points + h * k3)
-        points = points + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norms = np.sqrt(np.einsum("ij,ij->i", points, points))
-        if not np.isfinite(norms).all():
-            raise LeftProdigalRegion("flow left the domain of definition")
-        if norms.min() < 1e-12:
-            raise LeftProdigalRegion("a factor point collapsed to the origin")
-        points = points * (radii / norms)[:, None]
-    return SphereProductPoint(points, radii.copy())
+        steps = np.maximum(1, np.ceil(STEPS_PER_TURN * abs(t) / math.tau))
+    steps = np.broadcast_to(steps, t.shape).astype(int)
+    h = (t / steps)[..., None, None]
+    half, sixth = 0.5 * h, h / 6.0
+    out = points.copy()
+    with np.errstate(all="ignore"):   # finished members may run off
+        for s in range(1, int(steps.max(initial=0)) + 1):
+            k1 = field(points)
+            k2 = field(points + half * k1)
+            k3 = field(points + half * k2)
+            k4 = field(points + h * k3)
+            points = points + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            norms = np.sqrt(np.einsum("...ij,...ij->...i", points, points))
+            if not (np.isfinite(norms).all() and norms.min() >= 1e-12):
+                finite = np.isfinite(norms).all(axis=-1)
+                bad = ~(finite & (norms.min(axis=-1) >= 1e-12)) & (steps >= s)
+                for b in np.flatnonzero(bad)[:1]:
+                    raise LeftProdigalRegion(f"member {b}: " + (
+                        "a factor point collapsed to the origin" if finite[b]
+                        else "flow left the domain of definition"))
+            points = points * (radii / norms)[..., None]
+            np.copyto(out, points, where=(steps == s)[..., None, None])
+    return SphereProductPoint(out, radii.copy())
 
 
 # The field of |d_i| is -x x n = n x x, the right-handed rotation about n,

@@ -388,9 +388,8 @@ class QuadReport:
         }
 
 
-def quad_interval(alpha) -> QuadReport:
-    """Range of the middle diagonal of a quadrilateral: I_1 meet I_2."""
-    alpha = exact_lengths(alpha)
+def _quad_meet(alpha):
+    """I_1 = [|a1-a2|, a1+a2], I_2 = [|a4-a3|, a4+a3] and their meet."""
     if len(alpha) != 4:
         raise ValueError("need exactly 4 lengths")
     if not is_feasible_lengths(alpha):
@@ -398,7 +397,13 @@ def quad_interval(alpha) -> QuadReport:
     a1, a2, a3, a4 = alpha
     i1 = _interval_pair(a1, a2)
     i2 = _interval_pair(a4, a3)
-    lo, hi = max(i1[0], i2[0]), min(i1[1], i2[1])
+    return i1, i2, (max(i1[0], i2[0]), min(i1[1], i2[1]))
+
+
+def quad_interval(alpha) -> QuadReport:
+    """Range of the middle diagonal of a quadrilateral: I_1 meet I_2."""
+    alpha = exact_lengths(alpha)
+    i1, i2, (lo, hi) = _quad_meet(alpha)
     nested = ((i1[0] >= i2[0] and i1[1] <= i2[1])
               or (i2[0] >= i1[0] and i2[1] <= i1[1]))
     label = "S^1 u S^1" if nested else "S^1"
@@ -409,8 +414,8 @@ def quad_interval(alpha) -> QuadReport:
 def dh_interval_equality(alpha) -> tuple[Fraction, Fraction]:
     """Lengths of the variation intervals of the two diagonals; equal."""
     alpha = exact_lengths(alpha)
-    lo1, hi1 = quad_interval(alpha).interval
-    lo2, hi2 = quad_interval(alpha[1:] + alpha[:1]).interval
+    (lo1, hi1), (lo2, hi2) = (_quad_meet(a)[2]
+                              for a in (alpha, alpha[1:] + alpha[:1]))
     return hi1 - lo1, hi2 - lo2
 
 

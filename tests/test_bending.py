@@ -12,6 +12,8 @@ from polyspace.errors import (DegeneratePair, LeftProdigalRegion, NotTangent,
 from polyspace.verify import random_prodigal_polygon, trial_rng
 
 SQUARE = pg.Polygon(3, [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
+# the bend suite's flow times
+FLOW_TIMES = (0.1, 1.0, math.pi, 2.0 * math.pi)
 
 # Test-only oracle: the Hamiltonian field of an arbitrary H from central
 # differences of H, against which the closed-form diagonal field is checked.
@@ -205,6 +207,97 @@ def test_diagonal_field_zero_diagonal_raises():
     w = SphereProductPoint.from_polygon(flat)
     with pytest.raises(LeftProdigalRegion):
         bending.hamiltonian_flow(w, X, 0.1)
+
+
+def _batch(polys):
+    return SphereProductPoint(np.stack([p.edges for p in polys]),
+                              np.stack([pg.side_lengths(p) for p in polys]))
+
+
+def test_batched_flow_matches_single_member_flows():
+    # the bend suite's batches at seeds 0..3 (its polygons, one member per
+    # flow time), with the head lengths mixed across members
+    for seed in range(4):
+        for m in (5, 6):
+            polys, heads = [], []
+            for k in range(m - 5, 4, 2):
+                rng = trial_rng(seed, k)
+                p = random_prodigal_polygon(rng, m)
+                i = int(rng.integers(2, m - 1))
+                polys += [p] * len(FLOW_TIMES)
+                heads += [i, 1, m - 2, i]
+            times = FLOW_TIMES * (len(polys) // len(FLOW_TIMES))
+            out = bending.hamiltonian_flow(
+                _batch(polys), bending.diagonal_field(heads), times)
+            assert out.points.shape == (len(polys), m, 3)
+            assert out.radial_defect() < 1e-12
+            assert np.abs(bending.so3_moment(out)).max() < 1e-12
+            for b, (p, head, t) in enumerate(zip(polys, heads, times)):
+                one = bending.hamiltonian_flow(
+                    SphereProductPoint.from_polygon(p),
+                    bending.diagonal_field(head), t)
+                assert one.points.shape == (m, 3)
+                assert np.abs(out.points[b] - one.points).max() < 1e-13, \
+                    (seed, m, b)
+
+
+def test_flow_names_the_collapsing_member(rng):
+    p = random_prodigal_polygon(rng, 5)
+    w = _batch([p] * 3)
+    # a constant field: one step of length 1 takes member 1 to the origin
+    push = np.zeros_like(w.points)
+    push[1] = -w.points[1]
+    with pytest.raises(LeftProdigalRegion, match="collapsed") as err:
+        bending.hamiltonian_flow(w, lambda points: push, 1.0, steps=1)
+    assert "member 1" in str(err.value)
+    assert "member 0" not in str(err.value)
+
+
+def _blows_up(member, after_steps):
+    """Zero field, except on ``member`` from step ``after_steps`` on."""
+    calls = [0]
+
+    def X(points):
+        calls[0] += 1
+        out = np.zeros_like(points)
+        if calls[0] > 4 * after_steps:
+            out[member] = 1e308
+        return out
+
+    return X
+
+
+def test_finished_member_keeps_its_result(rng):
+    p = random_prodigal_polygon(rng, 5)
+    w = _batch([p, p])
+    # member 0 takes 32 steps and blows up from step 40 on, after its end
+    out = bending.hamiltonian_flow(w, _blows_up(0, 40), (0.1, 1.0))
+    for b, t in enumerate((0.1, 1.0)):
+        one = bending.hamiltonian_flow(
+            SphereProductPoint.from_polygon(p), np.zeros_like, t)
+        assert np.array_equal(out.points[b], one.points)
+
+
+def test_error_names_only_the_failing_member(rng):
+    p = random_prodigal_polygon(rng, 5)
+    w = _batch([p, p])
+    field = _blows_up(0, 40)
+    fail = _blows_up(1, 100)
+
+    def X(points):
+        return field(points) + fail(points)
+
+    with pytest.raises(LeftProdigalRegion, match="domain") as err:
+        bending.hamiltonian_flow(w, X, (0.1, 1.0))
+    assert "member 1" in str(err.value)
+    assert "member 0" not in str(err.value)
+
+
+def test_batched_field_names_the_vanishing_member():
+    flat = pg.Polygon(3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
+    X = bending.diagonal_field((1, 2))
+    with pytest.raises(LeftProdigalRegion, match="member 1: diagonal"):
+        X(np.stack([flat.edges, flat.edges]))
 
 
 def test_flow_conserves_energy(rng):

@@ -1,9 +1,12 @@
 """Verify suites: regressions, the suites' power to fail, bounded sampling."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
-from polyspace import bending, verify
+from polyspace import bending, polytope, verify
 from polyspace.errors import RetryLimit
 
 
@@ -22,6 +25,61 @@ def test_bend_suite_fails_on_the_negated_field(monkeypatch):
     monkeypatch.setattr(bending, "diagonal_field", negated)
     report = verify.suite_bend(1, 0)
     assert any(case.startswith("flow[") for case, _, _ in report.failures)
+
+
+@pytest.mark.parametrize("trials, sizes", [(0, []), (1, [5]), (2, [5, 6])])
+def test_bend_suite_makes_one_flow_call_per_size(monkeypatch, trials, sizes):
+    flow = bending.hamiltonian_flow
+    calls = []
+
+    def counted(w, field, t, steps=None):
+        calls.append(w.points.shape)
+        return flow(w, field, t, steps)
+
+    monkeypatch.setattr(bending, "hamiltonian_flow", counted)
+    report = verify.suite_bend(trials, 7)
+    assert report.ok
+    assert calls == [(4 * len(range(m - 5, trials, 2)), m, 3) for m in sizes]
+
+
+def test_dh_suite_skips_the_genericity_test(monkeypatch):
+    def refuse(alpha):
+        raise AssertionError("dh needs no genericity test")
+
+    monkeypatch.setattr(polytope, "is_generic_lengths", refuse)
+    assert verify.suite_dh(20, 0).ok
+
+
+def test_margins_keep_the_worst_deviation_of_each_check():
+    report = verify.RunReport("demo", 3)
+    report.record("flow[0,i=2]", 1e-9, 1e-6)
+    report.record("flow[1,i=3]", 4e-9, 1e-6)
+    report.record("flow[2,i=2]", 2e-9, 1e-6)
+    report.record("drift[0]", 3e-8, 1e-8)
+    assert report.margins == {"flow": (4e-9, 1e-6), "drift": (3e-8, 1e-8)}
+    assert report.failures == [("drift[0]", 3e-8, 1e-8)]
+    doc = report.to_json_dict()
+    assert doc["ok"] is False
+    assert doc["margins"]["flow"] == {"deviation": 4e-9, "tolerance": 1e-6}
+
+
+def test_nan_deviation_is_null_in_json():
+    report = verify.RunReport("demo", 2)
+    report.record("ratio[0]", math.nan, 1e-6)
+    report.record("ratio[1]", 1e-9, 1e-6)
+    doc = report.to_json_dict()
+    assert not report.ok
+    assert doc["margins"]["ratio"] == {"deviation": None, "tolerance": 1e-6}
+    assert doc["failures"] == [
+        {"case": "ratio[0]", "deviation": None, "tolerance": 1e-6}]
+    json.dumps(doc, allow_nan=False)
+
+
+def test_passing_suites_report_margins_within_tolerance():
+    report = verify.suite_bend(2, 0)
+    assert report.ok and set(report.margins) == {"flow", "drift", "commute"}
+    for deviation, tolerance in report.margins.values():
+        assert 0.0 <= deviation <= tolerance
 
 
 class NeverAccepts:
