@@ -171,22 +171,23 @@ def diagonal_field(i):
     one head length or one per member of a (B, m, 3) batch of points.
     """
     heads = np.asarray(i)
-    masks = {}   # rows 1..i per member, by m
-    # Levi-Civita table: n @ levi is cross_matrix(n).T, flattened
+    masks = {}   # rows 1..i per member as 1.0, the rest 0.0, by m
+    # Levi-Civita table: n @ levi is cross_matrix(n).T, flattened.  Its
+    # entries are 0 and +-1, so d @ levi / |d| is exactly n @ levi.
     levi = np.stack([cross_matrix(e).T.ravel() for e in np.eye(3)])
 
     def X(points: np.ndarray) -> np.ndarray:
         m = points.shape[-2]
         if m not in masks:
-            masks[m] = (np.arange(m) < heads[..., None])[..., None]
+            masks[m] = (np.arange(m) < heads[..., None])[..., None] * 1.0
         head = points * masks[m]
         d = head.sum(axis=-2)
-        norm = np.sqrt(np.einsum("...k,...k->...", d, d))
-        if not norm.all():
-            b = np.flatnonzero(norm == 0.0)[0]
+        norm2 = np.einsum("...k,...k->...", d, d)
+        if not norm2.all():
+            b = np.flatnonzero(norm2 == 0.0)[0]
             raise LeftProdigalRegion(f"member {b}: diagonal vanished; no axis")
-        KT = np.dot(d / norm[..., None], levi)
-        return head @ KT.reshape(KT.shape[:-1] + (3, 3))
+        KT = np.dot(d, levi).reshape(d.shape[:-1] + (3, 3))
+        return head @ (KT / np.sqrt(norm2)[..., None, None])
 
     return X
 

@@ -34,12 +34,14 @@ hopf = hopf_complex
 
 
 def check_unitary(P: np.ndarray, tol: float = _UNITARY_TOL) -> np.ndarray:
+    """P, a 2x2 matrix or a (..., 2, 2) stack, if every member is unitary."""
     P = np.asarray(P, dtype=complex)
-    if P.shape != (2, 2):
+    if P.shape[-2:] != (2, 2):
         raise NonUnitary(f"expected a 2x2 matrix, got shape {P.shape}")
-    defect = np.linalg.norm(P @ P.conj().T - np.eye(2))
-    if not defect <= tol:
-        raise NonUnitary(f"matrix is not unitary (defect {defect:.3e})")
+    defect = np.linalg.norm(P @ P.conj().swapaxes(-2, -1) - np.eye(2),
+                            axis=(-2, -1))
+    if not (defect <= tol).all():
+        raise NonUnitary(f"matrix is not unitary (defect {np.max(defect):.3e})")
     return P
 
 
@@ -48,24 +50,28 @@ def act_right(row, P: np.ndarray):
 
     For P the matrix of a unit quaternion p this is the quaternion product
     q p.  The action preserves |u|^2 + |v|^2.  u and v are complex numbers
-    or arrays of them.
+    or arrays of them; P is one matrix or a stack of one per entry.
     """
-    (p00, p01), (p10, p11) = check_unitary(P).tolist()
+    P = check_unitary(P)
     u, v = row
-    return u * p00 + v * p10, u * p01 + v * p11
+    return (u * P[..., 0, 0] + v * P[..., 1, 0],
+            u * P[..., 0, 1] + v * P[..., 1, 1])
 
 
 def conjugate_vector(P: np.ndarray, x) -> np.ndarray:
     """Conjugate the pure quaternion x = x1 i + x2 j + x3 k by P.
 
     x has the matrix M = [[i x1, v], [-conj(v), -i x1]] with v = x2 + i x3;
-    P* M P is again of that form and its first row gives the result.
+    P* M P is again of that form and its first row gives the result.  x is
+    a (..., 3) stack with one matrix P or a (..., 2, 2) stack of them.
     """
     P = check_unitary(P)
-    x1, x2, x3 = (float(c) for c in x)
-    u, v = complex(0.0, x1), complex(x2, x3)
-    M = P.conj().T @ np.array([[u, v], [-v.conjugate(), u.conjugate()]]) @ P
-    return np.array([M[0, 0].imag, M[0, 1].real, M[0, 1].imag])
+    x1, x2, x3 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+    zero = np.zeros_like(x1)
+    M = np.stack([zero, x1, x2, x3, -x2, x3, zero, -x1], axis=-1)
+    M = P.conj().swapaxes(-2, -1) @ M.view(complex).reshape(x1.shape + (2, 2)) @ P
+    return np.stack([M[..., 0, 0].imag, M[..., 0, 1].real, M[..., 0, 1].imag],
+                    axis=-1)
 
 
 def hopf_section(x):

@@ -299,3 +299,42 @@ def test_hopf_section_on_rows_matches_points(rng):
     assert u.shape == v.shape == (len(points),)
     for r, x in enumerate(points):
         assert (u[r], v[r]) == quat.hopf_section(x)
+
+
+def _unitary_stack(rng, n):
+    return np.stack([_random_unitary(rng) for _ in range(n)])
+
+
+def test_check_unitary_rejects_a_stack_with_one_bad_member(rng):
+    Ps = _unitary_stack(rng, 5)
+    assert quat.check_unitary(Ps).shape == (5, 2, 2)
+    for bad in (np.diag([1.0, 2.0]), np.full((2, 2), np.nan)):
+        Ps[3] = bad
+        with pytest.raises(NonUnitary):
+            quat.check_unitary(Ps)
+        with pytest.raises(NonUnitary):
+            quat.act_right((np.ones(5), np.zeros(5)), Ps)
+        with pytest.raises(NonUnitary):
+            quat.conjugate_vector(Ps, np.ones((5, 3)))
+    with pytest.raises(NonUnitary, match="shape"):
+        quat.check_unitary(np.eye(3))
+
+
+def test_stacked_actions_match_per_matrix_calls(rng):
+    Ps = _unitary_stack(rng, 50)
+    u, v = rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50))
+    x = rng.standard_normal((50, 3))
+    su, sv = quat.act_right((u, v), Ps)
+    conj = quat.conjugate_vector(Ps, x)
+    assert su.shape == sv.shape == (50,) and conj.shape == (50, 3)
+    for b in range(50):
+        one_u, one_v = quat.act_right((u[b], v[b]), Ps[b])
+        assert abs(su[b] - one_u) < 1e-15 and abs(sv[b] - one_v) < 1e-15
+        assert np.abs(conj[b] - quat.conjugate_vector(Ps[b], x[b])).max() \
+            < 1e-15
+    # one matrix acts on a stack of rows and of vectors alike
+    su, sv = quat.act_right((u, v), Ps[0])
+    assert np.abs(su - u * Ps[0, 0, 0] - v * Ps[0, 1, 0]).max() < 1e-15
+    conj = quat.conjugate_vector(Ps[0], x)
+    assert np.abs(conj - [quat.conjugate_vector(Ps[0], row) for row in x]
+                  ).max() < 1e-15

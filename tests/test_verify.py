@@ -2,12 +2,15 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from polyspace import bending, polytope, verify
+from polyspace import bending, polytope, quat, verify
 from polyspace.errors import RetryLimit
+
+FLOW_TIMES = (0.1, 1.0, math.pi, 2.0 * math.pi)
 
 
 def test_kahler_seed_3_passes():
@@ -27,19 +30,124 @@ def test_bend_suite_fails_on_the_negated_field(monkeypatch):
     assert any(case.startswith("flow[") for case, _, _ in report.failures)
 
 
-@pytest.mark.parametrize("trials, sizes", [(0, []), (1, [5]), (2, [5, 6])])
-def test_bend_suite_makes_one_flow_call_per_size(monkeypatch, trials, sizes):
+def _counted_flow(monkeypatch):
+    """Patch the flow to log each call's (points shape, result points)."""
     flow = bending.hamiltonian_flow
     calls = []
 
     def counted(w, field, t, steps=None):
-        calls.append(w.points.shape)
-        return flow(w, field, t, steps)
+        out = flow(w, field, t, steps)
+        calls.append((w.points.shape, out.points))
+        return out
 
     monkeypatch.setattr(bending, "hamiltonian_flow", counted)
+    return calls
+
+
+@pytest.mark.parametrize("trials, shapes", [
+    (0, []), (1, [(4, 5, 3)]), (2, [(8, 6, 3)])])
+def test_bend_suite_makes_one_padded_flow_call(monkeypatch, trials, shapes):
+    calls = _counted_flow(monkeypatch)
     report = verify.suite_bend(trials, 7)
     assert report.ok
-    assert calls == [(4 * len(range(m - 5, trials, 2)), m, 3) for m in sizes]
+    assert [shape for shape, _ in calls] == shapes
+
+
+def per_size_flows(trials, seed):
+    """Oracle: the bend suite's flows with one unpadded call per size m,
+    as {(trial, t): points}."""
+    drawn = []
+    for k in range(trials):
+        rng = verify.trial_rng(seed, k)
+        poly = verify.random_prodigal_polygon(rng, 5 + k % 2)
+        drawn.append((k, poly, int(rng.integers(2, poly.m - 1))))
+    flowed = {}
+    for m in sorted({poly.m for _, poly, _ in drawn}):
+        ks, polys, heads, ts = zip(*[(k, p, i, t) for k, p, i in drawn
+                                     if p.m == m for t in FLOW_TIMES])
+        edges = np.stack([p.edges for p in polys])
+        w = bending.SphereProductPoint(edges, np.linalg.norm(edges, axis=-1))
+        out = bending.hamiltonian_flow(w, bending.diagonal_field(heads), ts)
+        flowed.update(zip(zip(ks, ts), out.points))
+    return flowed
+
+
+@pytest.mark.parametrize("trials", [4, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_padded_flow_matches_per_size_flows(monkeypatch, seed, trials):
+    calls = _counted_flow(monkeypatch)
+    assert verify.suite_bend(trials, seed).ok
+    [(shape, padded)] = calls
+    assert shape == (4 * trials, 6, 3)
+    oracle = per_size_flows(trials, seed)
+    assert len(oracle) == len(padded)
+    for b, ((k, t), points) in enumerate(sorted(oracle.items())):
+        m = points.shape[0]
+        assert np.array_equal(padded[b, :m], points), (k, t)
+        # the pad row of a pentagon never moves
+        assert (padded[b, m:] == [0.0, 0.0, 1.0]).all()
+
+
+@pytest.mark.parametrize("linked", [
+    0.0, math.nan, -1.0, 5e-324, 1e-3, math.nextafter(1e-3, 1.0), 0.5,
+    math.inf])
+def test_linked_check_fails_exactly_when_not_above_its_bound(monkeypatch,
+                                                            linked):
+    monkeypatch.setattr(bending, "commute_defect", lambda *args: linked)
+    report = verify.suite_bend(0, 3)
+    assert report.ok == (linked > 1e-3)
+    deviation, tolerance = report.margins["linked-pair-commutes"]
+    assert (deviation <= tolerance) == report.ok
+
+
+def per_trial_hopf(trials, seed):
+    """Oracle: the hopf suite one trial at a time, as (case, dev, tol)."""
+    rows = []
+    for k in range(trials):
+        rng = verify.trial_rng(seed, k)
+        w, x, y, z = rng.standard_normal(4)
+        u, v = complex(w, x), complex(y, z)
+        norm2 = w * w + x * x + y * y + z * z
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        q, r = np.linalg.qr(g)
+        P = q * (np.diag(r) / np.abs(np.diag(r)))
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        hq = quat.hopf_complex(u, v)
+        equiv = np.linalg.norm(quat.hopf_complex(*quat.act_right((u, v), P))
+                               - quat.conjugate_vector(P, hq))
+        rows.append((f"equivariance[{k}]", equiv, 1e-11))
+        phase = complex(math.cos(theta), math.sin(theta))
+        fiber = np.linalg.norm(quat.hopf_complex(phase * u, phase * v) - hq)
+        rows.append((f"fiber[{k}]", fiber, 1e-12 * max(1.0, norm2)))
+        radius = abs(np.linalg.norm(hq) - norm2)
+        rows.append((f"radius[{k}]", radius, 1e-12 * max(1.0, norm2)))
+    return rows
+
+
+@pytest.mark.parametrize("trials, seeds", [(300, range(5)), (0, [0]),
+                                           (1, [0, 1])])
+def test_stacked_hopf_suite_matches_per_trial_loop(monkeypatch, trials,
+                                                   seeds):
+    record = verify.RunReport.record
+    recorded = []
+
+    def logged(self, case_id, deviation, tolerance):
+        recorded.append((case_id, deviation, tolerance))
+        record(self, case_id, deviation, tolerance)
+
+    monkeypatch.setattr(verify.RunReport, "record", logged)
+    for seed in seeds:
+        recorded.clear()
+        report = verify.suite_hopf(trials, seed)
+        oracle = per_trial_hopf(trials, seed)
+        assert [case for case, _, _ in recorded] == \
+            [case for case, _, _ in oracle]
+        for (case, dev, tol), (_, want, want_tol) in zip(recorded, oracle):
+            assert abs(dev - want) <= 1e-12, case
+            assert tol == want_tol, case
+        failed = [case for case, dev, tol in oracle if not dev <= tol]
+        assert report.ok == (not failed)
+        assert [case for case, _, _ in report.failures] == failed
 
 
 def test_dh_suite_skips_the_genericity_test(monkeypatch):
@@ -77,9 +185,26 @@ def test_nan_deviation_is_null_in_json():
 
 def test_passing_suites_report_margins_within_tolerance():
     report = verify.suite_bend(2, 0)
-    assert report.ok and set(report.margins) == {"flow", "drift", "commute"}
+    assert report.ok and set(report.margins) == {
+        "flow", "drift", "commute", "linked-pair-commutes"}
     for deviation, tolerance in report.margins.values():
         assert 0.0 <= deviation <= tolerance
+
+
+def test_exact_checks_report_margins():
+    assert verify.suite_dh(20, 0).margins == {"dh": (0.0, 0.0)}
+    assert verify.suite_hexcount(1, 0).margins == {
+        "enumerate_lined": (0.0, 0.0), "brute-force-crosscheck": (0.0, 0.0)}
+
+
+def test_dh_compares_its_fractions_exactly(monkeypatch):
+    # the two lengths differ by less than the smallest float
+    tiny = Fraction(1, 10 ** 400)
+    monkeypatch.setattr(polytope, "dh_interval_equality",
+                        lambda alpha: (Fraction(1), 1 + tiny))
+    report = verify.suite_dh(2, 0)
+    assert not report.ok and len(report.failures) == 2
+    assert all(dev == 0.0 and tol == 0.0 for _, dev, tol in report.failures)
 
 
 class NeverAccepts:
