@@ -16,7 +16,7 @@ import numpy as np
 from . import quat
 from .errors import (DegeneratePair, LeftProdigalRegion, NotTangent,
                      ZeroDiagonal)
-from .polygon import Polygon, perimeter, side_lengths
+from .polygon import Polygon, perimeter
 
 _TANGENT_TOL = 1e-9
 STEPS_PER_TURN = 2000
@@ -124,24 +124,6 @@ class SphereProductPoint:
             raise ValueError("need (..., m, 3) points and (..., m) radii")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "radii", radii)
-
-    @classmethod
-    def from_polygon(cls, p: Polygon) -> "SphereProductPoint":
-        if p.dim != 3:
-            p = p.embedded(3)
-        return cls(p.edges.copy(), side_lengths(p))
-
-    def to_polygon(self) -> Polygon:
-        return Polygon(3, self.points.copy())
-
-    def radial_defect(self) -> float:
-        return float(np.abs(np.linalg.norm(self.points, axis=-1)
-                            - self.radii).max())
-
-
-def so3_moment(w: SphereProductPoint) -> np.ndarray:
-    """Sum of the factor points; zero exactly on closed polygons."""
-    return w.points.sum(axis=-2)
 
 
 def diagonal_hamiltonian(i: int):

@@ -61,10 +61,6 @@ class NonGeneric(PolyspaceError):
     pass
 
 
-class Degenerate(PolyspaceError):
-    pass
-
-
 class NotInHypersimplex(PolyspaceError):
     pass
 

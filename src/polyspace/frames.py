@@ -15,8 +15,6 @@ from . import quat
 from .errors import DependentColumns, NotClosed, NotHermitian, NotNormalized
 from .polygon import Polygon, closure_defect, perimeter
 
-_FRAME_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Frame:
@@ -36,16 +34,6 @@ class Frame:
     @property
     def m(self) -> int:
         return self.a.shape[0]
-
-    def validity_defect(self) -> float:
-        return max(
-            abs(np.vdot(self.a, self.a).real - 1.0),
-            abs(np.vdot(self.b, self.b).real - 1.0),
-            abs(np.vdot(self.a, self.b)),
-        )
-
-    def is_valid(self, tol: float = _FRAME_TOL) -> bool:
-        return self.validity_defect() <= tol
 
 
 def frame_orthonormalize(a, b) -> Frame:

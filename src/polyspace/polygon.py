@@ -38,41 +38,7 @@ def as_fraction(value) -> Fraction:
 
 
 def exact_lengths(alpha) -> tuple[Fraction, ...]:
-    if isinstance(alpha, SideLengths):
-        return alpha.entries
     return tuple(as_fraction(a) for a in alpha)
-
-
-@dataclass(frozen=True)
-class SideLengths:
-    """Exact side-length vector, optionally normalized to perimeter 2."""
-
-    entries: tuple[Fraction, ...]
-    normalized: bool = False
-
-    def __post_init__(self):
-        entries = tuple(as_fraction(a) for a in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if any(a < 0 for a in entries):
-            raise ValueError("side lengths must be nonnegative")
-        if self.normalized and sum(entries) != 2:
-            raise ValueError("normalized side lengths must sum to 2 exactly")
-
-    @classmethod
-    def parse(cls, values, normalize: bool = False) -> "SideLengths":
-        entries = tuple(as_fraction(v) for v in values)
-        if normalize:
-            total = sum(entries)
-            if total == 0:
-                raise ZeroPolygon("cannot normalize zero side lengths")
-            entries = tuple(2 * a / total for a in entries)
-        return cls(entries, normalized=normalize)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 @dataclass(frozen=True)
@@ -264,16 +230,3 @@ def wall_distance(alpha) -> Fraction:
         gaps += [abs(key - b) for b in doubled[max(i - 1, 0):i + 1]]
     return Fraction(min(gaps), den)
 
-
-def random_rotation(rng, dim: int = 3) -> np.ndarray:
-    """Haar-ish random rotation matrix, for invariance tests."""
-    a = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def rotated(p: Polygon, rot: np.ndarray) -> Polygon:
-    return Polygon(p.dim, p.edges @ np.asarray(rot).T)

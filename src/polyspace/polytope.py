@@ -12,17 +12,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import Degenerate, EmptyPolytope, NonGeneric
+from .errors import EmptyPolytope, NonGeneric
 from .polygon import (MAX_BRUTE_FORCE_SIDES, as_fraction, exact_lengths,
-                      is_feasible_lengths, is_generic_lengths, wall_distance)
-
-__all__ = [
-    "Halfspace", "RationalPolytope", "GCReport", "ClassificationReport",
-    "QuadReport", "in_hypersimplex", "gc_membership",
-    "diag_slice", "count_sides", "classify_pentagon", "quad_interval",
-    "dh_interval_equality", "even_step_polytope", "wall_distance",
-    "PENTAGON_TABLE",
-]
+                      is_feasible_lengths, is_generic_lengths)
 
 ZERO = Fraction(0)
 
@@ -38,12 +30,6 @@ class Halfspace:
         normal = tuple(as_fraction(c) for c in self.normal)
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", as_fraction(self.offset))
-
-    def slack(self, point) -> Fraction:
-        return self.offset - sum(n * x for n, x in zip(self.normal, point))
-
-    def holds(self, point) -> bool:
-        return self.slack(point) >= 0
 
 
 def _integer_row(h: Halfspace) -> tuple[tuple[int, ...], int]:
@@ -73,7 +59,6 @@ class RationalPolytope:
     Cramer's rule, and a solution that satisfies every row becomes a
     vertex, mapped to the indices of the rows tight at it.  The vertices,
     full-dimensionality and the facets are all read from that table.
-    Membership testing works in any dimension.
     """
 
     variables: tuple[str, ...]
@@ -88,12 +73,6 @@ class RationalPolytope:
     @property
     def dim(self) -> int:
         return len(self.variables)
-
-    def contains(self, point) -> bool:
-        point = tuple(as_fraction(x) for x in point)
-        if len(point) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates")
-        return all(h.holds(point) for h in self.halfspaces)
 
     def _incidence(self) -> dict:
         """{vertex: frozenset of indices of the rows tight at it}, sorted."""
@@ -152,14 +131,6 @@ class RationalPolytope:
             raise EmptyPolytope("no vertices")
         return len({face for face in self._faces() if len(face) >= self.dim})
 
-    def interval(self) -> tuple[Fraction, Fraction]:
-        if self.dim != 1:
-            raise ValueError("interval() needs a 1-dimensional polytope")
-        verts = [v[0] for v in self.vertices()]
-        if not verts:
-            raise EmptyPolytope("empty interval")
-        return min(verts), max(verts)
-
     def to_json_dict(self) -> dict:
         doc = {
             "variables": list(self.variables),
@@ -180,17 +151,6 @@ def in_hypersimplex(alpha) -> bool:
     """0 <= alpha_i <= 1 and sum(alpha) == 2, exactly."""
     alpha = exact_lengths(alpha)
     return all(0 <= a <= 1 for a in alpha) and sum(alpha) == 2
-
-
-@dataclass(frozen=True)
-class GCReport:
-    """Outcome of the triangle-inequality membership test for (l, d)."""
-
-    ok: bool
-    slacks: tuple
-    failures: tuple
-    min_slack: Fraction
-    perimeter_ok: bool | None = None
 
 
 # The triangle inequalities at step i, as signs on (d_i, d_{i+1}, l_{i+1}):
@@ -220,26 +180,6 @@ def triangle_slacks(alpha, diag):
         for name, p, q, n in _TRIANGLE_TERMS:
             out.append((i, name, terms[p] + terms[q] - terms[n]))
     return tuple(out)
-
-
-def gc_membership(alpha, diag, require_perimeter: bool = True) -> GCReport:
-    """Exact test that (l, d) satisfies every triangle inequality.
-
-    ``diag`` has m entries d_1..d_m with d_m expected to be 0.  With
-    ``require_perimeter`` the perimeter must equal 2 exactly.
-    """
-    alpha = exact_lengths(alpha)
-    diag = tuple(as_fraction(x) for x in diag)
-    slacks = triangle_slacks(alpha, diag)
-    failures = tuple(s for s in slacks if s[2] < 0)
-    if diag[-1] != 0:
-        failures += ((len(alpha) - 1, "closure", -abs(diag[-1])),)
-    per_ok = None
-    if require_perimeter:
-        per_ok = sum(alpha) == 2
-    ok = not failures and per_ok is not False
-    min_slack = min(s[2] for s in slacks)
-    return GCReport(ok, slacks, failures, min_slack, per_ok)
 
 
 def diag_slice(alpha) -> RationalPolytope:
@@ -283,17 +223,6 @@ def diag_slice(alpha) -> RationalPolytope:
 def _interval_pair(a, b) -> tuple[Fraction, Fraction]:
     """The triangle inequalities solved for the third side c of (a, b, c)."""
     return abs(a - b), a + b
-
-
-def count_sides(poly: RationalPolytope) -> int:
-    """Number of maximal edges of a full-dimensional planar polytope."""
-    if poly.dim != 2:
-        raise ValueError("count_sides needs a planar polytope")
-    if not poly.vertices():
-        raise EmptyPolytope("no vertices")
-    if not poly.is_full_dimensional():
-        raise Degenerate("polytope has zero area")
-    return poly.facet_count()
 
 
 # row -> (4-manifold, planar quotient, planar rotation quotient)

@@ -38,12 +38,16 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(mix_seed(seed, index))
 
 
+def _nearness(deviation: float, tolerance: float) -> float:
+    return deviation / tolerance if tolerance else deviation
+
+
 @dataclass
 class RunReport:
     suite: str
     trials: int
     failures: list = field(default_factory=list)
-    margins: dict = field(default_factory=dict)  # worst (dev, tol) by check
+    margins: dict = field(default_factory=dict)  # nearest (dev, tol) by check
     wall_clock: float = 0.0
 
     @property
@@ -54,8 +58,11 @@ class RunReport:
         failed = not (deviation <= tolerance)   # exact for Fractions too
         deviation, tolerance = float(deviation), float(tolerance)
         name = case_id.split("[", 1)[0]
-        worst, _ = self.margins.get(name, (-math.inf, None))
-        if deviation > worst or math.isnan(deviation):
+        # keep the trial nearest to failing: the largest deviation per unit
+        # of tolerance, or the largest deviation where the tolerance is 0
+        worst = self.margins.get(name)
+        if (worst is None or math.isnan(deviation)
+                or _nearness(deviation, tolerance) > _nearness(*worst)):
             self.margins[name] = (deviation, tolerance)
         if failed:
             self.failures.append((case_id, deviation, tolerance))

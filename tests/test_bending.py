@@ -133,26 +133,26 @@ def test_km_metric():
 
 def test_so3_moment(rng):
     p = random_prodigal_polygon(rng, 5)
-    w = SphereProductPoint.from_polygon(p)
-    assert np.abs(bending.so3_moment(w)).max() < 1e-12
-    assert w.radial_defect() < 1e-12
+    w = SphereProductPoint(p.edges, pg.side_lengths(p))
+    assert np.abs(w.points.sum(axis=-2)).max() < 1e-12
+    assert np.abs(np.linalg.norm(w.points, axis=-1) - w.radii).max() < 1e-12
 
 
 def test_flow_of_constant_is_identity(rng):
     p = random_prodigal_polygon(rng, 5)
-    w = SphereProductPoint.from_polygon(p)
+    w = SphereProductPoint(p.edges, pg.side_lengths(p))
     out = bending.hamiltonian_flow(w, np.zeros_like, 1.0, steps=50)
     assert np.abs(out.points - w.points).max() < 1e-12
 
 
 def test_flow_matches_bend(rng):
     p = random_prodigal_polygon(rng, 5)
-    w = SphereProductPoint.from_polygon(p)
+    w = SphereProductPoint(p.edges, pg.side_lengths(p))
     X = bending.diagonal_field(3)
     for t in (0.1, 1.0):
-        flowed = bending.hamiltonian_flow(w, X, t).to_polygon()
+        flowed = bending.hamiltonian_flow(w, X, t).points
         target = bending.bend(p, 3, bending.BENDING_FLOW_SIGN * t)
-        assert np.abs(flowed.edges - target.edges).max() < 1e-6
+        assert np.abs(flowed - target.edges).max() < 1e-6
 
 
 def test_flow_sign_is_measured_by_finite_differences():
@@ -164,12 +164,12 @@ def test_flow_sign_is_measured_by_finite_differences():
         [-0.4, -0.8, -0.3],
     ])
     p = pg.Polygon(3, np.vstack([edges, -edges.sum(axis=0)]))
-    w = SphereProductPoint.from_polygon(p)
+    w = SphereProductPoint(p.edges, pg.side_lengths(p))
     t = 0.5
     flowed = bending.hamiltonian_flow(
-        w, fd_field(bending.diagonal_hamiltonian(2)), t).to_polygon()
-    dev_plus = np.abs(bending.bend(p, 2, t).edges - flowed.edges).max()
-    dev_minus = np.abs(bending.bend(p, 2, -t).edges - flowed.edges).max()
+        w, fd_field(bending.diagonal_hamiltonian(2)), t).points
+    dev_plus = np.abs(bending.bend(p, 2, t).edges - flowed).max()
+    dev_minus = np.abs(bending.bend(p, 2, -t).edges - flowed).max()
     assert dev_plus < 1e-6 < dev_minus
     assert bending.BENDING_FLOW_SIGN == 1
 
@@ -191,7 +191,7 @@ def test_flow_with_and_without_field_agree():
         rng = trial_rng(0, k)
         p = random_prodigal_polygon(rng, 5 + k % 2)
         i = int(rng.integers(2, p.m - 1))
-        w = SphereProductPoint.from_polygon(p)
+        w = SphereProductPoint(p.edges, pg.side_lengths(p))
         H = bending.diagonal_hamiltonian(i)
         for t in (0.1, 1.0):
             fd = bending.hamiltonian_flow(w, fd_field(H), t)
@@ -204,7 +204,7 @@ def test_diagonal_field_zero_diagonal_raises():
     X = bending.diagonal_field(2)
     with pytest.raises(LeftProdigalRegion):
         X(flat.edges)
-    w = SphereProductPoint.from_polygon(flat)
+    w = SphereProductPoint(flat.edges, pg.side_lengths(flat))
     with pytest.raises(LeftProdigalRegion):
         bending.hamiltonian_flow(w, X, 0.1)
 
@@ -230,11 +230,12 @@ def test_batched_flow_matches_single_member_flows():
             out = bending.hamiltonian_flow(
                 _batch(polys), bending.diagonal_field(heads), times)
             assert out.points.shape == (len(polys), m, 3)
-            assert out.radial_defect() < 1e-12
-            assert np.abs(bending.so3_moment(out)).max() < 1e-12
+            assert np.abs(np.linalg.norm(out.points, axis=-1)
+                          - out.radii).max() < 1e-12
+            assert np.abs(out.points.sum(axis=-2)).max() < 1e-12
             for b, (p, head, t) in enumerate(zip(polys, heads, times)):
                 one = bending.hamiltonian_flow(
-                    SphereProductPoint.from_polygon(p),
+                    SphereProductPoint(p.edges, pg.side_lengths(p)),
                     bending.diagonal_field(head), t)
                 assert one.points.shape == (m, 3)
                 assert np.abs(out.points[b] - one.points).max() < 1e-13, \
@@ -274,7 +275,7 @@ def test_finished_member_keeps_its_result(rng):
     out = bending.hamiltonian_flow(w, _blows_up(0, 40), (0.1, 1.0))
     for b, t in enumerate((0.1, 1.0)):
         one = bending.hamiltonian_flow(
-            SphereProductPoint.from_polygon(p), np.zeros_like, t)
+            SphereProductPoint(p.edges, pg.side_lengths(p)), np.zeros_like, t)
         assert np.array_equal(out.points[b], one.points)
 
 
@@ -302,7 +303,7 @@ def test_batched_field_names_the_vanishing_member():
 
 def test_flow_conserves_energy(rng):
     p = random_prodigal_polygon(rng, 5)
-    w = SphereProductPoint.from_polygon(p)
+    w = SphereProductPoint(p.edges, pg.side_lengths(p))
     H = bending.diagonal_hamiltonian(2)
     out = bending.hamiltonian_flow(w, bending.diagonal_field(2), 2 * math.pi)
     assert abs(H(out.points) - H(w.points)) < 1e-8

@@ -11,6 +11,8 @@ from polyspace import polygon as pg
 from polyspace.errors import DimensionOne, TooManySides, ZeroPolygon
 from polyspace.polygon import Polygon
 
+from conftest import random_rotation, rotated
+
 SQUARE = Polygon(3, [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
 DEGENERATE = Polygon(3, [[1, 0, 0], [-1, 0, 0], [0, 0, 0]])
 
@@ -86,8 +88,8 @@ def test_reflect():
 
 def test_isometry_invariance(rng):
     p = Polygon(3, rng.standard_normal((6, 3)))
-    rot = pg.random_rotation(rng)
-    q = pg.rotated(p, rot)
+    rot = random_rotation(rng)
+    q = rotated(p, rot)
     assert np.abs(pg.side_lengths(q) - pg.side_lengths(p)).max() < 1e-12
     assert np.abs(pg.diagonals(q) - pg.diagonals(p)).max() < 1e-12
 
@@ -113,9 +115,9 @@ def test_even_step_commutes_with_rotation(rng):
     edges = rng.standard_normal((6, 3))
     edges -= edges.mean(axis=0)
     p = Polygon(3, edges)
-    rot = pg.random_rotation(rng)
-    a = pg.even_step(pg.rotated(p, rot))
-    b = pg.rotated(pg.even_step(p), rot)
+    rot = random_rotation(rng)
+    a = pg.even_step(rotated(p, rot))
+    b = rotated(pg.even_step(p), rot)
     assert np.abs(a.edges - b.edges).max() < 1e-12
 
 
@@ -144,11 +146,11 @@ def test_too_many_sides():
 
 
 def test_side_lengths_exact_type():
-    s = pg.SideLengths.parse(["1/2", "1/2", "1/2", "1/2"], normalize=True)
-    assert s.normalized
-    assert sum(s.entries) == 2
-    with pytest.raises(ValueError):
-        pg.SideLengths((Fraction(1), Fraction(2)), normalized=True)
+    s = pg.exact_lengths(["1/2", 1, Fraction(3, 4)])
+    assert s == (Fraction(1, 2), Fraction(1), Fraction(3, 4))
+    assert all(type(a) is Fraction for a in s)
+    with pytest.raises(TypeError):
+        pg.exact_lengths((Fraction(1), 2.0))
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=5), min_size=3,

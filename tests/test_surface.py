@@ -1,0 +1,91 @@
+"""The package's public surface is what the package, its benchmark and its
+README use.
+
+Every public module-level function, class or constant in
+``src/polyspace`` is read by another statement of the package, named by
+``perfbench/`` (whose tracer names functions as strings), or named in
+backticks in README.md.  No module but ``__init__`` imports a name it
+never reads.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = {path.stem: ast.parse(path.read_text())
+           for path in sorted((ROOT / "src" / "polyspace").glob("*.py"))}
+
+
+def _bound(stmt):
+    """Names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return {stmt.target.id}
+    return set()
+
+
+def _read(node):
+    """Names read anywhere under node: loads, attributes and imports."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def _perfbench_names():
+    out = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        out |= _read(tree)
+        out.update(part for sub in ast.walk(tree)
+                   if isinstance(sub, ast.Constant)
+                   and isinstance(sub.value, str)
+                   and re.fullmatch(r"[A-Za-z_][\w.]*", sub.value)
+                   for part in sub.value.split("."))
+    return out
+
+
+def _readme_names():
+    text = (ROOT / "README.md").read_text()
+    return {part for name in re.findall(r"`([A-Za-z_][\w.]*)", text)
+            for part in name.split(".")}
+
+
+def test_every_public_name_is_used():
+    used = _perfbench_names() | _readme_names()
+    for name, tree in MODULES.items():
+        if name != "__init__":
+            for stmt in tree.body:
+                used |= _read(stmt) - _bound(stmt)
+    unused = [f"{name}.{public}" for name, tree in MODULES.items()
+              for stmt in tree.body for public in sorted(_bound(stmt))
+              if not public.startswith("_") and public not in used]
+    assert not unused, ", ".join(unused)
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for name, tree in MODULES.items():
+        if name == "__init__":
+            continue
+        loads = {sub.id for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Name)
+                 and isinstance(sub.ctx, ast.Load)}
+        for stmt in ast.walk(tree):
+            if (isinstance(stmt, ast.ImportFrom)
+                    and stmt.module == "__future__"):
+                continue
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                unread += [f"{name}: {alias.name}" for alias in stmt.names
+                           if (alias.asname or alias.name).split(".")[0]
+                           not in loads]
+    assert not unread, ", ".join(unread)

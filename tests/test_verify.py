@@ -171,6 +171,23 @@ def test_margins_keep_the_worst_deviation_of_each_check():
     assert doc["margins"]["flow"] == {"deviation": 4e-9, "tolerance": 1e-6}
 
 
+def test_margins_keep_the_trial_nearest_to_failing():
+    report = verify.RunReport("demo", 4)
+    report.record("fiber[0]", 1e-13, 1e-12)
+    report.record("fiber[1]", 5e-13, 1e-11)
+    assert report.margins == {"fiber": (1e-13, 1e-12)}
+    # with tolerance 0 the largest deviation is kept
+    for k, deviation in enumerate((0, 2, 1)):
+        report.record(f"dh[{k}]", deviation, 0)
+    assert report.margins["dh"] == (2.0, 0.0)
+    # a NaN deviation is kept over any number
+    report.record("fiber[2]", math.nan, 1e-12)
+    report.record("fiber[3]", 1e-12, 1e-12)
+    assert math.isnan(report.margins["fiber"][0])
+    assert [case for case, _, _ in report.failures] == [
+        "dh[1]", "dh[2]", "fiber[2]"]
+
+
 def test_nan_deviation_is_null_in_json():
     report = verify.RunReport("demo", 2)
     report.record("ratio[0]", math.nan, 1e-6)
