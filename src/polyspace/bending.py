@@ -174,19 +174,18 @@ def diagonal_field(i):
     return X
 
 
-def hamiltonian_flow(w: SphereProductPoint, field, t,
-                     steps=None) -> SphereProductPoint:
+def hamiltonian_flow(w: SphereProductPoint, field, t) -> SphereProductPoint:
     """Fixed-step RK4 for a Hamiltonian field such as ``diagonal_field(i)``.
 
-    ``w`` is one (m, 3) point or a (B, m, 3) batch, and ``t`` and ``steps``
-    are one value or one per member. Member b takes steps_b steps of
-    t_b/steps_b and is checked only until they are done.
+    ``w`` is one (m, 3) point or a (B, m, 3) batch, and ``t`` is one value
+    or one per member. Member b takes steps_b = ceil(STEPS_PER_TURN |t_b| /
+    2 pi) steps (at least 1) of t_b/steps_b and is checked only until they
+    are done.
     """
     points, radii = w.points.copy(), w.radii
     t = np.broadcast_to(np.asarray(t, dtype=float), radii.shape[:-1])
-    if steps is None:
-        steps = np.maximum(1, np.ceil(STEPS_PER_TURN * abs(t) / math.tau))
-    steps = np.broadcast_to(steps, t.shape).astype(int)
+    steps = np.maximum(1, np.ceil(STEPS_PER_TURN * abs(t) / math.tau))
+    steps = steps.astype(int)
     h = (t / steps)[..., None, None]
     half, sixth = 0.5 * h, h / 6.0
     out = points.copy()

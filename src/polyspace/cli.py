@@ -92,10 +92,10 @@ def polygon_to_doc(p: Polygon) -> dict:
                          "the input lengths are out of range")
     return {
         "dim": p.dim,
-        "edges": [[float(c) for c in row] for row in p.edges],
+        "edges": p.edges.tolist(),
         "meta": {
-            "alpha": [float(a) for a in alpha],
-            "diagonals": [float(d) for d in diags],
+            "alpha": alpha.tolist(),
+            "diagonals": diags.tolist(),
         },
     }
 
@@ -277,7 +277,13 @@ def cmd_bend(args) -> int:
         raise InputError(f"--angle must be finite, got {args.angle}")
     tol = read_tolerance()
     with open(getattr(args, "in")) as fh:
-        poly = polygon_from_doc(json.load(fh), tol)
+        doc = json.load(fh)
+    if isinstance(doc, list):  # a file written by ``sample``
+        if len(doc) != 1:
+            raise InputError(f"bend reads one polygon, but the file holds "
+                             f"a list of {len(doc)}")
+        doc = doc[0]
+    poly = polygon_from_doc(doc, tol)
     try:
         p, q = (int(t) for t in args.range.split(","))
     except ValueError as exc:

@@ -15,6 +15,8 @@ from . import quat
 from .errors import DependentColumns, NotClosed, NotHermitian, NotNormalized
 from .polygon import Polygon, closure_defect, perimeter
 
+_HERMITIAN_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Frame:
@@ -109,13 +111,13 @@ def truncated_gram2(f: Frame, i: int) -> np.ndarray:
     return _gram_stack(f)[i - 1]
 
 
-def eig2(h, tol: float = 1e-10):
+def eig2(h):
     """Eigenvalues (lo, hi) of a hermitian 2x2 matrix or stack (..., 2, 2)."""
     h = np.asarray(h, dtype=complex)
     if h.shape[-2:] != (2, 2):
         raise NotHermitian(f"expected a 2x2 matrix, got shape {h.shape}")
     defect = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
-    if not np.all(defect <= tol):
+    if not np.all(defect <= _HERMITIAN_TOL):
         raise NotHermitian("matrix is not hermitian within tolerance")
     half_tr = (h[..., 0, 0].real + h[..., 1, 1].real) / 2.0
     half_gap = (h[..., 0, 0].real - h[..., 1, 1].real) / 2.0

@@ -164,6 +164,13 @@ def is_feasible_lengths(alpha) -> bool:
     return min(alpha) >= 0 and 2 * max(alpha) <= sum(alpha)
 
 
+def integer_scaled(values) -> tuple[int, list[int]]:
+    """(den, ints): den is the lcm of the denominators of the exact
+    rationals ``values``, and ints are the values times den."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def _split_sums(alpha: tuple[Fraction, ...]):
     """Meet-in-the-middle form of the signed sums with first sign +1.
 
@@ -178,8 +185,7 @@ def _split_sums(alpha: tuple[Fraction, ...]):
     m = len(alpha)
     if m > MAX_BRUTE_FORCE_SIDES:
         raise TooManySides(f"brute force limited to m <= {MAX_BRUTE_FORCE_SIDES}")
-    den = math.lcm(*(a.denominator for a in alpha))
-    ints = [a.numerator * (den // a.denominator) for a in alpha]
+    den, ints = integer_scaled(alpha)
     h = (m + 1) // 2
 
     def minus_sums(values):

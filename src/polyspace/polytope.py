@@ -8,35 +8,12 @@ certify which side of a wall a given length vector sits on.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import EmptyPolytope, NonGeneric
-from .polygon import (MAX_BRUTE_FORCE_SIDES, as_fraction, exact_lengths,
+from .polygon import (MAX_BRUTE_FORCE_SIDES, exact_lengths, integer_scaled,
                       is_feasible_lengths, is_generic_lengths)
-
-ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """The inequality normal . x <= offset with rational coefficients."""
-
-    normal: tuple[Fraction, ...]
-    offset: Fraction
-
-    def __post_init__(self):
-        normal = tuple(as_fraction(c) for c in self.normal)
-        object.__setattr__(self, "normal", normal)
-        object.__setattr__(self, "offset", as_fraction(self.offset))
-
-
-def _integer_row(h: Halfspace) -> tuple[tuple[int, ...], int]:
-    """(normal, offset) of ``h`` scaled by their common denominator."""
-    den = math.lcm(*(c.denominator for c in h.normal + (h.offset,)))
-    return (tuple(c.numerator * (den // c.denominator) for c in h.normal),
-            h.offset.numerator * (den // h.offset.denominator))
 
 
 def _det(rows) -> int:
@@ -54,21 +31,20 @@ def _det(rows) -> int:
 class RationalPolytope:
     """An intersection of rational halfspaces with exact vertex data.
 
-    For dim <= 3 the vertices come from one incidence table, built once:
-    each dim-subset of the rows, scaled to integers, is solved by
+    ``rows`` holds integer (normal, offset) pairs over one shared
+    denominator ``den``: x lies in the polytope when normal . x <=
+    offset / den for every row.  For dim <= 3 the vertices come from one
+    incidence table, built once: each dim-subset of the rows is solved by
     Cramer's rule, and a solution that satisfies every row becomes a
     vertex, mapped to the indices of the rows tight at it.  The vertices,
     full-dimensionality and the facets are all read from that table.
     """
 
     variables: tuple[str, ...]
-    halfspaces: tuple[Halfspace, ...]
+    rows: tuple[tuple[tuple[int, ...], int], ...]
+    den: int
     generic: bool | None = None
     _table: dict | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.variables = tuple(self.variables)
-        self.halfspaces = tuple(self.halfspaces)
 
     @property
     def dim(self) -> int:
@@ -81,28 +57,29 @@ class RationalPolytope:
         n = self.dim
         if n > 3:
             raise ValueError("vertex enumeration limited to dimension <= 3")
-        rows = [_integer_row(h) for h in self.halfspaces]
+        rows = self.rows
         found = {}
         for combo in itertools.combinations(rows, n):
-            normals = [a for a, _ in combo]
-            den = _det(normals)
-            if den == 0:
+            det = _det([a for a, _ in combo])
+            if det == 0:
                 continue
-            # Cramer: the j-th numerator replaces column j by the offsets
+            # Cramer: the j-th numerator replaces column j by the offsets;
+            # the vertex is num / (det * den)
             num = [_det([a[:j] + (b,) + a[j + 1:] for a, b in combo])
                    for j in range(n)]
-            if den < 0:
-                den, num = -den, [-c for c in num]
+            if det < 0:
+                det, num = -det, [-c for c in num]
             tight = []
             for k, (a, b) in enumerate(rows):
-                # the slack of row k at num / den, times den > 0
-                slack = b * den - sum(c * x for c, x in zip(a, num))
+                # the slack of row k at the vertex, times det * den > 0
+                slack = b * det - sum(c * x for c, x in zip(a, num))
                 if slack < 0:
                     break
                 if slack == 0:
                     tight.append(k)
             else:
-                found[tuple(Fraction(c, den) for c in num)] = frozenset(tight)
+                vertex = tuple(Fraction(c, det * self.den) for c in num)
+                found[vertex] = frozenset(tight)
         self._table = dict(sorted(found.items()))
         return self._table
 
@@ -113,7 +90,7 @@ class RationalPolytope:
         """The set of vertices tight on each row with a nonzero normal."""
         table = self._incidence()
         return [frozenset(v for v, tight in table.items() if k in tight)
-                for k, h in enumerate(self.halfspaces) if any(h.normal)]
+                for k, (a, _) in enumerate(self.rows) if any(a)]
 
     def is_full_dimensional(self) -> bool:
         """Nonempty, and no row with a nonzero normal is tight everywhere."""
@@ -135,8 +112,9 @@ class RationalPolytope:
         doc = {
             "variables": list(self.variables),
             "halfspaces": [
-                {"normal": [str(c) for c in h.normal], "offset": str(h.offset)}
-                for h in self.halfspaces
+                {"normal": [str(c) for c in a],
+                 "offset": str(Fraction(b, self.den))}
+                for a, b in self.rows
             ],
         }
         if self.dim <= 3:
@@ -173,7 +151,7 @@ def triangle_slacks(alpha, diag):
     m = len(alpha)
     if len(diag) != m:
         raise ValueError("need one diagonal entry per side (the last is 0)")
-    d = (ZERO,) + tuple(diag)
+    d = (0,) + tuple(diag)
     out = []
     for i in range(m):
         terms = (d[i], d[i + 1], alpha[i])
@@ -196,16 +174,18 @@ def diag_slice(alpha) -> RationalPolytope:
         raise ValueError("need m >= 3")
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no polygon has these side lengths")
+    den, ints = integer_scaled(alpha)
     n = m - 3
     # d_0 = d_m = 0, d_1 = alpha_1 and d_{m-1} = alpha_m are substituted;
     # d_2..d_{m-2} are the free coordinates 0..n-1.
-    fixed = {0: ZERO, 1: alpha[0], m - 1: alpha[m - 1], m: ZERO}
-    halfspaces = []
+    fixed = {0: 0, 1: ints[0], m - 1: ints[m - 1], m: 0}
+    rows = []
     for i in range(m):
         for _, (s_i, s_j, s_a) in TRIANGLE_SIGNS:
-            # s_i d_i + s_j d_{i+1} + s_a l_{i+1} >= 0 as normal . x <= offset
-            normal = [ZERO] * n
-            offset = s_a * alpha[i]
+            # s_i d_i + s_j d_{i+1} + s_a l_{i+1} >= 0 as
+            # normal . x <= offset / den
+            normal = [0] * n
+            offset = s_a * ints[i]
             for j, s in ((i, s_i), (i + 1, s_j)):
                 if j in fixed:
                     offset += s * fixed[j]
@@ -213,11 +193,11 @@ def diag_slice(alpha) -> RationalPolytope:
                     normal[j - 2] = -s
             # rows without a free coordinate follow from the closing condition
             if any(normal):
-                halfspaces.append(Halfspace(tuple(normal), offset))
+                rows.append((tuple(normal), offset))
     names = tuple(f"d{k}" for k in range(2, m - 1))
     generic = (is_generic_lengths(alpha) if m <= MAX_BRUTE_FORCE_SIDES
                else None)
-    return RationalPolytope(names, tuple(halfspaces), generic=generic)
+    return RationalPolytope(names, tuple(rows), den, generic=generic)
 
 
 def _interval_pair(a, b) -> tuple[Fraction, Fraction]:
@@ -348,25 +328,6 @@ def dh_interval_equality(alpha) -> tuple[Fraction, Fraction]:
     return hi1 - lo1, hi2 - lo2
 
 
-def _cone_halfspaces(n: int) -> list[Halfspace]:
-    """x_i <= sum of the others, x >= 0, in n variables."""
-    out = []
-    one = Fraction(1)
-    for i in range(n):
-        normal = [-one] * n
-        normal[i] = one
-        out.append(Halfspace(tuple(normal), ZERO))
-        axis = [ZERO] * n
-        axis[i] = -one
-        out.append(Halfspace(tuple(axis), ZERO))
-    return out
-
-
-def _even_box(alpha) -> list[tuple[Fraction, Fraction]]:
-    return [_interval_pair(alpha[2 * i], alpha[2 * i + 1])
-            for i in range(len(alpha) // 2)]
-
-
 def even_step_polytope(alpha) -> RationalPolytope:
     """Feasible even-step side lengths: a box cut by the simplex cone.
 
@@ -378,33 +339,29 @@ def even_step_polytope(alpha) -> RationalPolytope:
     m = len(alpha)
     if not 4 <= m <= 6:
         raise ValueError("vertex enumeration supported for 4 <= m <= 6")
-    one = Fraction(1)
+    den, ints = integer_scaled(alpha)
     if m == 4:
         # the cone forces x1 = x2; the polytope is the diagonal interval
-        rep = quad_interval(alpha)
-        lo, hi = rep.interval
-        return RationalPolytope(
-            ("x1",), (Halfspace((-one,), -lo), Halfspace((one,), hi)),
-            generic=rep.generic)
+        lo, hi = _quad_meet(ints)[2]
+        return RationalPolytope(("x1",), (((-1,), -lo), ((1,), hi)), den,
+                                generic=is_generic_lengths(alpha))
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no polygon has these even-step lengths")
-    n = (m + 1) // 2
-    fixed_last = alpha[-1] if m % 2 == 1 else None
-    free = n - 1 if fixed_last is not None else n
-    halfspaces = []
-    for i, (lo, hi) in enumerate(_even_box(alpha)):
-        axis = [ZERO] * free
-        axis[i] = one
-        halfspaces.append(Halfspace(tuple(-c for c in axis), -lo))
-        halfspaces.append(Halfspace(tuple(axis), hi))
-    for h in _cone_halfspaces(n):
-        if fixed_last is None:
-            halfspaces.append(h)
-        else:
-            normal = h.normal[:free]
-            offset = h.offset - h.normal[-1] * fixed_last
-            if any(c != 0 for c in normal):
-                halfspaces.append(Halfspace(normal, offset))
+    n, free = (m + 1) // 2, m // 2
+    rows = []
+    # the box: each free x_i lies in the interval of alpha_2i-1, alpha_2i
+    for i in range(free):
+        lo, hi = _interval_pair(ints[2 * i], ints[2 * i + 1])
+        axis = tuple(int(j == i) for j in range(free))
+        rows += [(tuple(-c for c in axis), -lo), (axis, hi)]
+    # the cone: x_i <= sum of the others and x_i >= 0, in n variables
+    for i in range(n):
+        for normal in ([1 if j == i else -1 for j in range(n)],
+                       [-int(j == i) for j in range(n)]):
+            # for odd m, x_n = alpha_m moves to the offset
+            offset = -normal.pop() * ints[-1] if free < n else 0
+            if any(normal):
+                rows.append((tuple(normal), offset))
     names = tuple(f"x{i+1}" for i in range(free))
-    return RationalPolytope(names, tuple(halfspaces),
+    return RationalPolytope(names, tuple(rows), den,
                             generic=is_generic_lengths(alpha))

@@ -33,14 +33,14 @@ def hopf_complex(u, v) -> np.ndarray:
 hopf = hopf_complex
 
 
-def check_unitary(P: np.ndarray, tol: float = _UNITARY_TOL) -> np.ndarray:
+def check_unitary(P: np.ndarray) -> np.ndarray:
     """P, a 2x2 matrix or a (..., 2, 2) stack, if every member is unitary."""
     P = np.asarray(P, dtype=complex)
     if P.shape[-2:] != (2, 2):
         raise NonUnitary(f"expected a 2x2 matrix, got shape {P.shape}")
     defect = np.linalg.norm(P @ P.conj().swapaxes(-2, -1) - np.eye(2),
                             axis=(-2, -1))
-    if not (defect <= tol).all():
+    if not (defect <= _UNITARY_TOL).all():
         raise NonUnitary(f"matrix is not unitary (defect {np.max(defect):.3e})")
     return P
 

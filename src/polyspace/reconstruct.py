@@ -21,6 +21,7 @@ from .polygon import Polygon, exact_lengths, is_feasible_lengths
 from .polytope import _interval_pair, in_hypersimplex, triangle_slacks
 
 _SLACK_TOL = 1e-9
+_GRID = 720720
 
 
 @dataclass(frozen=True)
@@ -151,13 +152,13 @@ def section_sigma(alpha) -> Polygon:
     return Polygon(2, arr)
 
 
-def _frac_uniform(rng, lo: Fraction, hi: Fraction, denom: int = 720720):
+def _frac_uniform(rng, lo: Fraction, hi: Fraction):
     """Uniform rational in [lo, hi] with a fixed denominator grid."""
     span = hi - lo
     if span == 0:
         return lo
-    k = int(rng.integers(0, denom + 1))
-    return lo + span * Fraction(k, denom)
+    k = int(rng.integers(0, _GRID + 1))
+    return lo + span * Fraction(k, _GRID)
 
 
 def sample_ld(alpha, rng) -> LDPoint:

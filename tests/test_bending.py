@@ -141,7 +141,7 @@ def test_so3_moment(rng):
 def test_flow_of_constant_is_identity(rng):
     p = random_prodigal_polygon(rng, 5)
     w = SphereProductPoint(p.edges, pg.side_lengths(p))
-    out = bending.hamiltonian_flow(w, np.zeros_like, 1.0, steps=50)
+    out = bending.hamiltonian_flow(w, np.zeros_like, 1.0)
     assert np.abs(out.points - w.points).max() < 1e-12
 
 
@@ -245,11 +245,13 @@ def test_batched_flow_matches_single_member_flows():
 def test_flow_names_the_collapsing_member(rng):
     p = random_prodigal_polygon(rng, 5)
     w = _batch([p] * 3)
-    # a constant field: one step of length 1 takes member 1 to the origin
+    # a constant field: the one step of length t takes member 1 to the
+    # origin
+    t = 0.5 * math.tau / bending.STEPS_PER_TURN
     push = np.zeros_like(w.points)
-    push[1] = -w.points[1]
+    push[1] = -w.points[1] / t
     with pytest.raises(LeftProdigalRegion, match="collapsed") as err:
-        bending.hamiltonian_flow(w, lambda points: push, 1.0, steps=1)
+        bending.hamiltonian_flow(w, lambda points: push, t)
     assert "member 1" in str(err.value)
     assert "member 0" not in str(err.value)
 

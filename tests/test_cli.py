@@ -144,6 +144,26 @@ def test_bend_round_trip(tmp_path, capsys):
     assert np.abs(moved - np.array(original["edges"])).max() < 1e-9
 
 
+def test_bend_reads_a_sampled_polygon(tmp_path, capsys):
+    # the README pipeline: sample one polygon to a file, then bend it
+    src, one = tmp_path / "polygon.json", tmp_path / "one.json"
+    assert run(capsys, "sample", "--alpha", "1,1,1,1,1", "--count", "1",
+               "--seed", "3", "--out", str(src))[0] == 0
+    one.write_text(json.dumps(json.loads(src.read_text())[0]))
+    bend = ["--range", "1,3", "--angle", "0.7"]
+    code, out = run(capsys, "bend", "--in", str(src), *bend)
+    assert code == 0
+    assert (code, out) == run(capsys, "bend", "--in", str(one), *bend)
+    for count in ("0", "2"):
+        assert run(capsys, "sample", "--alpha", "1,1,1,1,1", "--count", count,
+                   "--out", str(src))[0] == 0
+        assert cli.main(["bend", "--in", str(src), *bend]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: bend reads one polygon, but the file "
+                                f"holds a list of {count}\n")
+
+
 def test_bend_zero_diagonal_exits_3(tmp_path, capsys):
     doc = {"dim": 3, "edges": [[1, 0, 0], [-1, 0, 0],
                                [1, 0, 0], [-1, 0, 0]]}
@@ -264,6 +284,11 @@ def test_emitted_polygon_parses_back(tmp_path, capsys):
     poly = cli.polygon_from_doc(doc, 1e-9)
     assert np.array_equal(poly.edges, np.array(doc["edges"]))
     assert pg.perimeter(poly) == pytest.approx(12.0)
+    # the written floats keep the sign of zero and tiny magnitudes
+    tiny = pg.Polygon(3, [[1.0, 1e-300, -0.0], [-1.0, -1e-300, 0.0]])
+    assert json.dumps(cli.polygon_to_doc(tiny)) == (
+        '{"dim": 3, "edges": [[1.0, 1e-300, -0.0], [-1.0, -1e-300, 0.0]], '
+        '"meta": {"alpha": [1.0, 1.0], "diagonals": [1.0, 0.0]}}')
 
 
 def test_non_finite_numbers_exit_1(capsys):

@@ -13,6 +13,30 @@ from polyspace import polytope as pt
 from polyspace.errors import EmptyPolytope, NonGeneric
 
 
+# Test polytopes are written as rational (normal, offset) rows, each
+# scaled to integers by its own common denominator (the per-row scaling
+# RationalPolytope used before its rows shared one denominator).
+
+def _integer_row(normal, offset):
+    """(normal, offset) scaled by their common denominator."""
+    row = tuple(F(c) for c in normal) + (F(offset),)
+    den = math.lcm(*(c.denominator for c in row))
+    *normal, offset = (c.numerator * (den // c.denominator) for c in row)
+    return tuple(normal), offset
+
+
+def _polytope(variables, rows, generic=None):
+    """RationalPolytope of the rational rows normal . x <= offset."""
+    return pt.RationalPolytope(
+        tuple(variables), tuple(_integer_row(*row) for row in rows), 1,
+        generic)
+
+
+def _rational_rows(poly):
+    """The rows of ``poly`` as rational (normal, offset) pairs."""
+    return [(tuple(F(c) for c in a), F(b, poly.den)) for a, b in poly.rows]
+
+
 # Test-only oracles: the box-corner wall tests and the box-and-wedge
 # pentagon region that is_generic_lengths and diag_slice replaced.
 
@@ -49,37 +73,36 @@ def _pentagon_polytope(alpha):
     a1, a2, a3, a4, a5 = alpha
     x_lo, x_hi = _pair(a1, a2)
     y_lo, y_hi = _pair(a5, a4)
-    halfspaces = (
-        pt.Halfspace((-1, 0), -x_lo), pt.Halfspace((1, 0), x_hi),
-        pt.Halfspace((0, -1), -y_lo), pt.Halfspace((0, 1), y_hi),
-        pt.Halfspace((-1, -1), -a3),  # x + y >= a3
-        pt.Halfspace((1, -1), a3),    # x - y <= a3
-        pt.Halfspace((-1, 1), a3),    # y - x <= a3
-        pt.Halfspace((-1, 0), 0), pt.Halfspace((0, -1), 0),
+    rows = (
+        ((-1, 0), -x_lo), ((1, 0), x_hi),
+        ((0, -1), -y_lo), ((0, 1), y_hi),
+        ((-1, -1), -a3),  # x + y >= a3
+        ((1, -1), a3),    # x - y <= a3
+        ((-1, 1), a3),    # y - x <= a3
+        ((-1, 0), 0), ((0, -1), 0),
     )
-    return pt.RationalPolytope(("d2", "d3"), halfspaces)
+    return _polytope(("d2", "d3"), rows)
 
 
 def _even_box_cone(alpha):
     """The even-step box cut by the cone x_i <= sum of the others."""
     box = _even_box(alpha)
     n = len(box)
-    halfspaces = []
+    rows = []
     for i, (lo, hi) in enumerate(box):
         axis = tuple(int(j == i) for j in range(n))
-        halfspaces += [pt.Halfspace(tuple(-c for c in axis), -lo),
-                       pt.Halfspace(axis, hi),
-                       pt.Halfspace(tuple(2 * c - 1 for c in axis), 0)]
-    return pt.RationalPolytope(tuple(f"x{i + 1}" for i in range(n)),
-                               halfspaces)
+        rows += [(tuple(-c for c in axis), -lo), (axis, hi),
+                 (tuple(2 * c - 1 for c in axis), 0)]
+    return _polytope(tuple(f"x{i + 1}" for i in range(n)), rows)
 
 
 # Test-only oracle: the Fraction elimination and the affine-rank facet
 # rule that the integer incidence table of RationalPolytope replaced.
 
-def _slack(h, point):
-    """offset - normal . point of the row h, exactly."""
-    return h.offset - sum(n * x for n, x in zip(h.normal, point))
+def _slack(row, point):
+    """offset - normal . point of the rational row, exactly."""
+    normal, offset = row
+    return offset - sum(n * x for n, x in zip(normal, point))
 
 
 def _solve_square(rows, rhs):
@@ -120,21 +143,22 @@ def _affinely_independent_count(points, dim):
     return len(basis) + 1
 
 
-def _canonical_boundary(h):
+def _canonical_boundary(row):
     """Scale-invariant key for the hyperplane normal . x = offset."""
-    lead = next((c for c in h.normal if c != 0), None)
+    normal, offset = row
+    lead = next((c for c in normal if c != 0), None)
     if lead is None:
         return None
-    return (tuple(c / lead for c in h.normal), h.offset / lead)
+    return (tuple(c / lead for c in normal), offset / lead)
 
 
 def _oracle_vertices(poly):
+    rows = _rational_rows(poly)
     found = set()
-    for combo in itertools.combinations(poly.halfspaces, poly.dim):
-        point = _solve_square([h.normal for h in combo],
-                              [h.offset for h in combo])
-        if point is not None and all(_slack(h, point) >= 0
-                                     for h in poly.halfspaces):
+    for combo in itertools.combinations(rows, poly.dim):
+        point = _solve_square([normal for normal, _ in combo],
+                              [offset for _, offset in combo])
+        if point is not None and all(_slack(h, point) >= 0 for h in rows):
             found.add(point)
     return tuple(sorted(found))
 
@@ -144,7 +168,7 @@ def _oracle_facet_count(poly, verts):
     if poly.dim == 0:
         return 0
     faces = set()
-    for h in poly.halfspaces:
+    for h in _rational_rows(poly):
         on = [v for v in verts if _slack(h, v) == 0]
         if _affinely_independent_count(on, poly.dim) >= poly.dim:
             faces.add(_canonical_boundary(h))
@@ -159,12 +183,13 @@ def _unit_box(m):
     for i in range(m):
         e = [0] * m
         e[i] = 1
-        rows += [pt.Halfspace(tuple(-c for c in e), 0), pt.Halfspace(e, 1)]
-    return pt.RationalPolytope(tuple(f"x{i+1}" for i in range(m)), rows)
+        rows += [(tuple(-c for c in e), 0), (e, 1)]
+    return _polytope(tuple(f"x{i+1}" for i in range(m)), rows)
 
 
 def _in_hypersimplex_oracle(x):
-    return (all(_slack(h, x) >= 0 for h in _unit_box(len(x)).halfspaces)
+    return (all(_slack(h, x) >= 0
+                for h in _rational_rows(_unit_box(len(x))))
             and sum(F(c) for c in x) == 2)
 
 
@@ -464,39 +489,40 @@ def test_even_step_polytope_m5():
     assert poly.vertices()
     # the slice sits at x3 = alpha_5 = 2
     assert all(_slack(h, v) >= 0
-               for h in poly.halfspaces for v in poly.vertices())
+               for h in _rational_rows(poly) for v in poly.vertices())
 
 
 def test_vertices_satisfy_halfspaces():
     poly = pt.diag_slice((2, 1, 3, 1, 2))
+    rows = _rational_rows(poly)
     for v in poly.vertices():
-        assert all(_slack(h, v) >= 0 for h in poly.halfspaces)
-        tight = sum(1 for h in poly.halfspaces if _slack(h, v) == 0)
+        assert all(_slack(h, v) >= 0 for h in rows)
+        tight = sum(1 for h in rows if _slack(h, v) == 0)
         assert tight >= 2
 
 
 def test_count_sides_simple_shapes():
     one = F(1)
-    square = pt.RationalPolytope(
+    square = _polytope(
         ("x", "y"),
-        (pt.Halfspace((-one, F(0)), F(0)), pt.Halfspace((one, F(0)), one),
-         pt.Halfspace((F(0), -one), F(0)), pt.Halfspace((F(0), one), one)),
+        (((-one, F(0)), F(0)), ((one, F(0)), one),
+         ((F(0), -one), F(0)), ((F(0), one), one)),
     )
     assert _sides(square) == 4
-    triangle = pt.RationalPolytope(
+    triangle = _polytope(
         ("x", "y"),
-        (pt.Halfspace((-one, F(0)), F(0)), pt.Halfspace((F(0), -one), F(0)),
-         pt.Halfspace((one, one), one)),
+        (((-one, F(0)), F(0)), ((F(0), -one), F(0)),
+         ((one, one), one)),
     )
     assert _sides(triangle) == 3
 
 
 def test_count_sides_degenerate():
     one = F(1)
-    segment = pt.RationalPolytope(
+    segment = _polytope(
         ("x", "y"),
-        (pt.Halfspace((-one, F(0)), F(0)), pt.Halfspace((one, F(0)), one),
-         pt.Halfspace((F(0), -one), F(0)), pt.Halfspace((F(0), one), F(0))),
+        (((-one, F(0)), F(0)), ((one, F(0)), one),
+         ((F(0), -one), F(0)), ((F(0), one), F(0))),
     )
     assert segment.vertices() == ((0, 0), (1, 0))
     assert not segment.is_full_dimensional()
@@ -532,19 +558,17 @@ def _random_system(rng, n, flat):
         axis = tuple(F(int(j == i)) for j in range(n))
         lo = frac(-3, 1)
         hi = lo if pinned and i == 0 else frac(0, 4)
-        rows += [pt.Halfspace(tuple(-c for c in axis), -lo),
-                 pt.Halfspace(axis, hi)]
+        rows += [(tuple(-c for c in axis), -lo), (axis, hi)]
     for _ in range(int(rng.integers(0, 5))):
         normal = tuple(frac(-3, 4) for _ in range(n))
         if any(normal):
-            rows.append(pt.Halfspace(normal, frac(-2, 6)))
+            rows.append((normal, frac(-2, 6)))
     if flat and not pinned:
         normal = tuple(F(int(c)) for c in rng.choice([-2, -1, 1, 2], size=n))
-        rows += [pt.Halfspace(normal, 0),
-                 pt.Halfspace(tuple(-c for c in normal), 0)]
+        rows += [(normal, 0), (tuple(-c for c in normal), 0)]
     order = rng.permutation(len(rows))
-    return pt.RationalPolytope(tuple(f"x{i}" for i in range(n)),
-                               tuple(rows[k] for k in order))
+    return _polytope(tuple(f"x{i}" for i in range(n)),
+                     tuple(rows[k] for k in order))
 
 
 def _seeded_polytopes(rng):
@@ -586,23 +610,115 @@ def test_incidence_table_matches_elimination_oracle(rng):
     assert {(n, False, False) for n in (1, 2, 3)} <= seen
 
 
+# Test-only oracle: the Fraction row builders of diag_slice and
+# even_step_polytope that the integer rows over one denominator replaced.
+
+def _fraction_diag_rows(alpha):
+    m = len(alpha)
+    n = m - 3
+    zero = F(0)
+    fixed = {0: zero, 1: alpha[0], m - 1: alpha[m - 1], m: zero}
+    rows = []
+    for i in range(m):
+        for _, (s_i, s_j, s_a) in pt.TRIANGLE_SIGNS:
+            normal = [zero] * n
+            offset = s_a * alpha[i]
+            for j, s in ((i, s_i), (i + 1, s_j)):
+                if j in fixed:
+                    offset += s * fixed[j]
+                else:
+                    normal[j - 2] = F(-s)
+            if any(normal):
+                rows.append((tuple(normal), offset))
+    return tuple(f"d{k}" for k in range(2, m - 1)), rows
+
+
+def _fraction_even_rows(alpha):
+    m = len(alpha)
+    one, zero = F(1), F(0)
+    if m == 4:
+        lo, hi = pt.quad_interval(alpha).interval
+        return ("x1",), [((-one,), -lo), ((one,), hi)]
+    n = (m + 1) // 2
+    fixed_last = alpha[-1] if m % 2 == 1 else None
+    free = n - 1 if fixed_last is not None else n
+    rows = []
+    for i in range(free):
+        lo, hi = _pair(alpha[2 * i], alpha[2 * i + 1])
+        axis = [zero] * free
+        axis[i] = one
+        rows += [(tuple(-c for c in axis), -lo), (tuple(axis), hi)]
+    for i in range(n):
+        normal = [-one] * n
+        normal[i] = one
+        axis = [zero] * n
+        axis[i] = -one
+        for row in ((tuple(normal), zero), (tuple(axis), zero)):
+            if fixed_last is None:
+                rows.append(row)
+            elif any(row[0][:free]):
+                rows.append((row[0][:free], row[1] - row[0][-1] * fixed_last))
+    return tuple(f"x{i+1}" for i in range(free)), rows
+
+
+def _fraction_json(variables, rows, generic):
+    """The JSON of the rational rows; the vertices and facets come from
+    the rows scaled one by one."""
+    poly = _polytope(variables, rows, generic)
+    doc = {"variables": list(variables),
+           "halfspaces": [{"normal": [str(c) for c in normal],
+                           "offset": str(offset)} for normal, offset in rows]}
+    if poly.dim <= 3:
+        verts = poly.vertices()
+        doc["vertices"] = [[str(c) for c in v] for v in verts]
+        doc["facets"] = poly.facet_count() if verts else 0
+    doc["generic"] = generic
+    return doc
+
+
+def test_integer_rows_match_fraction_builders(rng):
+    cases = list(itertools.product(range(1, 4), repeat=4))
+    cases += itertools.product(range(1, 4), repeat=5)
+    for m in range(4, 9):
+        for _ in range(30):
+            nums, dens = rng.integers(1, 13, size=m), rng.integers(1, 8, size=m)
+            cases.append(tuple(F(int(n), int(d)) for n, d in zip(nums, dens)))
+    seen = set()
+    for alpha in cases:
+        alpha = pg.exact_lengths(alpha)
+        builders = [(pt.diag_slice, _fraction_diag_rows)]
+        if len(alpha) <= 6:
+            builders.append((pt.even_step_polytope, _fraction_even_rows))
+        for build, fraction_rows in builders:
+            if not pg.is_feasible_lengths(alpha):
+                with pytest.raises(EmptyPolytope):
+                    build(alpha)
+                seen.add("empty")
+                continue
+            want = _fraction_json(*fraction_rows(alpha),
+                                  pg.is_generic_lengths(alpha))
+            poly = build(alpha)
+            assert poly.to_json_dict() == want, (build.__name__, alpha)
+            seen.add((len(alpha), poly.den > 1, "vertices" in want))
+    assert "empty" in seen
+    assert {(m, True, m <= 6) for m in range(4, 9)} <= seen
+    assert (5, False, True) in seen
+
+
 def test_zero_normal_row_is_not_a_facet():
     one, zero = F(1), F(0)
-    square = (pt.Halfspace((-one, zero), zero), pt.Halfspace((one, zero), one),
-              pt.Halfspace((zero, -one), zero), pt.Halfspace((zero, one), one))
+    square = (((-one, zero), zero), ((one, zero), one),
+              ((zero, -one), zero), ((zero, one), one))
     for offset in (zero, one):
-        poly = pt.RationalPolytope(
-            ("x", "y"), square + (pt.Halfspace((zero, zero), offset),))
+        poly = _polytope(("x", "y"), square + (((zero, zero), offset),))
         assert _sides(poly) == 4
-    interval = pt.RationalPolytope(
-        ("x",), (pt.Halfspace((-one,), one), pt.Halfspace((one,), one),
-                 pt.Halfspace((zero,), zero)))
+    rows = (((-one,), one), ((one,), one), ((zero,), zero))
+    interval = _polytope(("x",), rows)
     assert interval.vertices() == ((-1,), (1,))
     assert interval.facet_count() == 2
     assert interval.to_json_dict()["facets"] == 2
     # an unsatisfiable zero row empties the polytope
-    empty = pt.RationalPolytope(("x",), interval.halfspaces
-                                + (pt.Halfspace((zero,), -one),))
+    empty = _polytope(("x",), rows + (((zero,), -one),))
     assert empty.vertices() == ()
     with pytest.raises(EmptyPolytope):
         empty.facet_count()
@@ -697,11 +813,11 @@ def _hirzebruch_parity(poly):
     surface F_k is S^2 x S^2 for even k and CP^2 # CP^2-bar for odd k."""
     verts = poly.vertices()
     edges = {}
-    for h in poly.halfspaces:
-        tight = frozenset(v for v in verts if _slack(h, v) == 0)
+    for normal, offset in _rational_rows(poly):
+        tight = frozenset(v for v in verts if _slack((normal, offset), v) == 0)
         if len(tight) == 2:
-            g = math.gcd(*(int(c) for c in h.normal))
-            edges[tight] = tuple(-int(c) // g for c in h.normal)
+            g = math.gcd(*(int(c) for c in normal))
+            edges[tight] = tuple(-int(c) // g for c in normal)
     normals = sorted(edges.values(), key=lambda n: math.atan2(n[1], n[0]))
     assert len(normals) == 4
     for i in range(4):
