@@ -9,7 +9,7 @@ that flow numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,22 +110,6 @@ def km_metric(x, u, v) -> complex:
     return complex(np.dot(u, v) / r, -np.dot(x, np.cross(u, v)) / (r * r))
 
 
-@dataclass(frozen=True)
-class SphereProductPoint:
-    """Points x_i on spheres of radii alpha_i, as (..., m, 3) batches."""
-
-    points: np.ndarray = field(repr=False)
-    radii: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        radii = np.asarray(self.radii, dtype=float)
-        if pts.ndim < 2 or pts.shape[-1] != 3 or radii.shape != pts.shape[:-1]:
-            raise ValueError("need (..., m, 3) points and (..., m) radii")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "radii", radii)
-
-
 def diagonal_hamiltonian(i: int):
     """H(w) = |x_1 + ... + x_i| as a plain-float callable.
 
@@ -174,15 +158,19 @@ def diagonal_field(i):
     return X
 
 
-def hamiltonian_flow(w: SphereProductPoint, field, t) -> SphereProductPoint:
+def hamiltonian_flow(points, field, t) -> np.ndarray:
     """Fixed-step RK4 for a Hamiltonian field such as ``diagonal_field(i)``.
 
-    ``w`` is one (m, 3) point or a (B, m, 3) batch, and ``t`` is one value
-    or one per member. Member b takes steps_b = ceil(STEPS_PER_TURN |t_b| /
-    2 pi) steps (at least 1) of t_b/steps_b and is checked only until they
-    are done.
+    ``points`` is one (m, 3) point of a product of spheres or a (B, m, 3)
+    batch; the radii are its row norms, and every step is scaled back to
+    them. ``t`` is one value or one per member. Member b takes steps_b =
+    ceil(STEPS_PER_TURN |t_b| / 2 pi) steps (at least 1) of t_b/steps_b
+    and is checked only until they are done.
     """
-    points, radii = w.points.copy(), w.radii
+    points = np.asarray(points, dtype=float)
+    if points.ndim < 2 or points.shape[-1] != 3:
+        raise ValueError("need (..., m, 3) points")
+    radii = np.linalg.norm(points, axis=-1)
     t = np.broadcast_to(np.asarray(t, dtype=float), radii.shape[:-1])
     steps = np.maximum(1, np.ceil(STEPS_PER_TURN * abs(t) / math.tau))
     steps = steps.astype(int)
@@ -206,7 +194,7 @@ def hamiltonian_flow(w: SphereProductPoint, field, t) -> SphereProductPoint:
                         else "flow left the domain of definition"))
             points = points * (radii / norms)[..., None]
             np.copyto(out, points, where=(steps == s)[..., None, None])
-    return SphereProductPoint(out, radii.copy())
+    return out
 
 
 # The field of |d_i| is -x x n = n x x, the right-handed rotation about n,

@@ -122,14 +122,22 @@ def write_output(text: str, path: str | None):
             fh.write(text)
 
 
+def _emit(args, text: str, draw=None, shape=None) -> int:
+    """Write the ``--svg`` drawing ``draw(shape)``, if asked for, then the
+    text; the drawing goes first, so that a failed one leaves no output."""
+    if draw is not None and args.svg:
+        write_output(draw(shape), args.svg)
+    write_output(text, args.out)
+    return EXIT_OK
+
+
 def polygons_to_csv(polys: list[Polygon], dim: int) -> str:
-    """One row per edge, with coordinates padded with zeros to ``dim``."""
+    """One row per edge of polygons in dimension ``dim``."""
     header = "polygon,edge," + ",".join("xyz"[:dim])
     lines = [header]
     for idx, p in enumerate(polys):
-        for e, row in enumerate(p.edges):
-            coords = [float(c) for c in row] + [0.0] * (dim - p.dim)
-            lines.append(f"{idx},{e + 1}," + ",".join(repr(c) for c in coords))
+        for e, row in enumerate(p.edges.tolist()):
+            lines.append(f"{idx},{e + 1}," + ",".join(repr(c) for c in row))
     return "\n".join(lines) + "\n"
 
 
@@ -141,40 +149,31 @@ def polytope_to_csv(poly: pt.RationalPolytope) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _svg_document(paths: list[str], labels: list[tuple[float, float, str]]):
-    body = "\n".join(paths + [
-        f'<text x="{x:.2f}" y="{y:.2f}" font-size="14">{t}</text>'
-        for x, y, t in labels
-    ])
+def _svg(points: list[tuple[float, float]], fill: str, labels=()) -> str:
+    """Fit the points to an 800 x 800 page; draw their closed path (if
+    there are at least 2), a dot on each, then each label beside its dot."""
+    xs, ys = zip(*points)
+    lo_x, lo_y = min(xs), min(ys)
+    scale = 720.0 / max(max(xs) - lo_x, max(ys) - lo_y, 1e-12)
+    px = [(40.0 + (x - lo_x) * scale, 760.0 - (y - lo_y) * scale)
+          for x, y in points]
+    parts = []
+    if len(px) >= 2:
+        path = " L ".join(f"{x:.2f} {y:.2f}" for x, y in px)
+        parts.append(f'<path d="M {path} Z" fill="{fill}" stroke="black" '
+                     'stroke-width="2"/>')
+    parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="red"/>'
+              for x, y in px]
+    parts += [f'<text x="{x + 8.0:.2f}" y="{y - 8.0:.2f}" '
+              f'font-size="14">{label}</text>'
+              for (x, y), label in zip(px, labels)]
     return ('<svg xmlns="http://www.w3.org/2000/svg" '
-            'viewBox="0 0 800 800">\n' + body + "\n</svg>\n")
-
-
-def _fit(points: list[tuple[float, float]]):
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
-    span = max(hi_x - lo_x, hi_y - lo_y, 1e-12)
-    scale = 720.0 / span
-
-    def to_px(p):
-        return (40.0 + (p[0] - lo_x) * scale,
-                760.0 - (p[1] - lo_y) * scale)
-
-    return to_px
+            'viewBox="0 0 800 800">\n' + "\n".join(parts) + "\n</svg>\n")
 
 
 def svg_polygon(p: Polygon) -> str:
-    verts = [(float(v[0]), float(v[1]) if p.dim >= 2 else 0.0)
-             for v in p.vertices()]
-    to_px = _fit(verts)
-    px = [to_px(v) for v in verts]
-    path = "M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in px) + " Z"
-    parts = [f'<path d="{path}" fill="none" stroke="black" stroke-width="2"/>']
-    for x, y in px:
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="red"/>')
-    return _svg_document(parts, [])
+    return _svg([(float(v[0]), float(v[1]) if p.dim >= 2 else 0.0)
+                 for v in p.vertices()], "none")
 
 
 def svg_polytope(poly: pt.RationalPolytope) -> str:
@@ -187,25 +186,14 @@ def svg_polytope(poly: pt.RationalPolytope) -> str:
         raise EmptyPolytope("nothing to draw")
     if poly.dim == 1:
         pts = [(float(v[0]), 0.0) for v in verts]
+        labels = [f"{x:g}" for x, _ in pts]
     else:
         pts = [(float(v[0]), float(v[1])) for v in verts]
         cx = sum(p[0] for p in pts) / len(pts)
         cy = sum(p[1] for p in pts) / len(pts)
         pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
-    to_px = _fit(pts)
-    px = [to_px(p) for p in pts]
-    if len(px) >= 2:
-        path = "M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in px) + " Z"
-        parts = [f'<path d="{path}" fill="#cce5ff" stroke="black" '
-                 'stroke-width="2"/>']
-    else:
-        parts = []
-    labels = []
-    for (x, y), v in zip(px, pts):
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="red"/>')
-        labels.append((x + 8.0, y - 8.0, f"({v[0]:g}, {v[1]:g})"
-                       if poly.dim == 2 else f"{v[0]:g}"))
-    return _svg_document(parts, labels)
+        labels = [f"({x:g}, {y:g})" for x, y in pts]
+    return _svg(pts, "#cce5ff", labels)
 
 
 def cmd_polytope(args) -> int:
@@ -223,10 +211,7 @@ def cmd_polytope(args) -> int:
         if poly.dim > 3:
             raise InputError("CSV vertices need dimension <= 3")
         text = polytope_to_csv(poly)
-    if args.svg:  # first, so that a failed drawing leaves no output
-        write_output(svg_polytope(poly), args.svg)
-    write_output(text, args.out)
-    return EXIT_OK
+    return _emit(args, text, svg_polytope, poly)
 
 
 def cmd_classify(args) -> int:
@@ -242,8 +227,7 @@ def cmd_classify(args) -> int:
         doc = pt.classify_pentagon(alpha).to_json_dict()
     else:
         raise InputError("classification is implemented for m = 4 and m = 5")
-    write_output(json.dumps(doc, indent=2), args.out)
-    return EXIT_OK
+    return _emit(args, json.dumps(doc, indent=2))
 
 
 def cmd_reconstruct(args) -> int:
@@ -265,11 +249,8 @@ def cmd_reconstruct(args) -> int:
         poly = rec.fiber_sample(ld, angles)
     else:
         poly = rec.reconstruct(ld, args.dim)
-    text = json.dumps(polygon_to_doc(poly), indent=2)
-    if args.svg:  # first, so that a failed drawing leaves no output
-        write_output(svg_polygon(poly), args.svg)
-    write_output(text, args.out)
-    return EXIT_OK
+    return _emit(args, json.dumps(polygon_to_doc(poly), indent=2),
+                 svg_polygon, poly)
 
 
 def cmd_bend(args) -> int:
@@ -293,8 +274,7 @@ def cmd_bend(args) -> int:
         raise InputError(f"--range {p},{q} is not a proper block of edges: "
                          f"need 1 <= p <= q <= {poly.m}, not all of them")
     out = bend_range(poly.embedded(3), DiagonalRange(p, q), args.angle)
-    write_output(json.dumps(polygon_to_doc(out), indent=2), args.out)
-    return EXIT_OK
+    return _emit(args, json.dumps(polygon_to_doc(out), indent=2))
 
 
 def cmd_sample(args) -> int:
@@ -309,19 +289,15 @@ def cmd_sample(args) -> int:
         text = json.dumps([polygon_to_doc(p) for p in polys], indent=2)
     else:
         text = polygons_to_csv(polys, args.dim)
-    write_output(text, args.out)
-    return EXIT_OK
+    return _emit(args, text)
 
 
 def cmd_section(args) -> int:
     alpha = parse_rationals(args.alpha)
     require_polygon(alpha)
     poly = rec.section_sigma(alpha)
-    text = json.dumps(polygon_to_doc(poly), indent=2)
-    if args.svg:  # first, so that a failed drawing leaves no output
-        write_output(svg_polygon(poly), args.svg)
-    write_output(text, args.out)
-    return EXIT_OK
+    return _emit(args, json.dumps(polygon_to_doc(poly), indent=2),
+                 svg_polygon, poly)
 
 
 def cmd_verify(args) -> int:
@@ -330,8 +306,7 @@ def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = [verify.run_suite(name, args.trials, args.seed)
                for name in names]
-    text = json.dumps([r.to_json_dict() for r in reports], indent=2)
-    write_output(text, args.out)
+    _emit(args, json.dumps([r.to_json_dict() for r in reports], indent=2))
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY
 
 

@@ -86,17 +86,6 @@ class RunReport:
         }
 
 
-def _timed(fn):
-    def wrapper(trials: int, seed: int) -> RunReport:
-        start = time.perf_counter()
-        report = fn(trials, seed)
-        report.wall_clock = time.perf_counter() - start
-        return report
-
-    return wrapper
-
-
-@_timed
 def suite_hopf(trials: int, seed: int) -> RunReport:
     report = RunReport("hopf", trials)
     wxyz, theta = np.empty((trials, 4)), np.empty(trials)
@@ -128,7 +117,6 @@ def suite_hopf(trials: int, seed: int) -> RunReport:
     return report
 
 
-@_timed
 def suite_gc(trials: int, seed: int) -> RunReport:
     report = RunReport("gc", trials)
     for k in range(trials):
@@ -161,7 +149,6 @@ def random_prodigal_polygon(rng, m: int) -> Polygon:
     raise RetryLimit(f"no prodigal {m}-gon in {MAX_DRAWS} draws")
 
 
-@_timed
 def suite_bend(trials: int, seed: int) -> RunReport:
     report = RunReport("bend", trials)
     times = (0.1, 1.0, math.pi, 2.0 * math.pi)
@@ -178,10 +165,9 @@ def suite_bend(trials: int, seed: int) -> RunReport:
         for b, (poly, _) in enumerate(drawn):
             edges[b, :poly.m] = poly.edges
         edges = np.repeat(edges, len(times), axis=0)
-        w = bending.SphereProductPoint(edges, np.linalg.norm(edges, axis=-1))
         heads = np.repeat([i for _, i in drawn], len(times))
-        flowed = bending.hamiltonian_flow(w, bending.diagonal_field(heads),
-                                          times * len(drawn)).points
+        flowed = bending.hamiltonian_flow(edges, bending.diagonal_field(heads),
+                                          times * len(drawn))
     for k, (poly, i) in enumerate(drawn):
         H = bending.diagonal_hamiltonian(i)
         for j, t in enumerate(times):
@@ -215,7 +201,6 @@ def random_kahler_probe(rng):
         bending.horizontal_tangent(u, v, z2)
 
 
-@_timed
 def suite_kahler(trials: int, seed: int) -> RunReport:
     report = RunReport("kahler", trials)
     for k in range(trials):
@@ -246,7 +231,6 @@ def random_quad_lengths(rng) -> tuple[Fraction, ...]:
     raise RetryLimit(f"no closing quadrilateral in {MAX_DRAWS} draws")
 
 
-@_timed
 def suite_dh(trials: int, seed: int) -> RunReport:
     report = RunReport("dh", trials)
     for k in range(trials):
@@ -257,7 +241,6 @@ def suite_dh(trials: int, seed: int) -> RunReport:
     return report
 
 
-@_timed
 def suite_hexcount(trials: int, seed: int) -> RunReport:
     report = RunReport("hexcount", 1)
     ones = (Fraction(1),) * 6
@@ -280,7 +263,6 @@ def random_rational_lengths(rng, m: int) -> tuple[Fraction, ...]:
     raise RetryLimit(f"no closing {m}-gon lengths in {MAX_DRAWS} draws")
 
 
-@_timed
 def suite_roundtrip(trials: int, seed: int) -> RunReport:
     report = RunReport("roundtrip", trials)
     for k in range(trials):
@@ -326,8 +308,9 @@ DEFAULT_TRIALS = {
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> RunReport:
-    if name not in SUITES:
-        raise KeyError(name)
     if trials is None:
         trials = DEFAULT_TRIALS[name]
-    return SUITES[name](trials, seed)
+    start = time.perf_counter()
+    report = SUITES[name](trials, seed)
+    report.wall_clock = time.perf_counter() - start
+    return report

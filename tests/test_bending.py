@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polyspace import bending, polygon as pg, quat
-from polyspace.bending import DiagonalRange, SphereProductPoint
+from polyspace.bending import DiagonalRange
 from polyspace.errors import (DegeneratePair, LeftProdigalRegion, NotTangent,
                               ZeroDiagonal)
 from polyspace.verify import random_prodigal_polygon, trial_rng
@@ -132,25 +132,25 @@ def test_km_metric():
 
 
 def test_so3_moment(rng):
+    # a closed polygon's edges are a point of the product of spheres of
+    # radii alpha_i at which the SO(3) moment map (their sum) vanishes
     p = random_prodigal_polygon(rng, 5)
-    w = SphereProductPoint(p.edges, pg.side_lengths(p))
-    assert np.abs(w.points.sum(axis=-2)).max() < 1e-12
-    assert np.abs(np.linalg.norm(w.points, axis=-1) - w.radii).max() < 1e-12
+    assert np.abs(p.edges.sum(axis=-2)).max() < 1e-12
+    assert np.abs(np.linalg.norm(p.edges, axis=-1)
+                  - pg.side_lengths(p)).max() < 1e-12
 
 
 def test_flow_of_constant_is_identity(rng):
     p = random_prodigal_polygon(rng, 5)
-    w = SphereProductPoint(p.edges, pg.side_lengths(p))
-    out = bending.hamiltonian_flow(w, np.zeros_like, 1.0)
-    assert np.abs(out.points - w.points).max() < 1e-12
+    out = bending.hamiltonian_flow(p.edges, np.zeros_like, 1.0)
+    assert np.abs(out - p.edges).max() < 1e-12
 
 
 def test_flow_matches_bend(rng):
     p = random_prodigal_polygon(rng, 5)
-    w = SphereProductPoint(p.edges, pg.side_lengths(p))
     X = bending.diagonal_field(3)
     for t in (0.1, 1.0):
-        flowed = bending.hamiltonian_flow(w, X, t).points
+        flowed = bending.hamiltonian_flow(p.edges, X, t)
         target = bending.bend(p, 3, bending.BENDING_FLOW_SIGN * t)
         assert np.abs(flowed - target.edges).max() < 1e-6
 
@@ -164,10 +164,9 @@ def test_flow_sign_is_measured_by_finite_differences():
         [-0.4, -0.8, -0.3],
     ])
     p = pg.Polygon(3, np.vstack([edges, -edges.sum(axis=0)]))
-    w = SphereProductPoint(p.edges, pg.side_lengths(p))
     t = 0.5
     flowed = bending.hamiltonian_flow(
-        w, fd_field(bending.diagonal_hamiltonian(2)), t).points
+        p.edges, fd_field(bending.diagonal_hamiltonian(2)), t)
     dev_plus = np.abs(bending.bend(p, 2, t).edges - flowed).max()
     dev_minus = np.abs(bending.bend(p, 2, -t).edges - flowed).max()
     assert dev_plus < 1e-6 < dev_minus
@@ -191,12 +190,12 @@ def test_flow_with_and_without_field_agree():
         rng = trial_rng(0, k)
         p = random_prodigal_polygon(rng, 5 + k % 2)
         i = int(rng.integers(2, p.m - 1))
-        w = SphereProductPoint(p.edges, pg.side_lengths(p))
         H = bending.diagonal_hamiltonian(i)
         for t in (0.1, 1.0):
-            fd = bending.hamiltonian_flow(w, fd_field(H), t)
-            exact = bending.hamiltonian_flow(w, bending.diagonal_field(i), t)
-            assert np.abs(exact.points - fd.points).max() < 1e-8, (k, t)
+            fd = bending.hamiltonian_flow(p.edges, fd_field(H), t)
+            exact = bending.hamiltonian_flow(p.edges,
+                                             bending.diagonal_field(i), t)
+            assert np.abs(exact - fd).max() < 1e-8, (k, t)
 
 
 def test_diagonal_field_zero_diagonal_raises():
@@ -204,14 +203,12 @@ def test_diagonal_field_zero_diagonal_raises():
     X = bending.diagonal_field(2)
     with pytest.raises(LeftProdigalRegion):
         X(flat.edges)
-    w = SphereProductPoint(flat.edges, pg.side_lengths(flat))
     with pytest.raises(LeftProdigalRegion):
-        bending.hamiltonian_flow(w, X, 0.1)
+        bending.hamiltonian_flow(flat.edges, X, 0.1)
 
 
 def _batch(polys):
-    return SphereProductPoint(np.stack([p.edges for p in polys]),
-                              np.stack([pg.side_lengths(p) for p in polys]))
+    return np.stack([p.edges for p in polys])
 
 
 def test_batched_flow_matches_single_member_flows():
@@ -227,19 +224,18 @@ def test_batched_flow_matches_single_member_flows():
                 polys += [p] * len(FLOW_TIMES)
                 heads += [i, 1, m - 2, i]
             times = FLOW_TIMES * (len(polys) // len(FLOW_TIMES))
+            w = _batch(polys)
             out = bending.hamiltonian_flow(
-                _batch(polys), bending.diagonal_field(heads), times)
-            assert out.points.shape == (len(polys), m, 3)
-            assert np.abs(np.linalg.norm(out.points, axis=-1)
-                          - out.radii).max() < 1e-12
-            assert np.abs(out.points.sum(axis=-2)).max() < 1e-12
+                w, bending.diagonal_field(heads), times)
+            assert out.shape == (len(polys), m, 3)
+            assert np.abs(np.linalg.norm(out, axis=-1)
+                          - np.linalg.norm(w, axis=-1)).max() < 1e-12
+            assert np.abs(out.sum(axis=-2)).max() < 1e-12
             for b, (p, head, t) in enumerate(zip(polys, heads, times)):
                 one = bending.hamiltonian_flow(
-                    SphereProductPoint(p.edges, pg.side_lengths(p)),
-                    bending.diagonal_field(head), t)
-                assert one.points.shape == (m, 3)
-                assert np.abs(out.points[b] - one.points).max() < 1e-13, \
-                    (seed, m, b)
+                    p.edges, bending.diagonal_field(head), t)
+                assert one.shape == (m, 3)
+                assert np.abs(out[b] - one).max() < 1e-13, (seed, m, b)
 
 
 def test_flow_names_the_collapsing_member(rng):
@@ -248,8 +244,8 @@ def test_flow_names_the_collapsing_member(rng):
     # a constant field: the one step of length t takes member 1 to the
     # origin
     t = 0.5 * math.tau / bending.STEPS_PER_TURN
-    push = np.zeros_like(w.points)
-    push[1] = -w.points[1] / t
+    push = np.zeros_like(w)
+    push[1] = -w[1] / t
     with pytest.raises(LeftProdigalRegion, match="collapsed") as err:
         bending.hamiltonian_flow(w, lambda points: push, t)
     assert "member 1" in str(err.value)
@@ -276,9 +272,8 @@ def test_finished_member_keeps_its_result(rng):
     # member 0 takes 32 steps and blows up from step 40 on, after its end
     out = bending.hamiltonian_flow(w, _blows_up(0, 40), (0.1, 1.0))
     for b, t in enumerate((0.1, 1.0)):
-        one = bending.hamiltonian_flow(
-            SphereProductPoint(p.edges, pg.side_lengths(p)), np.zeros_like, t)
-        assert np.array_equal(out.points[b], one.points)
+        one = bending.hamiltonian_flow(p.edges, np.zeros_like, t)
+        assert np.array_equal(out[b], one)
 
 
 def test_error_names_only_the_failing_member(rng):
@@ -305,10 +300,10 @@ def test_batched_field_names_the_vanishing_member():
 
 def test_flow_conserves_energy(rng):
     p = random_prodigal_polygon(rng, 5)
-    w = SphereProductPoint(p.edges, pg.side_lengths(p))
     H = bending.diagonal_hamiltonian(2)
-    out = bending.hamiltonian_flow(w, bending.diagonal_field(2), 2 * math.pi)
-    assert abs(H(out.points) - H(w.points)) < 1e-8
+    out = bending.hamiltonian_flow(p.edges, bending.diagonal_field(2),
+                                   2 * math.pi)
+    assert abs(H(out) - H(p.edges)) < 1e-8
 
 
 def test_kahler_anchor_probe():

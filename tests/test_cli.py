@@ -1,5 +1,6 @@
 """CLI surface: documents, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -59,6 +60,23 @@ def test_polytope_csv_and_svg(tmp_path, capsys):
     text = svg.read_text()
     assert text.startswith("<svg")
     assert 'viewBox="0 0 800 800"' in text
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # dim 1, with labels
+    ("polytope --alpha 1,2,2,1",
+     "6b1aa5a2e535a996d801884facdd71edeae7c6181b19829b8d590af5852df3e1"),
+    # dim 2, vertices sorted by angle about their centroid
+    ("polytope --alpha 2,1,3,1,2",
+     "ce0962af79445c4a6aa105fe47e3edde254775701832e3957548845ac84b373d"),
+    # a polygon: unfilled path, no labels
+    ("section --alpha 2/3,2/3,2/3",
+     "66ea819d2ed54d00ab7076860936860759151cebe9fb75027d374c2b4399cfba"),
+])
+def test_svg_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    svg = tmp_path / "f.svg"
+    assert run(capsys, *argv.split(), "--svg", str(svg))[0] == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
 
 
 def test_polytope_empty_exit_code(capsys):
@@ -276,6 +294,8 @@ def test_verify_small_suites(capsys):
         code, out = run(capsys, "verify", "--suite", suite,
                         "--trials", "10", "--seed", "3")
         assert code == 0, (suite, out)
+        [report] = json.loads(out)
+        assert report["wall_clock"] > 0
 
 
 def test_emitted_polygon_parses_back(tmp_path, capsys):
