@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quat
-from .errors import (DegeneratePair, LeftProdigalRegion, NotTangent,
-                     ZeroDiagonal)
+from .errors import LeftProdigalRegion, NotTangent, ZeroDiagonal
 from .polygon import Polygon, perimeter
 
 _TANGENT_TOL = 1e-9
@@ -79,35 +77,42 @@ def commute_defect(poly: Polygon, r1: DiagonalRange, r2: DiagonalRange,
     return float(np.abs(first.edges - second.edges).max())
 
 
-def _check_tangent(x: np.ndarray, *vecs) -> float:
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
+def _dot(u, v) -> np.ndarray:
+    return np.einsum("...k,...k->...", u, v)
+
+
+def _check_tangent(x: np.ndarray, *vecs) -> np.ndarray:
+    """The radii |x| of a row or a stack of rows, if every vector is tangent
+    to its sphere at x.  Written so that a NaN fails."""
+    r = np.linalg.norm(x, axis=-1)
+    if (r == 0.0).any():
         raise NotTangent("base point is the origin")
     for v in vecs:
-        if abs(float(np.dot(x, v))) > _TANGENT_TOL * max(1.0, r * np.linalg.norm(v)):
+        bound = _TANGENT_TOL * np.maximum(1.0, r * np.linalg.norm(v, axis=-1))
+        if not (abs(_dot(x, v)) <= bound).all():
             raise NotTangent("vector is not tangent to the sphere at x")
     return r
 
 
-def km_form(x, u, v) -> float:
-    """Symplectic pairing <x/r^2, u x v> on the radius-r sphere."""
+def km_form(x, u, v) -> np.ndarray:
+    """Symplectic pairing <x/r^2, u x v> on the radius-r sphere, rowwise."""
     x, u, v = (np.asarray(w, dtype=float) for w in (x, u, v))
     r = _check_tangent(x, u, v)
-    return float(np.dot(x, np.cross(u, v))) / (r * r)
+    return _dot(x, np.cross(u, v)) / (r * r)
 
 
 def km_complex(x, v) -> np.ndarray:
     """Rotation by a quarter turn in the tangent plane: v -> (x x v)/r."""
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
     r = _check_tangent(x, v)
-    return np.cross(x, v) / r
+    return np.cross(x, v) / r[..., None]
 
 
-def km_metric(x, u, v) -> complex:
-    """Hermitian metric (1/r)<u,v> - (i/r^2)<x, u x v>."""
+def km_metric(x, u, v) -> np.ndarray:
+    """Hermitian metric (1/r)<u,v> - (i/r^2)<x, u x v>, rowwise."""
     x, u, v = (np.asarray(w, dtype=float) for w in (x, u, v))
     r = _check_tangent(x, u, v)
-    return complex(np.dot(u, v) / r, -np.dot(x, np.cross(u, v)) / (r * r))
+    return _dot(u, v) / r - 1j * (_dot(x, np.cross(u, v)) / (r * r))
 
 
 def diagonal_hamiltonian(i: int):
@@ -172,6 +177,8 @@ def hamiltonian_flow(points, field, t) -> np.ndarray:
         raise ValueError("need (..., m, 3) points")
     radii = np.linalg.norm(points, axis=-1)
     t = np.broadcast_to(np.asarray(t, dtype=float), radii.shape[:-1])
+    if not np.isfinite(t).all():
+        raise ValueError("flow time must be finite")
     steps = np.maximum(1, np.ceil(STEPS_PER_TURN * abs(t) / math.tau))
     steps = steps.astype(int)
     h = (t / steps)[..., None, None]
@@ -200,50 +207,3 @@ def hamiltonian_flow(points, field, t) -> np.ndarray:
 # The field of |d_i| is -x x n = n x x, the right-handed rotation about n,
 # so its flow for time t is bend(+t).
 BENDING_FLOW_SIGN = 1
-
-
-def horizontal_tangent(u: complex, v: complex, z: complex) -> np.ndarray:
-    """Tangent z * (-conj(v), conj(u)) at row (u, v), orthogonal to i(u, v)."""
-    w = np.array([-np.conj(v), np.conj(u)]) * z
-    return w
-
-
-def _hopf_differential(row: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-    """Derivative of ``hopf_complex`` at (u, v) along (a, b), in closed form.
-
-    hopf_complex is (|u|^2 - |v|^2, -Im c, Re c) with c = 2 conj(u) v, so
-    the derivative is (2 Re(conj(u) a - conj(v) b), -Im dc, Re dc) with
-    dc = 2 (conj(a) v + conj(u) b).
-    """
-    u, v = complex(row[0]), complex(row[1])
-    a, b = complex(tangent[0]), complex(tangent[1])
-    dc = 2.0 * (a.conjugate() * v + u.conjugate() * b)
-    return np.array([2.0 * (u.conjugate() * a - v.conjugate() * b).real,
-                     -dc.imag, dc.real])
-
-
-def _flat_form(u: np.ndarray, v: np.ndarray) -> float:
-    # Flat Kaehler form on C^2: -Im<u, v> with <u, v> = sum u_i conj(v_i).
-    return float(-np.imag(np.sum(u * v.conj())))
-
-
-def kahler_probe_terms(row: np.ndarray, u: np.ndarray,
-                       v: np.ndarray) -> tuple[float, float]:
-    """(numerator, denominator) of the pushforward/flat form ratio."""
-    row = np.asarray(row, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    den = _flat_form(u, v)
-    if abs(den) < 1e-9:
-        raise DegeneratePair("flat form vanishes on the probe pair")
-    x = quat.hopf_complex(row[0], row[1])
-    tu = _hopf_differential(row, u)
-    tv = _hopf_differential(row, v)
-    num = km_form(x, tu - np.dot(tu, x) * x / (x @ x),
-                  tv - np.dot(tv, x) * x / (x @ x))
-    return num, den
-
-
-def kahler_factor_probe(row, u, v) -> float:
-    num, den = kahler_probe_terms(row, u, v)
-    return num / den

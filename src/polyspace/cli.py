@@ -107,7 +107,11 @@ def polygon_from_doc(doc: dict, tol: float) -> Polygon:
         raise InputError(f"bad polygon document: {exc}") from exc
     if not np.isfinite(poly.edges).all():
         raise InputError("polygon document has a non-finite edge")
-    if not closure_defect(poly) <= tol * max(perimeter(poly), 1e-300):
+    with np.errstate(over="ignore"):
+        per, defect = perimeter(poly), closure_defect(poly)
+    if not math.isfinite(per):
+        raise InputError("polygon document is beyond the float range")
+    if not defect <= tol * max(per, 1e-300):
         raise InputError("polygon document is not closed")
     return poly
 
@@ -257,8 +261,11 @@ def cmd_bend(args) -> int:
     if not math.isfinite(args.angle):
         raise InputError(f"--angle must be finite, got {args.angle}")
     tol = read_tolerance()
-    with open(getattr(args, "in")) as fh:
-        doc = json.load(fh)
+    try:
+        with open(getattr(args, "in"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise InputError(f"cannot read the polygon file: {exc}") from exc
     if isinstance(doc, list):  # a file written by ``sample``
         if len(doc) != 1:
             raise InputError(f"bend reads one polygon, but the file holds "

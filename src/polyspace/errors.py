@@ -45,10 +45,6 @@ class LeftProdigalRegion(PolyspaceError):
     pass
 
 
-class DegeneratePair(PolyspaceError):
-    pass
-
-
 class RetryLimit(PolyspaceError):
     """A rejection sampler reached its draw cap without accepting a draw."""
 

@@ -28,6 +28,18 @@ def hopf_complex(u, v) -> np.ndarray:
     return np.array([abs(u) ** 2 - abs(v) ** 2, -c.imag, c.real]).T
 
 
+def hopf_differential(u, v, a, b) -> np.ndarray:
+    """Derivative of ``hopf_complex`` at (u, v) along (a, b), in closed form.
+
+    With c = 2 conj(u) v the derivative is (2 Re(conj(u) a - conj(v) b),
+    -Im dc, Re dc) with dc = 2 (conj(a) v + conj(u) b).  Rowwise like
+    ``hopf_complex``: complex numbers or 1-d arrays of one entry per row.
+    """
+    dc = 2.0 * (a.conjugate() * v + u.conjugate() * b)
+    return np.array([2.0 * (u.conjugate() * a - v.conjugate() * b).real,
+                     -dc.imag, dc.real]).T
+
+
 # perfbench/tracer.py names quat.hopf, quat.hopf_complex and
 # quat.hopf_section in TRACED, and tracer.install fails on a missing name.
 hopf = hopf_complex

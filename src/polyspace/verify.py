@@ -190,34 +190,58 @@ def suite_bend(trials: int, seed: int) -> RunReport:
     return report
 
 
-def random_kahler_probe(rng):
-    """A random Hopf row together with a horizontal tangent pair."""
-    u, v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    scale = math.sqrt(rng.uniform(0.3, 2.0)) / math.hypot(abs(u), abs(v))
-    u, v = u * scale, v * scale
-    z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    row = np.array([u, v])
-    return row, bending.horizontal_tangent(u, v, z1), \
-        bending.horizontal_tangent(u, v, z2)
+def kahler_probe_terms(row, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """(numerator, denominator) of the pushforward/flat form ratio, rowwise.
+
+    ``row`` is a Hopf row (u, v) and ``a``, ``b`` are tangent vectors at
+    it, each a complex (..., 2) array.  The numerator is ``km_form`` on the
+    Hopf images of a and b, made tangent to the sphere through
+    hopf_complex(u, v); the denominator is the flat Kaehler form
+    -Im<a, b> on C^2, with <a, b> = sum a_i conj(b_i).
+    """
+    row, a, b = (np.asarray(w, dtype=complex) for w in (row, a, b))
+    u, v = row[..., 0], row[..., 1]
+    x = quat.hopf_complex(u, v)
+    xx = np.sum(x * x, axis=-1)[..., None]
+
+    def tangential(w):   # the Hopf image of w less its part along x
+        t = quat.hopf_differential(u, v, w[..., 0], w[..., 1])
+        return t - np.sum(t * x, axis=-1)[..., None] * x / xx
+
+    return (bending.km_form(x, tangential(a), tangential(b)),
+            -np.sum(a * b.conj(), axis=-1).imag)
 
 
 def suite_kahler(trials: int, seed: int) -> RunReport:
     report = RunReport("kahler", trials)
+    # per trial: (Re u, Re v, Im u, Im v), the row's |u|^2 + |v|^2 and
+    # (Re z1, Re z2, Im z1, Im z2)
+    draws, norm2 = np.empty((trials, 2, 4)), np.empty(trials)
     for k in range(trials):
         rng = trial_rng(seed, k)
-        row, tu, tv = random_kahler_probe(rng)
-        try:
-            ratio = bending.kahler_factor_probe(row, tu, tv)
-        except bending.DegeneratePair:
+        draws[k, 0] = rng.standard_normal(4)
+        norm2[k] = rng.uniform(0.3, 2.0)
+        draws[k, 1] = rng.standard_normal(4)
+    pairs = draws[..., :2] + 1j * draws[..., 2:]
+    row, z = pairs[:, 0], pairs[:, 1]
+    row = row * (np.sqrt(norm2) / np.hypot(*abs(row).T))[:, None]
+    u, v = row.T
+    # horizontal tangents z (-conj(v), conj(u)), orthogonal to i (u, v)
+    horizontal = np.stack([-v.conj(), u.conj()], axis=-1)
+    a, b = z[:, :1] * horizontal, z[:, 1:] * horizontal
+    num, den = kahler_probe_terms(row, a, b)
+    # complex structures intertwine: J~ after the differential
+    push = quat.hopf_differential(u, v, *a.T)
+    push_j = quat.hopf_differential(u, v, *(1j * a).T)
+    dev = np.linalg.norm(bending.km_complex(quat.hopf_complex(u, v), push)
+                         - push_j, axis=-1)
+    tol = 1e-6 * np.maximum(1.0, np.linalg.norm(push, axis=-1))
+    for k, (n, d, dev_k, tol_k) in enumerate(zip(
+            num.tolist(), den.tolist(), dev.tolist(), tol.tolist())):
+        if abs(d) < 1e-9:   # the flat form vanishes on the pair: no ratio
             continue
-        report.record(f"ratio[{k}]", abs(ratio - 4.0), 1e-6)
-        # complex structures intertwine: J~ after the differential
-        x = quat.hopf_complex(row[0], row[1])
-        push = bending._hopf_differential(row, tu)
-        push_j = bending._hopf_differential(row, 1j * tu)
-        dev = np.linalg.norm(bending.km_complex(x, push) - push_j)
-        report.record(f"complex[{k}]", dev,
-                      1e-6 * max(1.0, float(np.linalg.norm(push))))
+        report.record(f"ratio[{k}]", abs(n / d - 4.0), 1e-6)
+        report.record(f"complex[{k}]", dev_k, tol_k)
     return report
 
 

@@ -79,7 +79,7 @@ def test_criterion_06_kahler_factor():
         row = np.array([math.sqrt(radius), 0.0], dtype=complex)
         u = np.array([0.0, 1.0], dtype=complex)
         v = np.array([0.0, 1j], dtype=complex)
-        num, den = bending.kahler_probe_terms(row, u, v)
+        num, den = verify.kahler_probe_terms(row, u, v)
         anchor_ok &= abs(num - 4.0) < 1e-9 and abs(den - 1.0) < 1e-9
     report(6, "pushforward form is 4x the flat form", r.ok and anchor_ok,
            str(r.failures[:3]))

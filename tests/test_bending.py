@@ -7,9 +7,9 @@ import pytest
 
 from polyspace import bending, polygon as pg, quat
 from polyspace.bending import DiagonalRange
-from polyspace.errors import (DegeneratePair, LeftProdigalRegion, NotTangent,
-                              ZeroDiagonal)
-from polyspace.verify import random_prodigal_polygon, trial_rng
+from polyspace.errors import LeftProdigalRegion, NotTangent, ZeroDiagonal
+from polyspace.verify import (kahler_probe_terms, random_prodigal_polygon,
+                              trial_rng)
 
 SQUARE = pg.Polygon(3, [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
 # the bend suite's flow times
@@ -129,6 +129,45 @@ def test_km_metric():
     assert h.imag == pytest.approx(-bending.km_form(x, u, v))
     assert bending.km_metric(x, u, u).real >= 0.0
     assert bending.km_metric(x, u, u).imag == 0.0
+
+
+def _tangent_stack(rng, n):
+    """n base points x with two tangent vectors each."""
+    x = rng.standard_normal((n, 3))
+    u, v = (np.cross(x, rng.standard_normal((n, 3))) for _ in range(2))
+    return x, u, v
+
+
+def test_km_structures_on_rows_match_per_row_calls(rng):
+    x, u, v = _tangent_stack(rng, 40)
+    form, metric = bending.km_form(x, u, v), bending.km_metric(x, u, v)
+    turn = bending.km_complex(x, v)
+    assert form.shape == metric.shape == (40,) and turn.shape == (40, 3)
+    for b in range(40):
+        assert form[b] == pytest.approx(bending.km_form(x[b], u[b], v[b]),
+                                        rel=1e-14)
+        assert metric[b] == pytest.approx(
+            bending.km_metric(x[b], u[b], v[b]), rel=1e-14)
+        assert np.array_equal(turn[b], bending.km_complex(x[b], v[b]))
+
+
+def test_tangency_guard_rejects_nan(rng):
+    with pytest.raises(NotTangent):
+        bending.km_form([1, 0, 0], [0, 1, 0], [0, math.nan, 0])
+    with pytest.raises(NotTangent):
+        bending.km_complex([math.nan, 0, 0], [0, 1, 0])
+    x, u, v = _tangent_stack(rng, 5)
+    u[3, 1] = math.nan
+    with pytest.raises(NotTangent):
+        bending.km_form(x, u, v)
+    x[2, 0] = math.nan
+    with pytest.raises(NotTangent):
+        bending.km_metric(x, v, v)
+    # a tangency defect on one row is refused too
+    x, u, v = _tangent_stack(rng, 5)
+    v[4] = x[4]
+    with pytest.raises(NotTangent):
+        bending.km_complex(x, v)
 
 
 def test_so3_moment(rng):
@@ -298,6 +337,17 @@ def test_batched_field_names_the_vanishing_member():
         X(np.stack([flat.edges, flat.edges]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_flow_refuses_a_time_that_is_not_finite(rng, bad):
+    p = random_prodigal_polygon(rng, 5)
+    with pytest.raises(ValueError, match="finite"):
+        bending.hamiltonian_flow(p.edges, bending.diagonal_field(2), bad)
+    # one bad member refuses the whole batch
+    with pytest.raises(ValueError, match="finite"):
+        bending.hamiltonian_flow(_batch([p] * 3), bending.diagonal_field(2),
+                                 (0.1, bad, 1.0))
+
+
 def test_flow_conserves_energy(rng):
     p = random_prodigal_polygon(rng, 5)
     H = bending.diagonal_hamiltonian(2)
@@ -312,20 +362,20 @@ def test_kahler_anchor_probe():
         row = np.array([math.sqrt(r), 0.0], dtype=complex)
         u = np.array([0.0, 1.0], dtype=complex)
         v = np.array([0.0, 1j], dtype=complex)
-        num, den = bending.kahler_probe_terms(row, u, v)
+        num, den = kahler_probe_terms(row, u, v)
         assert num == pytest.approx(4.0, abs=1e-9)
         assert den == pytest.approx(1.0, abs=1e-9)
 
 
 def test_kahler_ratio_random(rng):
-    from polyspace.verify import random_kahler_probe
-    for _ in range(50):
-        row, tu, tv = random_kahler_probe(rng)
-        try:
-            ratio = bending.kahler_factor_probe(row, tu, tv)
-        except DegeneratePair:
-            continue
-        assert abs(ratio - 4.0) < 1e-6
+    # 50 random rows, each with two horizontal tangents z (-conj v, conj u)
+    row = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+    z = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+    horizontal = np.stack([-row[:, 1].conj(), row[:, 0].conj()], axis=-1)
+    num, den = kahler_probe_terms(row, z[:, :1] * horizontal,
+                                  z[:, 1:] * horizontal)
+    assert num.shape == den.shape == (50,) and (abs(den) >= 1e-9).all()
+    assert (abs(num / den - 4.0) < 1e-6).all()
 
 
 def _central_hopf_differential(row, tangent, h=1e-6):
@@ -338,13 +388,14 @@ def test_hopf_differential_matches_central_differences(rng):
     for _ in range(200):
         row = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         tangent = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        exact = bending._hopf_differential(row, tangent)
+        exact = quat.hopf_differential(*row, *tangent)
         fd = _central_hopf_differential(row, tangent)
         assert np.abs(exact - fd).max() < 1e-7
 
 
 def test_degenerate_probe_pair():
+    # the flat form vanishes on a repeated vector; the probe still answers
     row = np.array([1.0, 0.0], dtype=complex)
     u = np.array([0.0, 1.0], dtype=complex)
-    with pytest.raises(DegeneratePair):
-        bending.kahler_factor_probe(row, u, u)
+    num, den = kahler_probe_terms(row, u, u)
+    assert num == 0.0 and den == 0.0

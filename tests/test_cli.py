@@ -202,6 +202,19 @@ def test_read_enforces_closure(tmp_path, capsys):
                     "--angle", "1.0")
 
 
+@pytest.mark.parametrize("content", [
+    b'\xff\xfe{"dim": 3}',                         # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,              # nested past the stack
+    b'{"dim": 3, "edges": [[1e200, 0, 0], [-1e200, 1e200, 0], '
+    b'[0, -1e200, 0]]}',                          # norms overflow
+], ids=["not-utf8", "too-deep", "overflow"])
+def test_bend_refuses_an_unreadable_polygon_file(tmp_path, capsys, content):
+    src = tmp_path / "bad.json"
+    src.write_bytes(content)
+    run_input_error(capsys, "bend", "--in", str(src), "--range", "1,2",
+                    "--angle", "1.0")
+
+
 def test_read_tolerance_env(tmp_path, capsys, monkeypatch):
     doc = {"dim": 3, "edges": [[1, 0, 0], [-1, 1e-5, 0], [0, 0, 0]]}
     src = tmp_path / "near.json"

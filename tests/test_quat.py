@@ -176,6 +176,16 @@ def test_hopf_complex_on_arrays_matches_rows(rng):
         assert (np.abs(stacked - rows).max(axis=1) <= 1e-14 * scale).all()
 
 
+def test_hopf_differential_on_arrays_matches_rows(rng):
+    u, v, a, b = rng.standard_normal((4, 30)) + 1j * rng.standard_normal((4, 30))
+    rows = np.array([quat.hopf_differential(*args) for args in zip(u, v, a, b)])
+    stacked = quat.hopf_differential(u, v, a, b)
+    assert stacked.shape == (30, 3)
+    # 4 |(u, v)| |(a, b)| bounds each coordinate and so its rounding
+    scale = 4.0 * np.hypot(abs(u), abs(v)) * np.hypot(abs(a), abs(b))
+    assert (np.abs(stacked - rows).max(axis=1) <= 1e-14 * scale).all()
+
+
 def test_hopf_squares_the_radius(rng):
     for _ in range(100):
         q = Quaternion(*rng.standard_normal(4))

@@ -100,6 +100,19 @@ def test_linked_check_fails_exactly_when_not_above_its_bound(monkeypatch,
     assert (deviation <= tolerance) == report.ok
 
 
+def _logged_records(monkeypatch):
+    """Patch RunReport.record to log each (case, dev, tol) it is given."""
+    record = verify.RunReport.record
+    recorded = []
+
+    def logged(self, case_id, deviation, tolerance):
+        recorded.append((case_id, deviation, tolerance))
+        record(self, case_id, deviation, tolerance)
+
+    monkeypatch.setattr(verify.RunReport, "record", logged)
+    return recorded
+
+
 def per_trial_hopf(trials, seed):
     """Oracle: the hopf suite one trial at a time, as (case, dev, tol)."""
     rows = []
@@ -128,14 +141,7 @@ def per_trial_hopf(trials, seed):
                                            (1, [0, 1])])
 def test_stacked_hopf_suite_matches_per_trial_loop(monkeypatch, trials,
                                                    seeds):
-    record = verify.RunReport.record
-    recorded = []
-
-    def logged(self, case_id, deviation, tolerance):
-        recorded.append((case_id, deviation, tolerance))
-        record(self, case_id, deviation, tolerance)
-
-    monkeypatch.setattr(verify.RunReport, "record", logged)
+    recorded = _logged_records(monkeypatch)
     for seed in seeds:
         recorded.clear()
         report = verify.suite_hopf(trials, seed)
@@ -148,6 +154,92 @@ def test_stacked_hopf_suite_matches_per_trial_loop(monkeypatch, trials,
         failed = [case for case, dev, tol in oracle if not dev <= tol]
         assert report.ok == (not failed)
         assert [case for case, _, _ in report.failures] == failed
+
+
+def _hopf_differential(row, tangent):
+    """Oracle: the derivative of the Hopf map at one row, in complex
+    scalars."""
+    u, v = complex(row[0]), complex(row[1])
+    a, b = complex(tangent[0]), complex(tangent[1])
+    dc = 2.0 * (a.conjugate() * v + u.conjugate() * b)
+    return np.array([2.0 * (u.conjugate() * a - v.conjugate() * b).real,
+                     -dc.imag, dc.real])
+
+
+def per_trial_kahler(trials, seed):
+    """Oracle: the kahler suite one trial at a time, as (case, dev, tol)."""
+    rows = []
+    for k in range(trials):
+        rng = verify.trial_rng(seed, k)
+        u, v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        scale = math.sqrt(rng.uniform(0.3, 2.0)) / math.hypot(abs(u), abs(v))
+        u, v = u * scale, v * scale
+        z1, z2 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        row = np.array([u, v])
+        tu = np.array([-np.conj(v), np.conj(u)]) * z1
+        tv = np.array([-np.conj(v), np.conj(u)]) * z2
+        den = float(-np.imag(np.sum(tu * tv.conj())))
+        if abs(den) < 1e-9:
+            continue
+        x = quat.hopf_complex(u, v)
+        pu, pv = (p - np.dot(p, x) * x / (x @ x) for p in (
+            _hopf_differential(row, tu), _hopf_differential(row, tv)))
+        num = float(np.dot(x, np.cross(pu, pv))) / (x @ x)
+        rows.append((f"ratio[{k}]", abs(num / den - 4.0), 1e-6))
+        push = _hopf_differential(row, tu)
+        push_j = _hopf_differential(row, 1j * tu)
+        turned = np.cross(x, push) / np.linalg.norm(x)
+        rows.append((f"complex[{k}]", np.linalg.norm(turned - push_j),
+                     1e-6 * max(1.0, float(np.linalg.norm(push)))))
+    return rows
+
+
+@pytest.mark.parametrize("trials, seeds", [(200, range(5)), (0, [0]),
+                                           (1, [0, 1])])
+def test_stacked_kahler_suite_matches_per_trial_probe(monkeypatch, trials,
+                                                      seeds):
+    recorded = _logged_records(monkeypatch)
+    for seed in seeds:
+        recorded.clear()
+        report = verify.suite_kahler(trials, seed)
+        oracle = per_trial_kahler(trials, seed)
+        assert [case for case, _, _ in recorded] == \
+            [case for case, _, _ in oracle]
+        for (case, dev, tol), (_, want, want_tol) in zip(recorded, oracle):
+            assert abs(dev - want) <= 1e-10, case
+            assert tol == pytest.approx(want_tol, rel=1e-12), case
+        failed = [case for case, dev, tol in oracle if not dev <= tol]
+        assert report.ok == (not failed)
+        assert [case for case, _, _ in report.failures] == failed
+
+
+class EqualPair:
+    """A trial's generator whose second draw of four makes z1 = z2."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        self.draws += 1
+        if self.draws == 2:   # (Re z1, Re z2, Im z1, Im z2)
+            out[1], out[3] = out[0], out[2]
+        return out
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
+
+
+def test_kahler_suite_skips_a_pair_where_the_flat_form_vanishes(
+        monkeypatch):
+    trial_rng = verify.trial_rng
+    monkeypatch.setattr(verify, "trial_rng", lambda seed, k: EqualPair(
+        trial_rng(seed, k)) if k == 1 else trial_rng(seed, k))
+    recorded = _logged_records(monkeypatch)
+    report = verify.suite_kahler(3, 0)
+    assert report.ok
+    assert [case for case, _, _ in recorded] == [
+        "ratio[0]", "complex[0]", "ratio[2]", "complex[2]"]
 
 
 def test_dh_suite_skips_the_genericity_test(monkeypatch):
