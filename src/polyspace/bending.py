@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LeftProdigalRegion, NotTangent, ZeroDiagonal
+from .errors import (LeftProdigalRegion, NotTangent, PolyspaceError,
+                     ZeroDiagonal)
 from .polygon import Polygon, perimeter
 
 _TANGENT_TOL = 1e-9
@@ -50,8 +51,12 @@ def bend_range(poly: Polygon, r: DiagonalRange, theta: float) -> Polygon:
         raise ValueError("block must be a proper subset of the edges")
     lo, hi = r.p - 1, r.q
     axis = poly.edges[lo:hi].sum(axis=0)
-    norm = np.linalg.norm(axis)
-    if norm <= 1e-9 * perimeter(poly):
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm, per = np.linalg.norm(axis), perimeter(poly)
+    if not math.isfinite(norm):
+        raise PolyspaceError(f"diagonal {(r.p, r.q)} is beyond the float "
+                             "range")
+    if norm <= 1e-9 * per:
         raise ZeroDiagonal((r.p, r.q))
     rot = rodrigues(axis / norm, theta)
     edges = poly.edges.copy()

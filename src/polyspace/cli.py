@@ -21,8 +21,7 @@ from . import reconstruct as rec
 from . import polytope as pt
 from . import verify
 from .bending import DiagonalRange, bend_range
-from .errors import (EmptyPolytope, NonGeneric, NotInHypersimplex,
-                     PolyspaceError, TriangleViolation, ZeroDiagonal)
+from .errors import EmptyPolytope, Infeasible, PolyspaceError
 from .polygon import (Polygon, as_fraction, closure_defect, diagonals,
                       perimeter, side_lengths)
 
@@ -188,11 +187,15 @@ def svg_polytope(poly: pt.RationalPolytope) -> str:
     verts = poly.vertices()
     if not verts:
         raise EmptyPolytope("nothing to draw")
+    try:
+        pts = [(float(v[0]), float(v[1]) if poly.dim == 2 else 0.0)
+               for v in verts]
+    except OverflowError as exc:
+        raise InputError("the polytope is beyond the float range; "
+                         "it has no SVG drawing") from exc
     if poly.dim == 1:
-        pts = [(float(v[0]), 0.0) for v in verts]
         labels = [f"{x:g}" for x, _ in pts]
     else:
-        pts = [(float(v[0]), float(v[1])) for v in verts]
         cx = sum(p[0] for p in pts) / len(pts)
         cy = sum(p[1] for p in pts) / len(pts)
         pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
@@ -221,17 +224,17 @@ def cmd_polytope(args) -> int:
 def cmd_classify(args) -> int:
     alpha = parse_lengths(args.alpha)
     if len(alpha) == 4:
-        report = pt.quad_interval(alpha)
-        if not report.generic:
+        doc = pt.quad_interval(alpha)
+        if not doc["generic"]:
             sys.stderr.write("non-generic side lengths: interval "
                              "boundaries meet\n")
             return EXIT_INFEASIBLE
-        doc = report.to_json_dict()
     elif len(alpha) == 5:
-        doc = pt.classify_pentagon(alpha).to_json_dict()
+        doc = pt.classify_pentagon(alpha)
     else:
         raise InputError("classification is implemented for m = 4 and m = 5")
-    return _emit(args, json.dumps(doc, indent=2))
+    # the exact interval ends are the only values JSON cannot hold
+    return _emit(args, json.dumps(doc, indent=2, default=str))
 
 
 def cmd_reconstruct(args) -> int:
@@ -280,7 +283,7 @@ def cmd_bend(args) -> int:
     if not 1 <= p <= q <= poly.m or (p, q) == (1, poly.m):
         raise InputError(f"--range {p},{q} is not a proper block of edges: "
                          f"need 1 <= p <= q <= {poly.m}, not all of them")
-    out = bend_range(poly.embedded(3), DiagonalRange(p, q), args.angle)
+    out = bend_range(poly.embedded(), DiagonalRange(p, q), args.angle)
     return _emit(args, json.dumps(polygon_to_doc(out), indent=2))
 
 
@@ -384,8 +387,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (TriangleViolation, EmptyPolytope, NonGeneric, NotInHypersimplex,
-            ZeroDiagonal) as exc:
+    except Infeasible as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
     except (InputError, OSError, json.JSONDecodeError, PolyspaceError) as exc:

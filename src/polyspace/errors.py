@@ -5,6 +5,10 @@ class PolyspaceError(Exception):
     """Base class for all polyspace errors."""
 
 
+class Infeasible(PolyspaceError):
+    """No polygon realizes the data, or it lies on a wall: CLI exit 3."""
+
+
 class ZeroPolygon(PolyspaceError):
     pass
 
@@ -49,19 +53,19 @@ class RetryLimit(PolyspaceError):
     """A rejection sampler reached its draw cap without accepting a draw."""
 
 
-class EmptyPolytope(PolyspaceError):
+class EmptyPolytope(Infeasible):
     pass
 
 
-class NonGeneric(PolyspaceError):
+class NonGeneric(Infeasible):
     pass
 
 
-class NotInHypersimplex(PolyspaceError):
+class NotInHypersimplex(Infeasible):
     pass
 
 
-class ZeroDiagonal(PolyspaceError):
+class ZeroDiagonal(Infeasible):
     """Raised when a bending axis has (numerically) zero length."""
 
     def __init__(self, index):
@@ -69,7 +73,7 @@ class ZeroDiagonal(PolyspaceError):
         super().__init__(f"diagonal {index} has zero length; no bending axis")
 
 
-class TriangleViolation(PolyspaceError):
+class TriangleViolation(Infeasible):
     """A length/diagonal pair violates one of the triangle inequalities.
 
     ``index`` is the step i (0-based over i = 0..m-1) of the first violated

@@ -149,7 +149,7 @@ def gc_pattern(f: Frame) -> GCPattern:
 def frame_from_polygon(p: Polygon) -> Frame:
     """Rowwise deterministic Hopf lift of a closed perimeter-2 polygon."""
     if p.dim != 3:
-        p = p.embedded(3)
+        p = p.embedded()
     per = perimeter(p)
     if not abs(per - 2.0) <= 1e-9:
         raise NotNormalized(f"perimeter is {per}, expected 2")

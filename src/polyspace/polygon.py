@@ -66,13 +66,11 @@ class Polygon:
         """Partial sums v_0 = 0, v_1, ..., v_m (shape (m+1, dim))."""
         return np.vstack([np.zeros(self.dim), np.cumsum(self.edges, axis=0)])
 
-    def embedded(self, dim: int = 3) -> "Polygon":
-        """The same polygon with zero-padded coordinates in R^dim."""
-        if dim < self.dim:
-            raise ValueError("cannot embed into fewer dimensions")
-        padded = np.zeros((self.m, dim))
+    def embedded(self) -> "Polygon":
+        """The same polygon in R^3, its coordinates padded with zeros."""
+        padded = np.zeros((self.m, 3))
         padded[:, : self.dim] = self.edges
-        return Polygon(dim, padded)
+        return Polygon(3, padded)
 
 
 def closure_defect(p: Polygon) -> float:

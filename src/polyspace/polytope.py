@@ -216,36 +216,9 @@ PENTAGON_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    m: int
-    generic: bool
-    sides: int
-    row: str
-    orientable: bool
-    label_space: str
-    label_planar: str
-    label_planar_rotation: str
-    euler_planar: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "generic": self.generic,
-            "sides": self.sides,
-            "row": self.row,
-            "orientable": self.orientable,
-            "labels": {
-                "spatial_rotation": self.label_space,
-                "planar": self.label_planar,
-                "planar_rotation": self.label_planar_rotation,
-            },
-            "euler_planar": self.euler_planar,
-        }
-
-
-def classify_pentagon(alpha) -> ClassificationReport:
-    """Row of the pentagon table from the L long pairs of sides.
+def classify_pentagon(alpha) -> dict:
+    """Row of the pentagon table from the L long pairs of sides, as the
+    JSON document ``classify`` writes.
 
     A pair is long when it exceeds half the perimeter.  For generic
     lengths a 3-set is short exactly when its complement is a long pair,
@@ -268,33 +241,13 @@ def classify_pentagon(alpha) -> ClassificationReport:
     if sides == 4:
         row = "4a" if set.intersection(*long_pairs) else "4b"
     space, planar, planar_rot = PENTAGON_TABLE[row]
-    return ClassificationReport(
-        m=5, generic=True, sides=sides, row=row, orientable=row == "4b",
-        label_space=space, label_planar=planar,
-        label_planar_rotation=planar_rot, euler_planar=4 - sides,
-    )
-
-
-@dataclass(frozen=True)
-class QuadReport:
-    """Diagonal range of a quadrilateral with its planar-moduli label."""
-
-    interval: tuple[Fraction, Fraction]
-    i1: tuple[Fraction, Fraction]
-    i2: tuple[Fraction, Fraction]
-    label_planar: str
-    generic: bool
-    diagonal_can_vanish: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "interval": [str(self.interval[0]), str(self.interval[1])],
-            "i1": [str(c) for c in self.i1],
-            "i2": [str(c) for c in self.i2],
-            "label_planar": self.label_planar,
-            "generic": self.generic,
-            "diagonal_can_vanish": self.diagonal_can_vanish,
-        }
+    return {
+        "m": 5, "generic": True, "sides": sides, "row": row,
+        "orientable": row == "4b",
+        "labels": {"spatial_rotation": space, "planar": planar,
+                   "planar_rotation": planar_rot},
+        "euler_planar": 4 - sides,
+    }
 
 
 def _quad_meet(alpha):
@@ -309,15 +262,17 @@ def _quad_meet(alpha):
     return i1, i2, (max(i1[0], i2[0]), min(i1[1], i2[1]))
 
 
-def quad_interval(alpha) -> QuadReport:
-    """Range of the middle diagonal of a quadrilateral: I_1 meet I_2."""
+def quad_interval(alpha) -> dict:
+    """Range of the middle diagonal of a quadrilateral: I_1 meet I_2, as the
+    JSON document ``classify`` writes, with exact Fraction interval ends."""
     alpha = exact_lengths(alpha)
     i1, i2, (lo, hi) = _quad_meet(alpha)
     nested = ((i1[0] >= i2[0] and i1[1] <= i2[1])
               or (i2[0] >= i1[0] and i2[1] <= i1[1]))
     label = "S^1 u S^1" if nested else "S^1"
-    return QuadReport((lo, hi), i1, i2, label, is_generic_lengths(alpha),
-                      diagonal_can_vanish=(lo == 0))
+    return {"interval": [lo, hi], "i1": list(i1), "i2": list(i2),
+            "label_planar": label, "generic": is_generic_lengths(alpha),
+            "diagonal_can_vanish": lo == 0}
 
 
 def dh_interval_equality(alpha) -> tuple[Fraction, Fraction]:

@@ -15,8 +15,8 @@ from itertools import accumulate
 import numpy as np
 
 from .bending import bend
-from .errors import (EmptyPolytope, NotInHypersimplex, TriangleViolation,
-                     ZeroDiagonal)
+from .errors import (EmptyPolytope, NotInHypersimplex, PolyspaceError,
+                     TriangleViolation, ZeroDiagonal)
 from .polygon import Polygon, exact_lengths, is_feasible_lengths
 from .polytope import _interval_pair, in_hypersimplex, triangle_slacks
 
@@ -26,14 +26,22 @@ _GRID = 720720
 
 @dataclass(frozen=True)
 class LDPoint:
-    """Side lengths plus the free diagonals d_2..d_{m-2}."""
+    """Side lengths plus the free diagonals d_2..d_{m-2}, as floats.
+
+    This is where exact lengths and diagonals become floats; a value
+    beyond the float range is refused here.
+    """
 
     alpha: tuple
     delta: tuple
 
     def __post_init__(self):
-        alpha = tuple(float(a) for a in self.alpha)
-        delta = tuple(float(x) for x in self.delta)
+        try:
+            alpha = tuple(float(a) for a in self.alpha)
+            delta = tuple(float(x) for x in self.delta)
+        except OverflowError as exc:
+            raise PolyspaceError("a length or diagonal is beyond the float "
+                                 "range") from exc
         if len(alpha) < 3:
             raise ValueError("need m >= 3")
         if len(delta) != len(alpha) - 3:
@@ -57,6 +65,9 @@ def _check_triangles(ld: LDPoint) -> None:
             raise TriangleViolation(i, name, slack)
 
 
+# lengths near the float range overflow in the float geometry: the result
+# is then not finite, and the finiteness checks of the caller refuse it
+@np.errstate(over="ignore", invalid="ignore")
 def reconstruct(ld: LDPoint, k: int = 3) -> Polygon:
     """Place vertices in the plane matching the given lengths and diagonals.
 
@@ -88,7 +99,7 @@ def reconstruct(ld: LDPoint, k: int = 3) -> Polygon:
     verts.append(np.zeros(2))
     edges = np.diff(np.array(verts), axis=0)
     poly = Polygon(2, edges)
-    return poly.embedded(3) if k == 3 else poly
+    return poly.embedded() if k == 3 else poly
 
 
 def fiber_sample(ld: LDPoint, angles) -> Polygon:
@@ -165,8 +176,6 @@ def sample_ld(alpha, rng) -> LDPoint:
     """One exact rational interior-ish point of the diagonal slice."""
     alpha = exact_lengths(alpha)
     m = len(alpha)
-    if m == 3:
-        return LDPoint(tuple(float(a) for a in alpha), ())
     # sums and maxima of the tails alpha[j:], each computed once
     rests = list(accumulate(reversed(alpha)))[::-1]
     tops = list(accumulate(reversed(alpha), max))[::-1]
@@ -185,8 +194,7 @@ def sample_ld(alpha, rng) -> LDPoint:
         d_next = _frac_uniform(rng, lo, hi)
         delta.append(d_next)
         d_prev = d_next
-    return LDPoint(tuple(float(a) for a in alpha),
-                   tuple(float(x) for x in delta))
+    return LDPoint(alpha, tuple(delta))
 
 
 def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:

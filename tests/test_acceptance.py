@@ -190,8 +190,10 @@ TABLE_ROWS = [
 @pytest.mark.parametrize("alpha,sides,row,orientable,chi,labels", TABLE_ROWS)
 def test_criterion_09_table_rows(alpha, sides, row, orientable, chi, labels):
     r = pt.classify_pentagon(alpha)
-    got = (r.sides, r.row, r.orientable, r.euler_planar,
-           (r.label_space, r.label_planar, r.label_planar_rotation))
+    names = r["labels"]
+    got = (r["sides"], r["row"], r["orientable"], r["euler_planar"],
+           (names["spatial_rotation"], names["planar"],
+            names["planar_rotation"]))
     want = (sides, row, orientable, chi, labels)
     report(9, f"classification row {row} at {alpha}", got == want,
            f"got {got}")
@@ -200,7 +202,8 @@ def test_criterion_09_table_rows(alpha, sides, row, orientable, chi, labels):
 def test_criterion_09_seven_sided_instance():
     # a generic length vector that does realize the last table row
     r = pt.classify_pentagon((4, 3, 4, 3, 4))
-    got = (r.sides, r.row, r.euler_planar, r.label_space)
+    got = (r["sides"], r["row"], r["euler_planar"],
+           r["labels"]["spatial_rotation"])
     want = (7, "7", -3, "(S^2 x S^2) # 3 CP^2-bar")
     report(9, "seven-sided instance (4,3,4,3,4)", got == want, f"got {got}")
 
@@ -212,7 +215,7 @@ def test_criterion_10_dh_interval_equality():
     detail = []
     alpha = (F(1), F(2), F(3), F(4))
     for rolled in (alpha, alpha[1:] + alpha[:1]):
-        lo, hi = pt.quad_interval(rolled).interval
+        lo, hi = pt.quad_interval(rolled)["interval"]
         seen_lo, seen_hi = math.inf, -math.inf
         for _ in range(100_000):
             ld = rec.sample_ld(rolled, rng)

@@ -1,13 +1,18 @@
 """CLI surface: documents, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polyspace import cli
+from polyspace import cli, errors
 from polyspace import polygon as pg
 
 
@@ -102,6 +107,89 @@ def test_classify_quad(capsys):
     code, out = run(capsys, "classify", "--alpha", "1,2,3,5")
     assert code == 0
     assert json.loads(out)["label_planar"] == "S^1"
+
+
+QUAD_DOCS = {
+    # the diagonal meets I_1 = [1, 3] and I_2 = [1/2, 7/2]
+    "1,2,3/2,2": {"interval": ["1", "3"], "i1": ["1", "3"],
+                  "i2": ["1/2", "7/2"], "label_planar": "S^1 u S^1",
+                  "generic": True, "diagonal_can_vanish": False},
+    "1,5/2,3/2,5/3": {"interval": ["3/2", "19/6"], "i1": ["3/2", "7/2"],
+                      "i2": ["1/6", "19/6"], "label_planar": "S^1",
+                      "generic": True, "diagonal_can_vanish": False},
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(QUAD_DOCS))
+def test_classify_quad_bytes_are_pinned(capsys, alpha):
+    # the exact interval ends are written as the strings of their Fractions
+    assert run(capsys, "classify", "--alpha", alpha) == (
+        0, json.dumps(QUAD_DOCS[alpha], indent=2) + "\n")
+
+
+@pytest.mark.parametrize("alpha, row, digest", [
+    ("2,1,5,1,2", "3",
+     "289b576339136807a1c875257eb1894a72ccbc4642e3a6b14cd0d5945ea662c3"),
+    ("3,2,5,1,2", "4a",
+     "a1b52b7c365a863b4939070733d8b6e5953bdbc5a4233f02f642f16e9cb20888"),
+    ("3,1,3,1,3", "4b",
+     "e45c07ee0dfdc73abada04972f2164efad49d041ef23e1234016de5297cf8d25"),
+    ("2,1,3,1,2", "5",
+     "1e5f3cb78fd4e058e76a7b6a04cc2de1cbb6358b9971567bb36a99da1cfb815b"),
+    ("4,2,2,2,4", "6",
+     "c918f725c8d87d744e810ab84794d0b838f9a7ad7512a256c627778bc21a1400"),
+    ("4,3,4,3,4", "7",
+     "0c039851d52df9cf4ffd9ade7e69cc8294a2e295aef8463b16174e35d0cd4770"),
+])
+def test_classify_pentagon_bytes_are_pinned(capsys, alpha, row, digest):
+    code, out = run(capsys, "classify", "--alpha", alpha)
+    assert (code, json.loads(out)["row"]) == (0, row)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if row == "3":
+        assert out == """{
+  "m": 5,
+  "generic": true,
+  "sides": 3,
+  "row": "3",
+  "orientable": false,
+  "labels": {
+    "spatial_rotation": "CP^2",
+    "planar": "RP^2",
+    "planar_rotation": "S^2"
+  },
+  "euler_planar": 1
+}
+"""
+
+
+POLYSPACE_ERRORS = sorted(
+    (cls for cls in vars(errors).values()
+     if isinstance(cls, type) and issubclass(cls, errors.PolyspaceError)),
+    key=lambda cls: cls.__name__)
+
+
+def test_exit_3_is_the_infeasible_errors():
+    assert {cls.__name__ for cls in POLYSPACE_ERRORS
+            if issubclass(cls, errors.Infeasible)} == {
+        "Infeasible", "TriangleViolation", "EmptyPolytope", "NonGeneric",
+        "NotInHypersimplex", "ZeroDiagonal"}
+
+
+@pytest.mark.parametrize("cls", POLYSPACE_ERRORS, ids=lambda c: c.__name__)
+def test_error_classes_map_to_exit_codes(monkeypatch, capsys, cls):
+    args = (0, "A", -1) if cls is errors.TriangleViolation else ("boom",)
+
+    def fail(alpha):
+        raise cls(*args)
+
+    monkeypatch.setattr(cli.pt, "classify_pentagon", fail)
+    code = cli.main(["classify", "--alpha", "2,1,5,1,2"])
+    captured = capsys.readouterr()
+    infeasible = issubclass(cls, errors.Infeasible)
+    assert code == (3 if infeasible else 1)
+    assert captured.out == ""
+    assert captured.err == ("infeasible: " if infeasible else "error: ") + (
+        str(cls(*args)) + "\n")
 
 
 def test_classify_non_generic_exits_3(capsys):
@@ -212,6 +300,16 @@ def test_bend_refuses_an_unreadable_polygon_file(tmp_path, capsys, content):
     src = tmp_path / "bad.json"
     src.write_bytes(content)
     run_input_error(capsys, "bend", "--in", str(src), "--range", "1,2",
+                    "--angle", "1.0")
+
+
+def test_bend_refuses_an_axis_beyond_the_float_range(tmp_path, capsys):
+    # every edge and prefix diagonal is finite, but the axis of edges 2..3
+    # overflows; the rotation about it would leave the polygon unbent
+    src = tmp_path / "axis.json"
+    src.write_text('{"dim": 3, "edges": [[7e153, 0, 0], [-7e153, 0.1, 0], '
+                   '[-7e153, -0.1, 0], [7e153, 0, 0]]}')
+    run_input_error(capsys, "bend", "--in", str(src), "--range", "2,3",
                     "--angle", "1.0")
 
 
@@ -429,3 +527,131 @@ def test_parser_is_reused_after_a_parse_error(capsys):
     first = run(capsys, "classify", "--alpha", "2,1,5,1,2")
     assert first[0] == 0
     assert run(capsys, "classify", "--alpha", "2,1,5,1,2") == first
+
+
+# --------------------------------------------------------------- contract
+
+# lengths, some of them near or beyond the float range, and values that
+# are no length at all
+LENGTHS = ("1", "2", "3", "3/2", "5", "1e300", "1e400", "5e-324")
+HOSTILE = ("nan", "inf", "-inf", "3/0", "", "0", "-1", "x")
+# polygon files for bend: closed, planar, open, NaN, overflowing edges,
+# an axis whose norm overflows, an integer beyond the float range
+POLYGON_FILES = {
+    "square": '{"dim": 3, "edges": [[1, 0, 0], [0, 1, 0], [-1, 0, 0], '
+              '[0, -1, 0]]}',
+    "planar": '{"dim": 2, "edges": [[1, 0], [0, 1], [-1, 0], [0, -1]]}',
+    "open": '{"dim": 3, "edges": [[1, 0, 0], [1, 0, 0], [-1, 0, 0]]}',
+    "nan": '{"dim": 3, "edges": [[1, 0, 0], [NaN, 0, 0], [-1, 0, 0]]}',
+    "overflow": '{"dim": 3, "edges": [[1e200, 0, 0], [-1e200, 1e200, 0], '
+                '[0, -1e200, 0]]}',
+    "big-axis": '{"dim": 3, "edges": [[1.3e154, 0, 0], [1.3e154, 1, 0], '
+                '[-1.3e154, 0, 0], [-1.3e154, -1, 0]]}',
+    "huge-int": '{"dim": 3, "edges": [[1%s, 0, 0], [-1, 0, 0]]}' % ("0" * 400),
+    "flat": '{"dim": 3, "edges": [[1, 0, 0], [-1, 0, 0], [1, 0, 0], '
+            '[-1, 0, 0]]}',
+}
+
+
+@st.composite
+def numbers(draw, count):
+    """``count`` comma-joined lengths, or one more or one fewer; sometimes
+    with hostile values among them."""
+    pool = draw(st.sampled_from((LENGTHS, LENGTHS + HOSTILE)))
+    n = max(draw(st.sampled_from((count, count, count - 1, count + 1))), 0)
+    return ",".join(draw(st.lists(st.sampled_from(pool), min_size=n,
+                                  max_size=n)))
+
+
+@st.composite
+def cli_argv(draw, command):
+    """An argument list for the subcommand ``command``."""
+    m = draw(st.integers(4, 5) if command == "classify"
+             else st.integers(3, 7))
+    argv = [command]
+    if command == "bend":
+        p, q = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+        argv += ["--in", "{dir}/" + draw(st.sampled_from(tuple(
+                    POLYGON_FILES))) + ".json",
+                 "--range", draw(st.sampled_from((f"{p},{q}", f"{p}")
+                                                 + HOSTILE)),
+                 "--angle", draw(st.sampled_from(LENGTHS + HOSTILE))]
+    elif command == "verify":
+        argv += ["--suite", draw(st.sampled_from(("all", "hopf", "gc", "bend",
+                                                  "kahler", "dh", "hexcount",
+                                                  "roundtrip"))),
+                 # at most one trial: the bend suite takes 0.25 s for it
+                 "--trials", draw(st.sampled_from(("0", "1", "-1", "1e400",
+                                                   "x", ""))),
+                 "--seed", draw(st.sampled_from(("0", "5", "-1")))]
+    else:
+        argv += ["--alpha", draw(numbers(m))]
+    if command == "polytope":
+        argv += draw(st.sampled_from(([], ["--system", "even"],
+                                      ["--format", "csv"])))
+    if command in ("polytope", "reconstruct", "section") and draw(
+            st.booleans()):
+        argv += ["--svg", "{dir}/drawing.svg"]
+    if command in ("reconstruct", "sample"):
+        argv += ["--dim", draw(st.sampled_from(("3", "2", "1")))]
+    if command == "reconstruct":
+        argv += ["--diag", draw(numbers(m - 3))]
+        if draw(st.booleans()):
+            argv += ["--angles", draw(numbers(m - 3))]
+    if command == "sample":
+        argv += ["--count", draw(st.sampled_from(("2", "1", "0", "-1",
+                                                  "1e400"))),
+                 "--seed", draw(st.sampled_from(("6", "5", "0", "-1"))),
+                 "--format", draw(st.sampled_from(("json", "csv")))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def polygon_dir(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("polygons")
+    for name, text in POLYGON_FILES.items():
+        (folder / f"{name}.json").write_text(text)
+    return folder
+
+
+def check_contract(argv):
+    """Exit 0-3; on 1 and 3 one line on stderr and nothing on stdout; on 0
+    no stderr and no NaN or Infinity; no exception or warning escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    if code in (1, 3):
+        assert out == "", argv
+        assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+    if code == 0:
+        assert err == "", (argv, err)
+        assert "NaN" not in out and "Infinity" not in out, argv
+
+
+@pytest.mark.parametrize("command", ("polytope", "classify", "reconstruct",
+                                     "bend", "sample", "section", "verify"))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cli_contract_on_hostile_arguments(polygon_dir, command, data):
+    argv = data.draw(cli_argv(command))
+    check_contract([a.replace("{dir}", str(polygon_dir)) for a in argv])
+
+
+@pytest.mark.parametrize("argv", [
+    # an OverflowError traceback: a length beyond the float range
+    "sample --alpha 1e400,5,3,1e400 --count 2 --seed 6",
+    "sample --alpha 1e400,5,3,1e400 --count 2 --seed 6 --dim 2",
+    # numpy RuntimeWarnings on stderr before the one-line error
+    "sample --alpha 1e300,8,7,9,1,1e300,3 --count 1 --seed 5",
+    "sample --alpha 1e300,8,7,9,1,1e300,3 --count 1 --seed 5 --dim 2",
+    "bend --in {dir}/big-axis.json --range 1,2 --angle 1",
+    # an OverflowError traceback: a vertex beyond the float range
+    "polytope --alpha 1e400,1,1e400,1 --svg {dir}/f.svg",
+    "polytope --alpha 1e400,1,1e400,1,1 --svg {dir}/f.svg",
+])
+def test_cli_contract_on_found_cases(polygon_dir, argv):
+    check_contract(argv.format(dir=polygon_dir).split())

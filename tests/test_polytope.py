@@ -309,7 +309,7 @@ def test_quad_generic_and_emptiness_exhaustive():
             continue
         generic = _box_corner_generic(_even_box(alpha))
         assert pg.is_generic_lengths(alpha) == generic, alpha
-        assert pt.quad_interval(alpha).generic == generic, alpha
+        assert pt.quad_interval(alpha)["generic"] == generic, alpha
         assert pt.even_step_polytope(alpha).generic == generic, alpha
         seen.add(generic)
     assert seen == {True, False}
@@ -387,45 +387,45 @@ def test_non_generic_pentagon_is_rejected():
 
 def test_classify_pentagon_rows():
     r = pt.classify_pentagon((2, 1, 5, 1, 2))
-    assert (r.sides, r.row, r.euler_planar) == (3, "3", 1)
-    assert r.label_space == "CP^2"
+    assert (r["sides"], r["row"], r["euler_planar"]) == (3, "3", 1)
+    assert r["labels"]["spatial_rotation"] == "CP^2"
     r = pt.classify_pentagon((3, 2, 5, 1, 2))
-    assert (r.row, r.label_planar) == ("4a", "Klein bottle")
-    assert not r.orientable
+    assert (r["row"], r["labels"]["planar"]) == ("4a", "Klein bottle")
+    assert not r["orientable"]
     r = pt.classify_pentagon((3, 1, 3, 1, 3))
-    assert (r.row, r.orientable) == ("4b", True)
+    assert (r["row"], r["orientable"]) == ("4b", True)
     r = pt.classify_pentagon((4, 2, 2, 2, 4))
-    assert (r.sides, r.euler_planar, r.label_planar_rotation) == (
-        6, -2, "Sigma_3")
+    assert (r["sides"], r["euler_planar"],
+            r["labels"]["planar_rotation"]) == (6, -2, "Sigma_3")
 
 
 def test_genus_consistency():
     # the surface label Sigma_g must satisfy 2 - 2g = 2 * euler_planar
     for alpha in [(2, 1, 3, 1, 2), (4, 2, 2, 2, 4), (4, 3, 4, 3, 4)]:
         r = pt.classify_pentagon(alpha)
-        g = (2 - 2 * r.euler_planar) // 2
-        assert r.label_planar_rotation == f"Sigma_{g}"
+        g = (2 - 2 * r["euler_planar"]) // 2
+        assert r["labels"]["planar_rotation"] == f"Sigma_{g}"
 
 
 def test_quad_interval():
     r = pt.quad_interval((1, 2, 3, 5))
-    assert r.interval == (2, 3)
-    assert r.label_planar == "S^1"
-    assert r.generic
+    assert r["interval"] == [2, 3]
+    assert r["label_planar"] == "S^1"
+    assert r["generic"]
     r = pt.quad_interval((1, 2, 3, 4))
-    assert r.interval == (1, 3)
-    assert not r.generic  # boundaries meet at 1
+    assert r["interval"] == [1, 3]
+    assert not r["generic"]  # boundaries meet at 1
     r = pt.quad_interval((1, 10, 4, 5))
-    assert not r.generic
+    assert not r["generic"]
     with pytest.raises(EmptyPolytope):
         pt.quad_interval((1, 1, 1, 10))
 
 
 def test_quad_nested_intervals():
     r = pt.quad_interval((1, 1, 1, 1))
-    assert r.interval == (0, 2)
-    assert r.label_planar == "S^1 u S^1"
-    assert r.diagonal_can_vanish
+    assert r["interval"] == [0, 2]
+    assert r["label_planar"] == "S^1 u S^1"
+    assert r["diagonal_can_vanish"]
 
 
 def test_dh_interval_equality():
@@ -479,7 +479,7 @@ def test_hexagon_one_cut():
 
 def test_even_step_polytope_m4():
     poly = pt.even_step_polytope((1, 2, 3, 5))
-    lo, hi = pt.quad_interval((1, 2, 3, 5)).interval
+    lo, hi = pt.quad_interval((1, 2, 3, 5))["interval"]
     assert poly.vertices() == ((lo,), (hi,))
 
 
@@ -637,7 +637,7 @@ def _fraction_even_rows(alpha):
     m = len(alpha)
     one, zero = F(1), F(0)
     if m == 4:
-        lo, hi = pt.quad_interval(alpha).interval
+        lo, hi = pt.quad_interval(alpha)["interval"]
         return ("x1",), [((-one,), -lo), ((one,), hi)]
     n = (m + 1) // 2
     fixed_last = alpha[-1] if m % 2 == 1 else None
@@ -778,7 +778,7 @@ def test_classify_pentagon_row_is_euler_characteristic():
             continue
         r = pt.classify_pentagon(alpha)
         chi = _euler_characteristic(alpha)
-        assert (r.sides, int(r.row[0]), r.euler_planar) == (
+        assert (r["sides"], int(r["row"][0]), r["euler_planar"]) == (
             chi, chi, 4 - chi), alpha
         checked += 1
     assert checked == 4536
@@ -791,7 +791,7 @@ def test_classify_pentagon_row_is_euler_characteristic():
 def test_axis_pentagon_rows(alpha, row):
     # the (d_2, d_3) polygon reaches an axis, so its side count is not chi
     r = pt.classify_pentagon(alpha)
-    assert (r.row, r.sides) == (row, _euler_characteristic(alpha))
+    assert (r["row"], r["sides"]) == (row, _euler_characteristic(alpha))
 
 
 @functools.cache
@@ -839,11 +839,11 @@ def test_four_sided_rows_follow_hirzebruch_parity():
         if _sides(poly) != 4:
             continue
         want = "4b" if _hirzebruch_parity(poly) == 0 else "4a"
-        assert pt.classify_pentagon(alpha).row == want, alpha
+        assert pt.classify_pentagon(alpha)["row"] == want, alpha
         checked += 1
     assert checked == 780
 
 
 def test_side_count_is_classify_sides_off_the_axes():
     for alpha, poly in _off_axis_pentagons(6):
-        assert _sides(poly) == pt.classify_pentagon(alpha).sides, alpha
+        assert _sides(poly) == pt.classify_pentagon(alpha)["sides"], alpha

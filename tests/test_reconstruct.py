@@ -172,7 +172,7 @@ def test_sample_moduli_empty():
 
 def test_quad_sampling_covers_interval():
     alpha = (1, 2, 3, 4)
-    lo, hi = pt.quad_interval(alpha).interval
+    lo, hi = pt.quad_interval(alpha)["interval"]
     samples = rec.sample_moduli(alpha, 2, 2000, seed=9)
     d2 = [pg.diagonals(p)[1] for p in samples]
     assert min(d2) < float(lo) + 1e-2
