@@ -9,7 +9,6 @@ that flow numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,31 +32,21 @@ def rodrigues(axis: np.ndarray, theta: float) -> np.ndarray:
     return np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
 
 
-@dataclass(frozen=True)
-class DiagonalRange:
-    """A consecutive block of edges p..q (1-based, inclusive)."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if not 1 <= self.p <= self.q:
-            raise ValueError("need 1 <= p <= q")
-
-
-def bend_range(poly: Polygon, r: DiagonalRange, theta: float) -> Polygon:
-    """Rotate edges p..q about their sum, right-hand rule."""
-    if r.q > poly.m or (r.p == 1 and r.q == poly.m):
+def bend_range(poly: Polygon, block: tuple[int, int],
+               theta: float) -> Polygon:
+    """Rotate edges p..q of ``block = (p, q)`` (1-based, inclusive) about
+    their sum, right-hand rule."""
+    p, q = block
+    if not 1 <= p <= q <= poly.m or (p, q) == (1, poly.m):
         raise ValueError("block must be a proper subset of the edges")
-    lo, hi = r.p - 1, r.q
+    lo, hi = p - 1, q
     axis = poly.edges[lo:hi].sum(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         norm, per = np.linalg.norm(axis), perimeter(poly)
     if not math.isfinite(norm):
-        raise PolyspaceError(f"diagonal {(r.p, r.q)} is beyond the float "
-                             "range")
+        raise PolyspaceError(f"diagonal {(p, q)} is beyond the float range")
     if norm <= 1e-9 * per:
-        raise ZeroDiagonal((r.p, r.q))
+        raise ZeroDiagonal((p, q))
     rot = rodrigues(axis / norm, theta)
     edges = poly.edges.copy()
     edges[lo:hi] = edges[lo:hi] @ rot.T
@@ -69,14 +58,15 @@ def bend(poly: Polygon, i: int, theta: float) -> Polygon:
     if not 1 <= i <= poly.m - 1:
         raise ValueError(f"diagonal index must be in 1..{poly.m - 1}")
     try:
-        return bend_range(poly, DiagonalRange(1, i), theta)
+        return bend_range(poly, (1, i), theta)
     except ZeroDiagonal:
         raise ZeroDiagonal(i) from None
 
 
-def commute_defect(poly: Polygon, r1: DiagonalRange, r2: DiagonalRange,
+def commute_defect(poly: Polygon, r1: tuple[int, int], r2: tuple[int, int],
                    t1: float, t2: float) -> float:
-    """Max edge deviation between the two orders of applying the bends."""
+    """Max edge deviation between the two orders of applying the bends of
+    blocks r1 and r2."""
     first = bend_range(bend_range(poly, r1, t1), r2, t2)
     second = bend_range(bend_range(poly, r2, t2), r1, t1)
     return float(np.abs(first.edges - second.edges).max())
@@ -173,9 +163,9 @@ def hamiltonian_flow(points, field, t) -> np.ndarray:
 
     ``points`` is one (m, 3) point of a product of spheres or a (B, m, 3)
     batch; the radii are its row norms, and every step is scaled back to
-    them. ``t`` is one value or one per member. Member b takes steps_b =
-    ceil(STEPS_PER_TURN |t_b| / 2 pi) steps (at least 1) of t_b/steps_b
-    and is checked only until they are done.
+    them. ``t`` is one value or one per member. Every member takes the
+    same S = ceil(STEPS_PER_TURN max_b |t_b| / 2 pi) steps (at least 1) of
+    t_b/S; an empty batch takes none.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim < 2 or points.shape[-1] != 3:
@@ -184,13 +174,15 @@ def hamiltonian_flow(points, field, t) -> np.ndarray:
     t = np.broadcast_to(np.asarray(t, dtype=float), radii.shape[:-1])
     if not np.isfinite(t).all():
         raise ValueError("flow time must be finite")
-    steps = np.maximum(1, np.ceil(STEPS_PER_TURN * abs(t) / math.tau))
-    steps = steps.astype(int)
+    if t.size == 0:
+        return points
+    steps = max(1, math.ceil(STEPS_PER_TURN * abs(t).max() / math.tau))
     h = (t / steps)[..., None, None]
     half, sixth = 0.5 * h, h / 6.0
-    out = points.copy()
-    with np.errstate(all="ignore"):   # finished members may run off
-        for s in range(1, int(steps.max(initial=0)) + 1):
+    # a member that blows up is reported as LeftProdigalRegion below, not
+    # as a RuntimeWarning on the way there
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
             k1 = field(points)
             k2 = field(points + half * k1)
             k3 = field(points + half * k2)
@@ -198,17 +190,11 @@ def hamiltonian_flow(points, field, t) -> np.ndarray:
             points = points + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             norms = np.sqrt(np.einsum("...ij,...ij->...i", points, points))
             if not (np.isfinite(norms).all() and norms.min() >= 1e-12):
-                finite = np.isfinite(norms).all(axis=-1)
-                bad = ~(finite & (norms.min(axis=-1) >= 1e-12)) & (steps >= s)
-                for b in np.flatnonzero(bad)[:1]:
-                    raise LeftProdigalRegion(f"member {b}: " + (
-                        "a factor point collapsed to the origin" if finite[b]
-                        else "flow left the domain of definition"))
+                rows = norms.reshape(-1, norms.shape[-1])
+                finite = np.isfinite(rows).all(axis=-1)
+                b = np.flatnonzero(~finite | (rows.min(axis=-1) < 1e-12))[0]
+                raise LeftProdigalRegion(f"member {b}: " + (
+                    "a factor point collapsed to the origin" if finite[b]
+                    else "flow left the domain of definition"))
             points = points * (radii / norms)[..., None]
-            np.copyto(out, points, where=(steps == s)[..., None, None])
-    return out
-
-
-# The field of |d_i| is -x x n = n x x, the right-handed rotation about n,
-# so its flow for time t is bend(+t).
-BENDING_FLOW_SIGN = 1
+    return points

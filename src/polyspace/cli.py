@@ -20,7 +20,7 @@ import numpy as np
 from . import reconstruct as rec
 from . import polytope as pt
 from . import verify
-from .bending import DiagonalRange, bend_range
+from .bending import bend_range
 from .errors import EmptyPolytope, Infeasible, PolyspaceError
 from .polygon import (Polygon, as_fraction, closure_defect, diagonals,
                       perimeter, side_lengths)
@@ -134,22 +134,11 @@ def _emit(args, text: str, draw=None, shape=None) -> int:
     return EXIT_OK
 
 
-def polygons_to_csv(polys: list[Polygon], dim: int) -> str:
-    """One row per edge of polygons in dimension ``dim``."""
-    header = "polygon,edge," + ",".join("xyz"[:dim])
-    lines = [header]
-    for idx, p in enumerate(polys):
-        for e, row in enumerate(p.edges.tolist()):
-            lines.append(f"{idx},{e + 1}," + ",".join(repr(c) for c in row))
-    return "\n".join(lines) + "\n"
-
-
-def polytope_to_csv(poly: pt.RationalPolytope) -> str:
-    header = "vertex," + ",".join(poly.variables)
-    lines = [header]
-    for idx, v in enumerate(poly.vertices()):
-        lines.append(f"{idx}," + ",".join(str(c) for c in v))
-    return "\n".join(lines) + "\n"
+def _csv(header, rows) -> str:
+    """CSV text: each line, the header first, is a (label, cells) pair
+    written as the label, a comma and the cells joined by commas."""
+    return "".join(f"{label}," + ",".join(cells) + "\n"
+                   for label, cells in [header, *rows])
 
 
 def _svg(points: list[tuple[float, float]], fill: str, labels=()) -> str:
@@ -217,7 +206,9 @@ def cmd_polytope(args) -> int:
     else:
         if poly.dim > 3:
             raise InputError("CSV vertices need dimension <= 3")
-        text = polytope_to_csv(poly)
+        text = _csv(("vertex", poly.variables),
+                    ((str(i), map(str, v))
+                     for i, v in enumerate(poly.vertices())))
     return _emit(args, text, svg_polytope, poly)
 
 
@@ -283,7 +274,7 @@ def cmd_bend(args) -> int:
     if not 1 <= p <= q <= poly.m or (p, q) == (1, poly.m):
         raise InputError(f"--range {p},{q} is not a proper block of edges: "
                          f"need 1 <= p <= q <= {poly.m}, not all of them")
-    out = bend_range(poly.embedded(), DiagonalRange(p, q), args.angle)
+    out = bend_range(poly.embedded(), (p, q), args.angle)
     return _emit(args, json.dumps(polygon_to_doc(out), indent=2))
 
 
@@ -298,7 +289,10 @@ def cmd_sample(args) -> int:
     if args.format == "json":
         text = json.dumps([polygon_to_doc(p) for p in polys], indent=2)
     else:
-        text = polygons_to_csv(polys, args.dim)
+        text = _csv(("polygon,edge", "xyz"[:args.dim]),
+                    ((f"{i},{e + 1}", map(repr, row))
+                     for i, p in enumerate(polys)
+                     for e, row in enumerate(p.edges.tolist())))
     return _emit(args, text)
 
 

@@ -172,18 +172,16 @@ def suite_bend(trials: int, seed: int) -> RunReport:
         H = bending.diagonal_hamiltonian(i)
         for j, t in enumerate(times):
             edges = flowed[len(times) * k + j, :poly.m]
-            target = bending.bend(poly, i, bending.BENDING_FLOW_SIGN * t)
+            target = bending.bend(poly, i, t)
             dev = np.abs(edges - target.edges).max()
             report.record(f"flow[{k},i={i},t={t:.3g}]", dev, 1e-6)
             drift = abs(H(edges) - H(poly.edges))
             report.record(f"drift[{k},t={t:.3g}]", drift, 1e-8)
-        defect = bending.commute_defect(poly, bending.DiagonalRange(1, 2),
-                                        bending.DiagonalRange(1, 3), 0.7, 1.3)
+        defect = bending.commute_defect(poly, (1, 2), (1, 3), 0.7, 1.3)
         report.record(f"commute[{k}]", defect, 1e-9)
     # a linked pair of ranges must fail to commute on a generic hexagon
     hexagon = random_prodigal_polygon(trial_rng(seed, trials + 1), 6)
-    linked = bending.commute_defect(hexagon, bending.DiagonalRange(2, 4),
-                                    bending.DiagonalRange(3, 5), 1.0, 1.0)
+    linked = bending.commute_defect(hexagon, (2, 4), (3, 5), 1.0, 1.0)
     # passes iff linked > 1e-3: no float lies between 1e-3 and its successor
     report.record("linked-pair-commutes", math.nextafter(1e-3, 1.0) / linked
                   if linked > 0.0 else math.inf, 1.0)

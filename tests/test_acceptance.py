@@ -61,12 +61,10 @@ def test_criterion_05_commutation():
     for _ in range(20):
         p = verify.random_prodigal_polygon(rng, 6)
         for i, j in itertools.combinations(range(2, 6), 2):
-            d = bending.commute_defect(p, bending.DiagonalRange(1, i),
-                                       bending.DiagonalRange(1, j), 0.9, 1.7)
+            d = bending.commute_defect(p, (1, i), (1, j), 0.9, 1.7)
             worst_nested = max(worst_nested, d)
     hexagon = verify.random_prodigal_polygon(rng, 6)
-    linked = bending.commute_defect(hexagon, bending.DiagonalRange(2, 4),
-                                    bending.DiagonalRange(3, 5), 1.0, 1.0)
+    linked = bending.commute_defect(hexagon, (2, 4), (3, 5), 1.0, 1.0)
     ok = worst_nested < 1e-9 and linked > 1e-3
     report(5, "standard bends commute, linked pair does not", ok,
            f"nested {worst_nested:.2e}, linked {linked:.2e}")

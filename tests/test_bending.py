@@ -1,12 +1,12 @@
 """Bending rotations, the sphere-product structures and the flow identity."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from polyspace import bending, polygon as pg, quat
-from polyspace.bending import DiagonalRange
 from polyspace.errors import LeftProdigalRegion, NotTangent, ZeroDiagonal
 from polyspace.verify import (kahler_probe_terms, random_prodigal_polygon,
                               trial_rng)
@@ -78,25 +78,27 @@ def test_bend_zero_diagonal():
 
 def test_bend_range_matches_bend(rng):
     p = random_prodigal_polygon(rng, 6)
-    a = bending.bend_range(p, DiagonalRange(1, 3), 0.9)
+    a = bending.bend_range(p, (1, 3), 0.9)
     b = bending.bend(p, 3, 0.9)
     assert np.array_equal(a.edges, b.edges)
-    c = bending.bend_range(p, DiagonalRange(2, 4), 0.9)
+    c = bending.bend_range(p, (2, 4), 0.9)
     assert pg.closure_defect(c) < 1e-11
     assert np.abs(pg.side_lengths(c) - pg.side_lengths(p)).max() < 1e-12
+
+
+@pytest.mark.parametrize("block", [(0, 2), (3, 2), (2, 5), (1, 4)])
+def test_bend_range_refuses_an_improper_block(block):
+    # p = 0, p > q, q > m and all four edges of the square
+    with pytest.raises(ValueError, match="proper subset"):
+        bending.bend_range(SQUARE, block, 0.5)
 
 
 def test_commutation():
     rng = np.random.default_rng(11)
     p = random_prodigal_polygon(rng, 6)
-    nested = bending.commute_defect(p, DiagonalRange(1, 2),
-                                    DiagonalRange(1, 3), 0.8, 1.7)
-    assert nested < 1e-9
-    disjoint = bending.commute_defect(p, DiagonalRange(1, 2),
-                                      DiagonalRange(4, 5), 0.8, 1.7)
-    assert disjoint < 1e-9
-    linked = bending.commute_defect(p, DiagonalRange(2, 4),
-                                    DiagonalRange(3, 5), 1.0, 1.0)
+    assert bending.commute_defect(p, (1, 2), (1, 3), 0.8, 1.7) < 1e-9
+    assert bending.commute_defect(p, (1, 2), (4, 5), 0.8, 1.7) < 1e-9
+    linked = bending.commute_defect(p, (2, 4), (3, 5), 1.0, 1.0)
     assert linked > 1e-3
 
 
@@ -190,7 +192,7 @@ def test_flow_matches_bend(rng):
     X = bending.diagonal_field(3)
     for t in (0.1, 1.0):
         flowed = bending.hamiltonian_flow(p.edges, X, t)
-        target = bending.bend(p, 3, bending.BENDING_FLOW_SIGN * t)
+        target = bending.bend(p, 3, t)
         assert np.abs(flowed - target.edges).max() < 1e-6
 
 
@@ -209,7 +211,6 @@ def test_flow_sign_is_measured_by_finite_differences():
     dev_plus = np.abs(bending.bend(p, 2, t).edges - flowed).max()
     dev_minus = np.abs(bending.bend(p, 2, -t).edges - flowed).max()
     assert dev_plus < 1e-6 < dev_minus
-    assert bending.BENDING_FLOW_SIGN == 1
 
 
 def test_diagonal_field_matches_finite_differences(rng):
@@ -250,31 +251,63 @@ def _batch(polys):
     return np.stack([p.edges for p in polys])
 
 
-def test_batched_flow_matches_single_member_flows():
-    # the bend suite's batches at seeds 0..3 (its polygons, one member per
-    # flow time), with the head lengths mixed across members
+def _suite_batch(seed, m):
+    """The bend suite's m-gons at ``seed`` with mixed head lengths, each
+    one member per flow time: (polygons, heads)."""
+    polys, heads = [], []
+    for k in range(m - 5, 4, 2):
+        rng = trial_rng(seed, k)
+        p = random_prodigal_polygon(rng, m)
+        i = int(rng.integers(2, m - 1))
+        polys += [p] * len(FLOW_TIMES)
+        heads += [i, 1, m - 2, i]
+    return polys, heads
+
+
+def _check_batch(w, out):
+    assert out.shape == w.shape
+    assert np.abs(np.linalg.norm(out, axis=-1)
+                  - np.linalg.norm(w, axis=-1)).max() < 1e-12
+    assert np.abs(out.sum(axis=-2)).max() < 1e-12
+
+
+def test_equal_time_batch_matches_single_member_flows():
+    # one shared time: the batch takes the step count of each single flow
+    for seed, t in itertools.product(range(4), (0.1, -0.3)):
+        for m in (5, 6):
+            polys, heads = _suite_batch(seed, m)
+            w = _batch(polys)
+            out = bending.hamiltonian_flow(w, bending.diagonal_field(heads), t)
+            _check_batch(w, out)
+            for b, (p, head) in enumerate(zip(polys, heads)):
+                one = bending.hamiltonian_flow(
+                    p.edges, bending.diagonal_field(head), t)
+                assert one.shape == (m, 3)
+                assert np.abs(out[b] - one).max() < 1e-13, (seed, t, m, b)
+
+
+def test_mixed_time_batch_matches_bend():
+    # the bend suite's flow times, mixed across members: each member takes
+    # the longest time's step count and still follows bend(+t)
     for seed in range(4):
         for m in (5, 6):
-            polys, heads = [], []
-            for k in range(m - 5, 4, 2):
-                rng = trial_rng(seed, k)
-                p = random_prodigal_polygon(rng, m)
-                i = int(rng.integers(2, m - 1))
-                polys += [p] * len(FLOW_TIMES)
-                heads += [i, 1, m - 2, i]
+            polys, heads = _suite_batch(seed, m)
             times = FLOW_TIMES * (len(polys) // len(FLOW_TIMES))
             w = _batch(polys)
             out = bending.hamiltonian_flow(
                 w, bending.diagonal_field(heads), times)
-            assert out.shape == (len(polys), m, 3)
-            assert np.abs(np.linalg.norm(out, axis=-1)
-                          - np.linalg.norm(w, axis=-1)).max() < 1e-12
-            assert np.abs(out.sum(axis=-2)).max() < 1e-12
+            _check_batch(w, out)
             for b, (p, head, t) in enumerate(zip(polys, heads, times)):
-                one = bending.hamiltonian_flow(
-                    p.edges, bending.diagonal_field(head), t)
-                assert one.shape == (m, 3)
-                assert np.abs(out[b] - one).max() < 1e-13, (seed, m, b)
+                target = bending.bend(p, head, t).edges
+                assert np.abs(out[b] - target).max() < 1e-9, (seed, m, b)
+
+
+def test_empty_batch_takes_no_step():
+    def never(points):
+        raise AssertionError("the field was evaluated")
+
+    w = np.zeros((0, 5, 3))
+    assert bending.hamiltonian_flow(w, never, 1.0).shape == (0, 5, 3)
 
 
 def test_flow_names_the_collapsing_member(rng):
@@ -291,6 +324,18 @@ def test_flow_names_the_collapsing_member(rng):
     assert "member 0" not in str(err.value)
 
 
+@pytest.mark.parametrize("match", ["collapsed", "domain"])
+def test_single_flow_reports_leaving_the_region(rng, match):
+    # one (m, 3) point: the one step of length t goes to the origin or
+    # past the float range
+    p = random_prodigal_polygon(rng, 5)
+    t = 0.5 * math.tau / bending.STEPS_PER_TURN
+    push = (-p.edges / t if match == "collapsed"
+            else np.full_like(p.edges, 1e308))
+    with pytest.raises(LeftProdigalRegion, match=match):
+        bending.hamiltonian_flow(p.edges, lambda points: push, t)
+
+
 def _blows_up(member, after_steps):
     """Zero field, except on ``member`` from step ``after_steps`` on."""
     calls = [0]
@@ -305,27 +350,11 @@ def _blows_up(member, after_steps):
     return X
 
 
-def test_finished_member_keeps_its_result(rng):
-    p = random_prodigal_polygon(rng, 5)
-    w = _batch([p, p])
-    # member 0 takes 32 steps and blows up from step 40 on, after its end
-    out = bending.hamiltonian_flow(w, _blows_up(0, 40), (0.1, 1.0))
-    for b, t in enumerate((0.1, 1.0)):
-        one = bending.hamiltonian_flow(p.edges, np.zeros_like, t)
-        assert np.array_equal(out[b], one)
-
-
 def test_error_names_only_the_failing_member(rng):
     p = random_prodigal_polygon(rng, 5)
     w = _batch([p, p])
-    field = _blows_up(0, 40)
-    fail = _blows_up(1, 100)
-
-    def X(points):
-        return field(points) + fail(points)
-
     with pytest.raises(LeftProdigalRegion, match="domain") as err:
-        bending.hamiltonian_flow(w, X, (0.1, 1.0))
+        bending.hamiltonian_flow(w, _blows_up(1, 100), (0.1, 1.0))
     assert "member 1" in str(err.value)
     assert "member 0" not in str(err.value)
 

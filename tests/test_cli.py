@@ -84,6 +84,23 @@ def test_svg_bytes_are_pinned(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("polytope --alpha 2,1,3,1,2",
+     "46d76a9c9d30ab8eb8ace8b51ddb556add18277b56d4e50ad891c07f342e22e9"),
+    # dim 0: the header is "vertex," and the one row "0,"
+    ("polytope --alpha 1,1,1",
+     "b103eb669a2d40427a1813938320abd71db79bdef346b1f220b8a1018422a826"),
+    ("sample --alpha 1,1,1,1,1 --count 2 --seed 3 --dim 2",
+     "4c44eec30057d72478d1e107da561a0837d930cb9a900f775c24bf7ff842bb3e"),
+    ("sample --alpha 1,1,1,1,1 --count 2 --seed 3 --dim 3",
+     "ba2fa44faff6aa083006e4b7b22ef4aa8dfc2b2bb65fd9e543aacfaded696146"),
+])
+def test_csv_bytes_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv.split(), "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_polytope_empty_exit_code(capsys):
     code, _ = run(capsys, "polytope", "--alpha", "1,1,10,1")
     assert code == 3
