@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import (LeftProdigalRegion, NotTangent, PolyspaceError,
-                     ZeroDiagonal)
+from .errors import (InputError, LeftProdigalRegion, NotTangent,
+                     PolyspaceError, ZeroDiagonal)
 from .polygon import Polygon, perimeter
 
 _TANGENT_TOL = 1e-9
@@ -38,7 +38,8 @@ def bend_range(poly: Polygon, block: tuple[int, int],
     their sum, right-hand rule."""
     p, q = block
     if not 1 <= p <= q <= poly.m or (p, q) == (1, poly.m):
-        raise ValueError("block must be a proper subset of the edges")
+        raise InputError(f"block {p},{q} must be a proper subset of the "
+                         f"edges: need 1 <= p <= q <= {poly.m}, not all")
     lo, hi = p - 1, q
     axis = poly.edges[lo:hi].sum(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -56,7 +57,7 @@ def bend_range(poly: Polygon, block: tuple[int, int],
 def bend(poly: Polygon, i: int, theta: float) -> Polygon:
     """Rotate the first i edges about the i-th diagonal."""
     if not 1 <= i <= poly.m - 1:
-        raise ValueError(f"diagonal index must be in 1..{poly.m - 1}")
+        raise InputError(f"diagonal index must be in 1..{poly.m - 1}")
     try:
         return bend_range(poly, (1, i), theta)
     except ZeroDiagonal:
@@ -168,12 +169,12 @@ def hamiltonian_flow(points, field, t) -> np.ndarray:
     t_b/S; an empty batch takes none.
     """
     points = np.asarray(points, dtype=float)
-    if points.ndim < 2 or points.shape[-1] != 3:
-        raise ValueError("need (..., m, 3) points")
+    if points.ndim < 2 or points.shape[-1] != 3 or points.shape[-2] == 0:
+        raise InputError(f"need (..., m >= 1, 3) points, got {points.shape}")
     radii = np.linalg.norm(points, axis=-1)
     t = np.broadcast_to(np.asarray(t, dtype=float), radii.shape[:-1])
     if not np.isfinite(t).all():
-        raise ValueError("flow time must be finite")
+        raise InputError("flow time must be finite")
     if t.size == 0:
         return points
     steps = max(1, math.ceil(STEPS_PER_TURN * abs(t).max() / math.tau))

@@ -5,6 +5,10 @@ class PolyspaceError(Exception):
     """Base class for all polyspace errors."""
 
 
+class InputError(PolyspaceError, ValueError):
+    """An argument the package refuses: CLI exit 1."""
+
+
 class Infeasible(PolyspaceError):
     """No polygon realizes the data, or it lies on a wall: CLI exit 3."""
 

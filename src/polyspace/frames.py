@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quat
-from .errors import DependentColumns, NotClosed, NotHermitian, NotNormalized
+from .errors import (DependentColumns, InputError, NotClosed, NotHermitian,
+                     NotNormalized)
 from .polygon import Polygon, closure_defect, perimeter
 
 _HERMITIAN_TOL = 1e-10
@@ -29,7 +30,7 @@ class Frame:
         a = np.asarray(self.a, dtype=complex)
         b = np.asarray(self.b, dtype=complex)
         if a.ndim != 1 or a.shape != b.shape:
-            raise ValueError("a and b must be complex vectors of equal length")
+            raise InputError("a and b must be complex vectors of equal length")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -62,7 +63,7 @@ def torus_act(f: Frame, theta) -> Frame:
     """Multiply row r by the phase e^{i theta_r}; the polygon is unchanged."""
     phase = np.exp(1j * np.asarray(theta, dtype=float))
     if phase.shape != f.a.shape:
-        raise ValueError("need one angle per row")
+        raise InputError("need one angle per row")
     return Frame(phase * f.a, phase * f.b)
 
 
@@ -107,7 +108,7 @@ def _gram_stack(f: Frame) -> np.ndarray:
 def truncated_gram2(f: Frame, i: int) -> np.ndarray:
     """Sum over the first i rows of the rank-1 matrices row* row."""
     if not 1 <= i <= f.m:
-        raise ValueError(f"truncation index must be in 1..{f.m}")
+        raise InputError(f"truncation index must be in 1..{f.m}")
     return _gram_stack(f)[i - 1]
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionOne, TooManySides, ZeroPolygon
+from .errors import DimensionOne, InputError, TooManySides, ZeroPolygon
 
 MAX_BRUTE_FORCE_SIDES = 24
 
@@ -51,11 +51,11 @@ class Polygon:
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
         if self.dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
+            raise InputError(f"dim must be 1, 2 or 3, got {self.dim}")
         if edges.ndim != 2 or edges.shape[1] != self.dim:
-            raise ValueError(f"edges must have shape (m, {self.dim})")
+            raise InputError(f"edges must have shape (m, {self.dim})")
         if edges.shape[0] < 2:
-            raise ValueError("a polygon needs at least 2 edges")
+            raise InputError("a polygon needs at least 2 edges")
         object.__setattr__(self, "edges", edges)
 
     @property
@@ -141,7 +141,7 @@ def even_step(p: Polygon) -> Polygon:
     For odd m the last new edge is rho(m) itself.
     """
     if p.m < 4:
-        raise ValueError("even_step needs at least 4 edges")
+        raise InputError("even_step needs at least 4 edges")
     pairs = [p.edges[2 * i] + p.edges[2 * i + 1] for i in range(p.m // 2)]
     if p.m % 2 == 1:
         pairs.append(p.edges[-1].copy())

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EmptyPolytope, NonGeneric
+from .errors import EmptyPolytope, InputError, NonGeneric
 from .polygon import (MAX_BRUTE_FORCE_SIDES, exact_lengths, integer_scaled,
                       is_feasible_lengths, is_generic_lengths)
 
@@ -56,7 +56,7 @@ class RationalPolytope:
             return self._table
         n = self.dim
         if n > 3:
-            raise ValueError("vertex enumeration limited to dimension <= 3")
+            raise InputError("vertex enumeration limited to dimension <= 3")
         rows = self.rows
         found = {}
         for combo in itertools.combinations(rows, n):
@@ -150,7 +150,7 @@ def triangle_slacks(alpha, diag):
     """
     m = len(alpha)
     if len(diag) != m:
-        raise ValueError("need one diagonal entry per side (the last is 0)")
+        raise InputError("need one diagonal entry per side (the last is 0)")
     d = (0,) + tuple(diag)
     out = []
     for i in range(m):
@@ -171,7 +171,7 @@ def diag_slice(alpha) -> RationalPolytope:
     alpha = exact_lengths(alpha)
     m = len(alpha)
     if m < 3:
-        raise ValueError("need m >= 3")
+        raise InputError(f"a polygon needs at least 3 lengths, got {m}")
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no polygon has these side lengths")
     den, ints = integer_scaled(alpha)
@@ -228,7 +228,7 @@ def classify_pentagon(alpha) -> dict:
     """
     alpha = exact_lengths(alpha)
     if len(alpha) != 5:
-        raise ValueError("need exactly 5 lengths")
+        raise InputError("need exactly 5 lengths")
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no polygon has these side lengths")
     if not is_generic_lengths(alpha):
@@ -253,7 +253,7 @@ def classify_pentagon(alpha) -> dict:
 def _quad_meet(alpha):
     """I_1 = [|a1-a2|, a1+a2], I_2 = [|a4-a3|, a4+a3] and their meet."""
     if len(alpha) != 4:
-        raise ValueError("need exactly 4 lengths")
+        raise InputError("need exactly 4 lengths")
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no quadrilateral has these side lengths")
     a1, a2, a3, a4 = alpha
@@ -293,7 +293,7 @@ def even_step_polytope(alpha) -> RationalPolytope:
     alpha = exact_lengths(alpha)
     m = len(alpha)
     if not 4 <= m <= 6:
-        raise ValueError("vertex enumeration supported for 4 <= m <= 6")
+        raise InputError(f"the even-step system needs 4 to 6 lengths, got {m}")
     den, ints = integer_scaled(alpha)
     if m == 4:
         # the cone forces x1 = x2; the polytope is the diagonal interval

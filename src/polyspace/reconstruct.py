@@ -15,8 +15,8 @@ from itertools import accumulate
 import numpy as np
 
 from .bending import bend
-from .errors import (EmptyPolytope, NotInHypersimplex, PolyspaceError,
-                     TriangleViolation, ZeroDiagonal)
+from .errors import (EmptyPolytope, InputError, NotInHypersimplex,
+                     PolyspaceError, TriangleViolation, ZeroDiagonal)
 from .polygon import Polygon, exact_lengths, is_feasible_lengths
 from .polytope import _interval_pair, in_hypersimplex, triangle_slacks
 
@@ -42,10 +42,12 @@ class LDPoint:
         except OverflowError as exc:
             raise PolyspaceError("a length or diagonal is beyond the float "
                                  "range") from exc
-        if len(alpha) < 3:
-            raise ValueError("need m >= 3")
-        if len(delta) != len(alpha) - 3:
-            raise ValueError("need exactly m - 3 free diagonals")
+        m = len(alpha)
+        if m < 3:
+            raise InputError(f"a polygon needs at least 3 lengths, got {m}")
+        if len(delta) != m - 3:
+            raise InputError(f"need {m - 3} free diagonals for m = {m}, "
+                             f"got {len(delta)}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "delta", delta)
 
@@ -77,7 +79,7 @@ def reconstruct(ld: LDPoint, k: int = 3) -> Polygon:
     coordinate is identically zero.
     """
     if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
+        raise InputError("k must be 2 or 3")
     _check_triangles(ld)
     d = ld.full_diagonals()
     verts = [np.zeros(2), np.array([ld.alpha[0], 0.0])]
@@ -106,7 +108,8 @@ def fiber_sample(ld: LDPoint, angles) -> Polygon:
     """Reconstruct, then bend about each free diagonal by the given angles."""
     angles = tuple(float(t) for t in angles)
     if len(angles) != ld.m - 3:
-        raise ValueError("need one angle per free diagonal")
+        raise InputError(f"need {ld.m - 3} bending angles, one per free "
+                         f"diagonal, for m = {ld.m}, got {len(angles)}")
     poly = reconstruct(ld, 3)
     for offset, theta in enumerate(angles):
         if theta != 0.0:
@@ -123,9 +126,11 @@ def section_sigma(alpha) -> Polygon:
     side alpha_{r+2}..alpha_m.
     """
     alpha = exact_lengths(alpha)
+    m = len(alpha)
+    if m < 3:
+        raise InputError(f"a polygon needs at least 3 lengths, got {m}")
     if not in_hypersimplex(alpha):
         raise NotInHypersimplex("side lengths must lie in the hypersimplex")
-    m = len(alpha)
     beta = [Fraction(0)]
     for a in alpha:
         beta.append(beta[-1] + a)
@@ -200,11 +205,11 @@ def sample_ld(alpha, rng) -> LDPoint:
 def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:
     """Deterministic sample of polygons with the given side lengths."""
     if k not in (2, 3):
-        raise ValueError("k must be 2 or 3")
+        raise InputError("k must be 2 or 3")
     alpha = exact_lengths(alpha)
     m = len(alpha)
     if m < 3:
-        raise ValueError("need m >= 3")
+        raise InputError(f"a polygon needs at least 3 lengths, got {m}")
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no polygon has these side lengths")
     rng = np.random.default_rng(seed)

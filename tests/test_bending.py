@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from polyspace import bending, polygon as pg, quat
-from polyspace.errors import LeftProdigalRegion, NotTangent, ZeroDiagonal
+from polyspace.errors import (InputError, LeftProdigalRegion, NotTangent,
+                             ZeroDiagonal)
 from polyspace.verify import (kahler_probe_terms, random_prodigal_polygon,
                               trial_rng)
 
@@ -308,6 +309,12 @@ def test_empty_batch_takes_no_step():
 
     w = np.zeros((0, 5, 3))
     assert bending.hamiltonian_flow(w, never, 1.0).shape == (0, 5, 3)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
+def test_flow_refuses_points_with_no_rows(shape):
+    with pytest.raises(InputError, match="m >= 1"):
+        bending.hamiltonian_flow(np.zeros(shape), np.zeros_like, 1.0)
 
 
 def test_flow_names_the_collapsing_member(rng):

@@ -312,7 +312,8 @@ def test_read_enforces_closure(tmp_path, capsys):
     b"[" * 100_000 + b"]" * 100_000,              # nested past the stack
     b'{"dim": 3, "edges": [[1e200, 0, 0], [-1e200, 1e200, 0], '
     b'[0, -1e200, 0]]}',                          # norms overflow
-], ids=["not-utf8", "too-deep", "overflow"])
+    b'{"dim": 3, "edges": [[1, 0, 0],',           # not JSON
+], ids=["not-utf8", "too-deep", "overflow", "not-json"])
 def test_bend_refuses_an_unreadable_polygon_file(tmp_path, capsys, content):
     src = tmp_path / "bad.json"
     src.write_bytes(content)
@@ -330,21 +331,13 @@ def test_bend_refuses_an_axis_beyond_the_float_range(tmp_path, capsys):
                     "--angle", "1.0")
 
 
-def test_read_tolerance_env(tmp_path, capsys, monkeypatch):
+def test_closure_tolerance_is_fixed(tmp_path, capsys):
+    # a closure defect of 1e-5 against a perimeter near 2 is above 1e-9
     doc = {"dim": 3, "edges": [[1, 0, 0], [-1, 1e-5, 0], [0, 0, 0]]}
     src = tmp_path / "near.json"
     src.write_text(json.dumps(doc))
     assert run(capsys, "bend", "--in", str(src), "--range", "1,2",
                "--angle", "0.0")[0] == 1
-    monkeypatch.setenv("POLYSPACE_TOL", "1e-3")
-    assert run(capsys, "bend", "--in", str(src), "--range", "1,2",
-               "--angle", "0.0")[0] == 0
-    # a tolerance that is not finite or is negative would switch the
-    # closure check off or make it fail on every input
-    for bad in ("nan", "inf", "-1"):
-        monkeypatch.setenv("POLYSPACE_TOL", bad)
-        run_input_error(capsys, "bend", "--in", str(src), "--range", "1,2",
-                        "--angle", "0.0")
 
 
 def test_sample_deterministic(capsys):
@@ -429,7 +422,7 @@ def test_verify_small_suites(capsys):
 def test_emitted_polygon_parses_back(tmp_path, capsys):
     _, out = run(capsys, "reconstruct", "--alpha", "3,4,5", "--dim", "2")
     doc = json.loads(out)
-    poly = cli.polygon_from_doc(doc, 1e-9)
+    poly = cli.polygon_from_doc(doc)
     assert np.array_equal(poly.edges, np.array(doc["edges"]))
     assert pg.perimeter(poly) == pytest.approx(12.0)
     # the written floats keep the sign of zero and tiny magnitudes
@@ -498,6 +491,11 @@ def test_overflowing_polygon_exits_1(capsys):
     "bend --in {tmp}/huge.json --range 1,2 --angle 0.5",
     "section --alpha 1,1",
     "section --alpha 1",
+    "section --alpha 2",
+    "polytope --alpha 1,1,1 --system even",
+    "polytope --alpha 1,1,1,1,1,1,1 --system even",
+    "polytope --alpha 1,1,1,1,1,1,1 --format csv",
+    "reconstruct --alpha 1,1,1,1,1 --diag 1",
     "sample --alpha 1,1,1 --count 1 --seed -1",
     "reconstruct --alpha 1,1,1,1 --diag 1 --dim 2 --angles 0.5",
 ])

@@ -5,7 +5,7 @@ Every public module-level function, class or constant in
 ``src/polyspace`` is read by another statement of the package, named by
 ``perfbench/`` (whose tracer names functions as strings), or named in
 backticks in README.md.  No module but ``__init__`` imports a name it
-never reads.
+never reads, and no module raises a bare ``ValueError``.
 """
 
 import ast
@@ -89,3 +89,18 @@ def test_no_module_imports_a_name_it_never_reads():
                            if (alias.asname or alias.name).split(".")[0]
                            not in loads]
     assert not unread, ", ".join(unread)
+
+
+def _raised(node):
+    """The name a ``raise`` statement raises, called or not, else None."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_no_module_raises_a_bare_value_error():
+    # a refused argument raises errors.InputError, which the CLI maps to
+    # exit 1; a bare ValueError would escape it as a traceback
+    bare = [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and _raised(node) == "ValueError"]
+    assert not bare, ", ".join(bare)
