@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import (InputError, LeftProdigalRegion, NotTangent,
-                     PolyspaceError, ZeroDiagonal)
+from .errors import InputError, ZeroDiagonal
 from .polygon import Polygon, perimeter
 
 _TANGENT_TOL = 1e-9
@@ -45,7 +44,7 @@ def bend_range(poly: Polygon, block: tuple[int, int],
     with np.errstate(over="ignore", invalid="ignore"):
         norm, per = np.linalg.norm(axis), perimeter(poly)
     if not math.isfinite(norm):
-        raise PolyspaceError(f"diagonal {(p, q)} is beyond the float range")
+        raise InputError(f"diagonal {(p, q)} is beyond the float range")
     if norm <= 1e-9 * per:
         raise ZeroDiagonal((p, q))
     rot = rodrigues(axis / norm, theta)
@@ -56,8 +55,6 @@ def bend_range(poly: Polygon, block: tuple[int, int],
 
 def bend(poly: Polygon, i: int, theta: float) -> Polygon:
     """Rotate the first i edges about the i-th diagonal."""
-    if not 1 <= i <= poly.m - 1:
-        raise InputError(f"diagonal index must be in 1..{poly.m - 1}")
     try:
         return bend_range(poly, (1, i), theta)
     except ZeroDiagonal:
@@ -82,11 +79,11 @@ def _check_tangent(x: np.ndarray, *vecs) -> np.ndarray:
     to its sphere at x.  Written so that a NaN fails."""
     r = np.linalg.norm(x, axis=-1)
     if (r == 0.0).any():
-        raise NotTangent("base point is the origin")
+        raise InputError("base point is the origin")
     for v in vecs:
         bound = _TANGENT_TOL * np.maximum(1.0, r * np.linalg.norm(v, axis=-1))
         if not (abs(_dot(x, v)) <= bound).all():
-            raise NotTangent("vector is not tangent to the sphere at x")
+            raise InputError("vector is not tangent to the sphere at x")
     return r
 
 
@@ -152,7 +149,7 @@ def diagonal_field(i):
         norm2 = np.einsum("...k,...k->...", d, d)
         if not norm2.all():
             b = np.flatnonzero(norm2 == 0.0)[0]
-            raise LeftProdigalRegion(f"member {b}: diagonal vanished; no axis")
+            raise InputError(f"member {b}: diagonal vanished; no axis")
         KT = np.dot(d, levi).reshape(d.shape[:-1] + (3, 3))
         return head @ (KT / np.sqrt(norm2)[..., None, None])
 
@@ -180,8 +177,8 @@ def hamiltonian_flow(points, field, t) -> np.ndarray:
     steps = max(1, math.ceil(STEPS_PER_TURN * abs(t).max() / math.tau))
     h = (t / steps)[..., None, None]
     half, sixth = 0.5 * h, h / 6.0
-    # a member that blows up is reported as LeftProdigalRegion below, not
-    # as a RuntimeWarning on the way there
+    # a member that blows up is reported as an InputError below, not a
+    # RuntimeWarning on the way there
     with np.errstate(all="ignore"):
         for _ in range(steps):
             k1 = field(points)
@@ -194,7 +191,7 @@ def hamiltonian_flow(points, field, t) -> np.ndarray:
                 rows = norms.reshape(-1, norms.shape[-1])
                 finite = np.isfinite(rows).all(axis=-1)
                 b = np.flatnonzero(~finite | (rows.min(axis=-1) < 1e-12))[0]
-                raise LeftProdigalRegion(f"member {b}: " + (
+                raise InputError(f"member {b}: " + (
                     "a factor point collapsed to the origin" if finite[b]
                     else "flow left the domain of definition"))
             points = points * (radii / norms)[..., None]

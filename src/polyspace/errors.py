@@ -13,60 +13,8 @@ class Infeasible(PolyspaceError):
     """No polygon realizes the data, or it lies on a wall: CLI exit 3."""
 
 
-class ZeroPolygon(PolyspaceError):
-    pass
-
-
-class DimensionOne(PolyspaceError):
-    pass
-
-
-class TooManySides(PolyspaceError):
-    pass
-
-
-class NonUnitary(PolyspaceError):
-    pass
-
-
-class DependentColumns(PolyspaceError):
-    pass
-
-
-class NotNormalized(PolyspaceError):
-    pass
-
-
-class NotClosed(PolyspaceError):
-    pass
-
-
-class NotHermitian(PolyspaceError):
-    pass
-
-
-class NotTangent(PolyspaceError):
-    pass
-
-
-class LeftProdigalRegion(PolyspaceError):
-    pass
-
-
-class RetryLimit(PolyspaceError):
-    """A rejection sampler reached its draw cap without accepting a draw."""
-
-
 class EmptyPolytope(Infeasible):
-    pass
-
-
-class NonGeneric(Infeasible):
-    pass
-
-
-class NotInHypersimplex(Infeasible):
-    pass
+    """No polygon has the side lengths, so the polytope is empty."""
 
 
 class ZeroDiagonal(Infeasible):

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quat
-from .errors import (DependentColumns, InputError, NotClosed, NotHermitian,
-                     NotNormalized)
+from .errors import InputError
 from .polygon import Polygon, closure_defect, perimeter
 
 _HERMITIAN_TOL = 1e-10
@@ -45,12 +44,12 @@ def frame_orthonormalize(a, b) -> Frame:
     b = np.asarray(b, dtype=complex)
     na = np.linalg.norm(a)
     if not na >= 1e-12:
-        raise DependentColumns("first column is (numerically) zero")
+        raise InputError("first column is (numerically) zero")
     a = a / na
     b = b - np.vdot(a, b) * a
     nb = np.linalg.norm(b)
     if not nb >= 1e-12:
-        raise DependentColumns("columns are (numerically) linearly dependent")
+        raise InputError("columns are (numerically) linearly dependent")
     return Frame(a, b / nb)
 
 
@@ -116,10 +115,10 @@ def eig2(h):
     """Eigenvalues (lo, hi) of a hermitian 2x2 matrix or stack (..., 2, 2)."""
     h = np.asarray(h, dtype=complex)
     if h.shape[-2:] != (2, 2):
-        raise NotHermitian(f"expected a 2x2 matrix, got shape {h.shape}")
+        raise InputError(f"expected a 2x2 matrix, got shape {h.shape}")
     defect = np.linalg.norm(h - h.conj().swapaxes(-1, -2), axis=(-2, -1))
     if not np.all(defect <= _HERMITIAN_TOL):
-        raise NotHermitian("matrix is not hermitian within tolerance")
+        raise InputError("matrix is not hermitian within tolerance")
     half_tr = (h[..., 0, 0].real + h[..., 1, 1].real) / 2.0
     half_gap = (h[..., 0, 0].real - h[..., 1, 1].real) / 2.0
     radius = np.hypot(half_gap, abs(h[..., 0, 1]))
@@ -153,9 +152,9 @@ def frame_from_polygon(p: Polygon) -> Frame:
         p = p.embedded()
     per = perimeter(p)
     if not abs(per - 2.0) <= 1e-9:
-        raise NotNormalized(f"perimeter is {per}, expected 2")
+        raise InputError(f"perimeter is {per}, expected 2")
     if not closure_defect(p) <= 1e-9 * per:
-        raise NotClosed("edge vectors do not sum to zero")
+        raise InputError("edge vectors do not sum to zero")
     return Frame(*quat.hopf_section(p.edges))
 
 

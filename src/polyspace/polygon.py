@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionOne, InputError, TooManySides, ZeroPolygon
+from .errors import InputError
 
 MAX_BRUTE_FORCE_SIDES = 24
 
@@ -85,7 +85,7 @@ def normalize(p: Polygon) -> Polygon:
     """Scale to the perimeter-2 representative on the sphere S(F)."""
     per = perimeter(p)
     if per == 0.0:
-        raise ZeroPolygon("the zero polygon has no normalized representative")
+        raise InputError("the zero polygon has no normalized representative")
     return Polygon(p.dim, p.edges * (2.0 / per))
 
 
@@ -129,7 +129,7 @@ def is_prodigal(p: Polygon) -> bool:
 def reflect(p: Polygon, axis: int = -1) -> Polygon:
     """Orthogonal reflection negating one coordinate (the last by default)."""
     if p.dim < 2:
-        raise DimensionOne("reflection is the identity on P(m,1); refusing")
+        raise InputError("reflection is the identity on P(m,1); refusing")
     edges = p.edges.copy()
     edges[:, axis] = -edges[:, axis]
     return Polygon(p.dim, edges)
@@ -182,7 +182,7 @@ def _split_sums(alpha: tuple[Fraction, ...]):
     """
     m = len(alpha)
     if m > MAX_BRUTE_FORCE_SIDES:
-        raise TooManySides(f"brute force limited to m <= {MAX_BRUTE_FORCE_SIDES}")
+        raise InputError(f"brute force limited to m <= {MAX_BRUTE_FORCE_SIDES}")
     den, ints = integer_scaled(alpha)
     h = (m + 1) // 2
 

@@ -7,11 +7,12 @@ certify which side of a wall a given length vector sits on.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyPolytope, InputError, NonGeneric
+from .errors import EmptyPolytope, Infeasible, InputError
 from .polygon import (MAX_BRUTE_FORCE_SIDES, exact_lengths, integer_scaled,
                       is_feasible_lengths, is_generic_lengths)
 
@@ -44,16 +45,14 @@ class RationalPolytope:
     rows: tuple[tuple[tuple[int, ...], int], ...]
     den: int
     generic: bool | None = None
-    _table: dict | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.variables)
 
+    @functools.cached_property
     def _incidence(self) -> dict:
         """{vertex: frozenset of indices of the rows tight at it}, sorted."""
-        if self._table is not None:
-            return self._table
         n = self.dim
         if n > 3:
             raise InputError("vertex enumeration limited to dimension <= 3")
@@ -80,21 +79,20 @@ class RationalPolytope:
             else:
                 vertex = tuple(Fraction(c, det * self.den) for c in num)
                 found[vertex] = frozenset(tight)
-        self._table = dict(sorted(found.items()))
-        return self._table
+        return dict(sorted(found.items()))
 
     def vertices(self) -> tuple:
-        return tuple(self._incidence())
+        return tuple(self._incidence)
 
     def _faces(self) -> list[frozenset]:
         """The set of vertices tight on each row with a nonzero normal."""
-        table = self._incidence()
+        table = self._incidence
         return [frozenset(v for v, tight in table.items() if k in tight)
                 for k, (a, _) in enumerate(self.rows) if any(a)]
 
     def is_full_dimensional(self) -> bool:
         """Nonempty, and no row with a nonzero normal is tight everywhere."""
-        table = self._incidence()
+        table = self._incidence
         return bool(table) and all(len(face) < len(table)
                                    for face in self._faces())
 
@@ -104,7 +102,7 @@ class RationalPolytope:
         For dim <= 3 a face with that many vertices is a facet, since
         extreme points are never collinear and an edge has two vertices.
         """
-        if not self._incidence():
+        if not self._incidence:
             raise EmptyPolytope("no vertices")
         return len({face for face in self._faces() if len(face) >= self.dim})
 
@@ -232,7 +230,7 @@ def classify_pentagon(alpha) -> dict:
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no polygon has these side lengths")
     if not is_generic_lengths(alpha):
-        raise NonGeneric("the side lengths lie on a wall")
+        raise Infeasible("the side lengths lie on a wall")
     total = sum(alpha)
     long_pairs = [{i, j} for i, j in itertools.combinations(range(5), 2)
                   if 2 * (alpha[i] + alpha[j]) > total]

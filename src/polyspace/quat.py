@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonUnitary
+from .errors import InputError
 
 _UNITARY_TOL = 1e-9
 
@@ -49,11 +49,11 @@ def check_unitary(P: np.ndarray) -> np.ndarray:
     """P, a 2x2 matrix or a (..., 2, 2) stack, if every member is unitary."""
     P = np.asarray(P, dtype=complex)
     if P.shape[-2:] != (2, 2):
-        raise NonUnitary(f"expected a 2x2 matrix, got shape {P.shape}")
+        raise InputError(f"expected a 2x2 matrix, got shape {P.shape}")
     defect = np.linalg.norm(P @ P.conj().swapaxes(-2, -1) - np.eye(2),
                             axis=(-2, -1))
     if not (defect <= _UNITARY_TOL).all():
-        raise NonUnitary(f"matrix is not unitary (defect {np.max(defect):.3e})")
+        raise InputError(f"matrix is not unitary (defect {np.max(defect):.3e})")
     return P
 
 

@@ -15,8 +15,8 @@ from itertools import accumulate
 import numpy as np
 
 from .bending import bend
-from .errors import (EmptyPolytope, InputError, NotInHypersimplex,
-                     PolyspaceError, TriangleViolation, ZeroDiagonal)
+from .errors import (EmptyPolytope, Infeasible, InputError, TriangleViolation,
+                     ZeroDiagonal)
 from .polygon import Polygon, exact_lengths, is_feasible_lengths
 from .polytope import _interval_pair, in_hypersimplex, triangle_slacks
 
@@ -40,8 +40,8 @@ class LDPoint:
             alpha = tuple(float(a) for a in self.alpha)
             delta = tuple(float(x) for x in self.delta)
         except OverflowError as exc:
-            raise PolyspaceError("a length or diagonal is beyond the float "
-                                 "range") from exc
+            raise InputError("a length or diagonal is beyond the float "
+                             "range") from exc
         m = len(alpha)
         if m < 3:
             raise InputError(f"a polygon needs at least 3 lengths, got {m}")
@@ -130,7 +130,7 @@ def section_sigma(alpha) -> Polygon:
     if m < 3:
         raise InputError(f"a polygon needs at least 3 lengths, got {m}")
     if not in_hypersimplex(alpha):
-        raise NotInHypersimplex("side lengths must lie in the hypersimplex")
+        raise Infeasible("side lengths must lie in the hypersimplex")
     beta = [Fraction(0)]
     for a in alpha:
         beta.append(beta[-1] + a)

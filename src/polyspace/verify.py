@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bending, frames, polytope, quat, reconstruct
-from .errors import RetryLimit
+from .errors import PolyspaceError
 from .polygon import (Polygon, diagonals, enumerate_lined,
                       is_feasible_lengths, normalize, perimeter, side_lengths)
 
@@ -146,7 +146,7 @@ def random_prodigal_polygon(rng, m: int) -> Polygon:
         d = diagonals(poly)[: m - 1]
         if d.min() > 0.15 * perimeter(poly) / m:
             return poly
-    raise RetryLimit(f"no prodigal {m}-gon in {MAX_DRAWS} draws")
+    raise PolyspaceError(f"no prodigal {m}-gon in {MAX_DRAWS} draws")
 
 
 def suite_bend(trials: int, seed: int) -> RunReport:
@@ -250,7 +250,7 @@ def random_quad_lengths(rng) -> tuple[Fraction, ...]:
         alpha = tuple(Fraction(int(n), den) for n in nums)
         if is_feasible_lengths(alpha):
             return alpha
-    raise RetryLimit(f"no closing quadrilateral in {MAX_DRAWS} draws")
+    raise PolyspaceError(f"no closing quadrilateral in {MAX_DRAWS} draws")
 
 
 def suite_dh(trials: int, seed: int) -> RunReport:
@@ -282,7 +282,7 @@ def random_rational_lengths(rng, m: int) -> tuple[Fraction, ...]:
         alpha = tuple(Fraction(2 * n, total) for n in nums)
         if is_feasible_lengths(alpha):
             return alpha
-    raise RetryLimit(f"no closing {m}-gon lengths in {MAX_DRAWS} draws")
+    raise PolyspaceError(f"no closing {m}-gon lengths in {MAX_DRAWS} draws")
 
 
 def suite_roundtrip(trials: int, seed: int) -> RunReport:

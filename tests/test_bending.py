@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from polyspace import bending, polygon as pg, quat
-from polyspace.errors import (InputError, LeftProdigalRegion, NotTangent,
-                             ZeroDiagonal)
+from polyspace.errors import InputError, ZeroDiagonal
 from polyspace.verify import (kahler_probe_terms, random_prodigal_polygon,
                               trial_rng)
 
@@ -94,6 +93,13 @@ def test_bend_range_refuses_an_improper_block(block):
         bending.bend_range(SQUARE, block, 0.5)
 
 
+@pytest.mark.parametrize("i", [0, 4])
+def test_bend_refuses_a_diagonal_index_outside_1_to_m_minus_1(i):
+    # bend_range's block check is the only one: (1, 0) and (1, m)
+    with pytest.raises(InputError, match="proper subset"):
+        bending.bend(SQUARE, i, 0.5)
+
+
 def test_commutation():
     rng = np.random.default_rng(11)
     p = random_prodigal_polygon(rng, 6)
@@ -110,7 +116,7 @@ def test_km_form():
     assert bending.km_form(x, u, v) == pytest.approx(1.0 / 2.0)
     assert bending.km_form(x, v, u) == pytest.approx(-1.0 / 2.0)
     assert bending.km_form(x, u, u) == 0.0
-    with pytest.raises(NotTangent):
+    with pytest.raises(InputError, match="not tangent"):
         bending.km_form(x, x, u)
 
 
@@ -155,21 +161,21 @@ def test_km_structures_on_rows_match_per_row_calls(rng):
 
 
 def test_tangency_guard_rejects_nan(rng):
-    with pytest.raises(NotTangent):
+    with pytest.raises(InputError, match="not tangent"):
         bending.km_form([1, 0, 0], [0, 1, 0], [0, math.nan, 0])
-    with pytest.raises(NotTangent):
+    with pytest.raises(InputError, match="not tangent"):
         bending.km_complex([math.nan, 0, 0], [0, 1, 0])
     x, u, v = _tangent_stack(rng, 5)
     u[3, 1] = math.nan
-    with pytest.raises(NotTangent):
+    with pytest.raises(InputError, match="not tangent"):
         bending.km_form(x, u, v)
     x[2, 0] = math.nan
-    with pytest.raises(NotTangent):
+    with pytest.raises(InputError, match="not tangent"):
         bending.km_metric(x, v, v)
     # a tangency defect on one row is refused too
     x, u, v = _tangent_stack(rng, 5)
     v[4] = x[4]
-    with pytest.raises(NotTangent):
+    with pytest.raises(InputError, match="not tangent"):
         bending.km_complex(x, v)
 
 
@@ -242,9 +248,9 @@ def test_flow_with_and_without_field_agree():
 def test_diagonal_field_zero_diagonal_raises():
     flat = pg.Polygon(3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
     X = bending.diagonal_field(2)
-    with pytest.raises(LeftProdigalRegion):
+    with pytest.raises(InputError, match="diagonal vanished"):
         X(flat.edges)
-    with pytest.raises(LeftProdigalRegion):
+    with pytest.raises(InputError, match="diagonal vanished"):
         bending.hamiltonian_flow(flat.edges, X, 0.1)
 
 
@@ -325,7 +331,7 @@ def test_flow_names_the_collapsing_member(rng):
     t = 0.5 * math.tau / bending.STEPS_PER_TURN
     push = np.zeros_like(w)
     push[1] = -w[1] / t
-    with pytest.raises(LeftProdigalRegion, match="collapsed") as err:
+    with pytest.raises(InputError, match="collapsed") as err:
         bending.hamiltonian_flow(w, lambda points: push, t)
     assert "member 1" in str(err.value)
     assert "member 0" not in str(err.value)
@@ -339,7 +345,7 @@ def test_single_flow_reports_leaving_the_region(rng, match):
     t = 0.5 * math.tau / bending.STEPS_PER_TURN
     push = (-p.edges / t if match == "collapsed"
             else np.full_like(p.edges, 1e308))
-    with pytest.raises(LeftProdigalRegion, match=match):
+    with pytest.raises(InputError, match=match):
         bending.hamiltonian_flow(p.edges, lambda points: push, t)
 
 
@@ -360,7 +366,7 @@ def _blows_up(member, after_steps):
 def test_error_names_only_the_failing_member(rng):
     p = random_prodigal_polygon(rng, 5)
     w = _batch([p, p])
-    with pytest.raises(LeftProdigalRegion, match="domain") as err:
+    with pytest.raises(InputError, match="domain") as err:
         bending.hamiltonian_flow(w, _blows_up(1, 100), (0.1, 1.0))
     assert "member 1" in str(err.value)
     assert "member 0" not in str(err.value)
@@ -369,7 +375,7 @@ def test_error_names_only_the_failing_member(rng):
 def test_batched_field_names_the_vanishing_member():
     flat = pg.Polygon(3, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
     X = bending.diagonal_field((1, 2))
-    with pytest.raises(LeftProdigalRegion, match="member 1: diagonal"):
+    with pytest.raises(InputError, match="member 1: diagonal"):
         X(np.stack([flat.edges, flat.edges]))
 
 

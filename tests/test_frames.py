@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from polyspace import frames, polygon as pg, quat
-from polyspace.errors import (DependentColumns, NotClosed, NotHermitian,
-                              NotNormalized, NonUnitary)
+from polyspace.errors import InputError
 from polyspace.frames import Frame
 
 
@@ -40,9 +39,9 @@ def test_orthonormalize_random(rng):
 
 
 def test_orthonormalize_dependent():
-    with pytest.raises(DependentColumns):
+    with pytest.raises(InputError, match="linearly dependent"):
         frames.frame_orthonormalize([1, 1j, 0], [2, 2j, 0])
-    with pytest.raises(DependentColumns):
+    with pytest.raises(InputError, match="first column"):
         frames.frame_orthonormalize([math.nan, 1, 0], [0, 1, 0])
 
 
@@ -105,9 +104,9 @@ def test_u2_preserves_lengths_and_gram(rng):
     g = frames.u2_act(f, P)
     assert np.abs(frames.moment_mu(g) - frames.moment_mu(f)).max() < 1e-11
     assert np.abs(frames.gram(g) - frames.gram(f)).max() < 1e-12
-    with pytest.raises(NonUnitary):
+    with pytest.raises(InputError, match="not unitary"):
         frames.u2_act(f, np.ones((2, 2)))
-    with pytest.raises(NonUnitary):
+    with pytest.raises(InputError, match="not unitary"):
         frames.u2_act(f, [[math.nan, 0], [0, 1]])
 
 
@@ -167,9 +166,9 @@ def test_eig2():
     assert frames.eig2(np.diag([1.0, 0.0])) == (0.0, 1.0)
     assert frames.eig2(np.array([[1.0, 1.0], [1.0, 1.0]])) == pytest.approx(
         (0.0, 2.0))
-    with pytest.raises(NotHermitian):
+    with pytest.raises(InputError, match="not hermitian"):
         frames.eig2(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NotHermitian):
+    with pytest.raises(InputError, match="not hermitian"):
         frames.eig2(np.array([[math.nan, 0.0], [0.0, 1.0]]))
 
 
@@ -222,13 +221,13 @@ def test_frame_from_polygon_round_trip(rng):
 
 def test_frame_from_polygon_validation():
     square = pg.Polygon(3, [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
-    with pytest.raises(NotNormalized):
+    with pytest.raises(InputError, match="perimeter is"):
         frames.frame_from_polygon(square)
     open_path = pg.Polygon(3, [[1, 0, 0], [0, 0.75, 0], [-0.25, 0, 0]])
-    with pytest.raises(NotClosed):
+    with pytest.raises(InputError, match="do not sum"):
         frames.frame_from_polygon(open_path)
     nan_edge = pg.Polygon(3, [[1, 0, 0], [math.nan, 0, 0], [-0.5, 0, 0]])
-    with pytest.raises((NotNormalized, NotClosed)):
+    with pytest.raises(InputError, match="perimeter is|do not sum"):
         frames.frame_from_polygon(nan_edge)
 
 

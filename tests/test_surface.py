@@ -5,7 +5,9 @@ Every public module-level function, class or constant in
 ``src/polyspace`` is read by another statement of the package, named by
 ``perfbench/`` (whose tracer names functions as strings), or named in
 backticks in README.md.  No module but ``__init__`` imports a name it
-never reads, and no module raises a bare ``ValueError``.
+never reads, and no module raises a bare ``ValueError``.  Every error
+class is an exit-code base, carries data of its own, is caught by name in
+the package or is named by ``perfbench/``.
 """
 
 import ast
@@ -104,3 +106,25 @@ def test_no_module_raises_a_bare_value_error():
             for node in ast.walk(tree)
             if isinstance(node, ast.Raise) and _raised(node) == "ValueError"]
     assert not bare, ", ".join(bare)
+
+
+def _caught(handler):
+    """The names an ``except`` clause catches, one or a tuple."""
+    types = handler.type
+    types = types.elts if isinstance(types, ast.Tuple) else [types]
+    return {t.id if isinstance(t, ast.Name) else t.attr for t in types
+            if isinstance(t, (ast.Name, ast.Attribute))}
+
+
+def test_every_error_class_has_a_reaction():
+    # a class nothing tells apart from its base is the base under another
+    # name: the CLI maps only InputError/PolyspaceError and Infeasible
+    kept = {"PolyspaceError", "InputError", "Infeasible"} | _perfbench_names()
+    kept |= {name for tree in MODULES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ExceptHandler) and node.type
+             for name in _caught(node)}
+    idle = [stmt.name for stmt in MODULES["errors"].body
+            if isinstance(stmt, ast.ClassDef) and stmt.name not in kept
+            and not any(isinstance(sub, ast.FunctionDef)
+                        and sub.name == "__init__" for sub in stmt.body)]
+    assert not idle, ", ".join(idle)
