@@ -188,9 +188,8 @@ def cmd_classify(args) -> int:
     if len(alpha) == 4:
         doc = pt.quad_interval(alpha)
         if not doc["generic"]:
-            sys.stderr.write("non-generic side lengths: interval "
-                             "boundaries meet\n")
-            return EXIT_INFEASIBLE
+            raise Infeasible("non-generic side lengths: interval "
+                             "boundaries meet")
     elif len(alpha) == 5:
         doc = pt.classify_pentagon(alpha)
     else:

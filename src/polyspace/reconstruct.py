@@ -17,10 +17,10 @@ import numpy as np
 from .bending import bend
 from .errors import (EmptyPolytope, Infeasible, InputError, TriangleViolation,
                      ZeroDiagonal)
-from .polygon import Polygon, exact_lengths, is_feasible_lengths
+from .polygon import (Polygon, exact_lengths, integer_scaled,
+                      is_feasible_lengths)
 from .polytope import _interval_pair, in_hypersimplex, triangle_slacks
 
-_SLACK_TOL = 1e-9
 _GRID = 720720
 
 
@@ -60,10 +60,21 @@ class LDPoint:
         return (0.0, self.alpha[0], *self.delta, self.alpha[-1], 0.0)
 
 
+def _tiny(alpha) -> float:
+    """Lengths below this are zero: 1e-12, scaled down with a perimeter
+    sum |alpha_i| below 1."""
+    return 1e-12 * min(1, sum(map(abs, alpha)))
+
+
 def _check_triangles(ld: LDPoint) -> None:
     """Raise on the first violated inequality, in step then A/B/C order."""
-    for i, name, slack in triangle_slacks(ld.alpha, ld.full_diagonals()[1:]):
-        if not slack >= -_SLACK_TOL:  # NaN fails too
+    d = ld.full_diagonals()
+    # a + b - c rounds in proportion to the terms d_i, d_{i+1}, alpha_i of
+    # its step: max(1e-9, 1e-12 (a + b + c)), scaled term by term, no inf
+    tol = [max(1e-9, 1e-12 * abs(d[i]) + 1e-12 * abs(d[i + 1])
+               + 1e-12 * abs(a)) for i, a in enumerate(ld.alpha)]
+    for i, name, slack in triangle_slacks(ld.alpha, d[1:]):
+        if not slack >= -tol[i]:  # NaN fails too
             raise TriangleViolation(i, name, slack)
 
 
@@ -81,12 +92,13 @@ def reconstruct(ld: LDPoint, k: int = 3) -> Polygon:
     if k not in (2, 3):
         raise InputError("k must be 2 or 3")
     _check_triangles(ld)
+    tiny = _tiny(ld.alpha)
     d = ld.full_diagonals()
     verts = [np.zeros(2), np.array([ld.alpha[0], 0.0])]
     for i in range(1, ld.m - 1):
         vi = verts[i]
         di, dj, a = d[i], d[i + 1], ld.alpha[i]
-        if di < 1e-12:
+        if di < tiny:
             # the first circle degenerates: any direction works
             verts.append(np.array([dj, 0.0]))
             continue
@@ -168,37 +180,33 @@ def section_sigma(alpha) -> Polygon:
     return Polygon(2, arr)
 
 
-def _frac_uniform(rng, lo: Fraction, hi: Fraction):
-    """Uniform rational in [lo, hi] with a fixed denominator grid."""
-    span = hi - lo
-    if span == 0:
-        return lo
-    k = int(rng.integers(0, _GRID + 1))
-    return lo + span * Fraction(k, _GRID)
-
-
 def sample_ld(alpha, rng) -> LDPoint:
-    """One exact rational interior-ish point of the diagonal slice."""
+    """One exact rational interior-ish point of the diagonal slice.
+
+    Each diagonal is an integer numerator d over den * scale: den scales
+    the lengths to integers and scale = _GRID**k after k draws.
+    """
     alpha = exact_lengths(alpha)
-    m = len(alpha)
-    # sums and maxima of the tails alpha[j:], each computed once
-    rests = list(accumulate(reversed(alpha)))[::-1]
-    tops = list(accumulate(reversed(alpha), max))[::-1]
-    d_prev = alpha[0]
-    delta = []
-    for i in range(1, m - 2):
-        a = alpha[i]
+    den, ints = integer_scaled(alpha)
+    # sums and maxima of the tails ints[j:], each computed once
+    rests = list(accumulate(reversed(ints)))[::-1]
+    tops = list(accumulate(reversed(ints), max))[::-1]
+    d, scale, delta = ints[0] if ints else 0, 1, []
+    for i in range(1, len(ints) - 2):
         # d_{i+1} closes a triangle with d_i and alpha_{i+1}, and a polygon
         # with the tail alpha_{i+2..m}: 2 max(d, tail) <= d + sum(tail)
-        rest = rests[i + 1]
-        tri_lo, tri_hi = _interval_pair(d_prev, a)
-        lo = max(tri_lo, 2 * tops[i + 1] - rest)
+        rest = rests[i + 1] * scale
+        tri_lo, tri_hi = _interval_pair(d, ints[i] * scale)
+        lo = max(tri_lo, 2 * tops[i + 1] * scale - rest)
         hi = min(tri_hi, rest)
         if lo > hi:
             raise EmptyPolytope("no diagonal data fits these lengths")
-        d_next = _frac_uniform(rng, lo, hi)
-        delta.append(d_next)
-        d_prev = d_next
+        d = lo
+        if lo < hi:
+            # lo + (hi - lo) * k / _GRID on the grid one level finer
+            d = lo * _GRID + (hi - lo) * int(rng.integers(0, _GRID + 1))
+            scale *= _GRID
+        delta.append(Fraction(d, den * scale))
     return LDPoint(alpha, tuple(delta))
 
 
@@ -213,6 +221,7 @@ def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no polygon has these side lengths")
     rng = np.random.default_rng(seed)
+    tiny = _tiny(alpha)
     out = []
     for _ in range(count):
         ld = sample_ld(alpha, rng)
@@ -225,13 +234,14 @@ def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:
         else:
             poly = reconstruct(ld, 2)
             signs = rng.integers(0, 2, size=max(m - 3, 0))
-            poly = _planar_flips(poly, signs)
+            poly = _planar_flips(poly, signs, tiny)
         out.append(poly)
     return out
 
 
-def _planar_flips(poly: Polygon, signs) -> Polygon:
-    """Reflect the leading block across each chosen diagonal, in the plane."""
+def _planar_flips(poly: Polygon, signs, tiny: float) -> Polygon:
+    """Reflect the leading block across each chosen diagonal, in the plane;
+    a diagonal shorter than ``tiny`` is no axis."""
     edges = poly.edges.copy()
     for offset, s in enumerate(signs):
         if not s:
@@ -239,7 +249,7 @@ def _planar_flips(poly: Polygon, signs) -> Polygon:
         i = offset + 2
         axis = edges[:i].sum(axis=0)
         norm = np.linalg.norm(axis)
-        if norm < 1e-12:
+        if norm < tiny:
             continue
         n = axis / norm
         refl = 2.0 * np.outer(n, n) - np.eye(2)

@@ -243,21 +243,11 @@ def suite_kahler(trials: int, seed: int) -> RunReport:
     return report
 
 
-def random_quad_lengths(rng) -> tuple[Fraction, ...]:
-    den = int(rng.integers(1, 12))
-    for _ in range(MAX_DRAWS):
-        nums = rng.integers(1, 40, size=4)
-        alpha = tuple(Fraction(int(n), den) for n in nums)
-        if is_feasible_lengths(alpha):
-            return alpha
-    raise PolyspaceError(f"no closing quadrilateral in {MAX_DRAWS} draws")
-
-
 def suite_dh(trials: int, seed: int) -> RunReport:
     report = RunReport("dh", trials)
     for k in range(trials):
         rng = trial_rng(seed, k)
-        alpha = random_quad_lengths(rng)
+        alpha = random_rational_lengths(rng, 4)
         len1, len2 = polytope.dh_interval_equality(alpha)
         report.record(f"dh[{k}]{alpha}", abs(len1 - len2), 0)
     return report

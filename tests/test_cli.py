@@ -209,8 +209,12 @@ def test_error_classes_map_to_exit_codes(monkeypatch, capsys, cls):
 
 
 def test_classify_non_generic_exits_3(capsys):
-    assert run(capsys, "classify", "--alpha", "4,2,4,2,4")[0] == 3
-    assert run(capsys, "classify", "--alpha", "1,2,3,4")[0] == 3
+    for alpha in ("4,2,4,2,4", "1,2,3,4"):
+        assert cli.main(["classify", "--alpha", alpha]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("infeasible: ")
+        assert captured.err.count("\n") == 1, captured.err
 
 
 def test_classify_wrong_m_exits_1(capsys):
@@ -237,6 +241,17 @@ def test_reconstruct_square(capsys):
 def test_reconstruct_violation_exits_3(capsys):
     code, _ = run(capsys, "reconstruct", "--alpha", "1,1,3", "--dim", "2")
     assert code == 3
+
+
+def test_reconstruct_mixed_scale_violation_exits_3(capsys):
+    # the tolerance follows the triangle, not the perimeter: a slack of
+    # -0.1 in the triangle (2.1, 1, 1) fails beside sides of 1e11
+    assert cli.main(["reconstruct", "--alpha", "100000000000,100000000000,1,1",
+                     "--diag", "2.1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "infeasible: triangle inequality 'B' violated at step 2 ")
 
 
 def test_reconstruct_with_angles(capsys):
@@ -369,6 +384,22 @@ def test_sample_csv_header_follows_dim(capsys, count, dim, header):
     assert lines[0] == header
     assert len(lines) == 1 + 4 * int(count)
     assert all(len(row.split(",")) == 2 + int(dim) for row in lines[1:])
+
+
+@pytest.mark.parametrize("alpha, dim", [
+    # slacks of about -8e-6 on lengths near 1e11 are rounding, not violations
+    ("100000000000/3,100000000000/7,1,1000000000021/21", "3"),
+    # every diagonal of a pentagon with sides 1e-13 is below 1e-12
+    (",".join(["1/10000000000000"] * 5), "2"),
+], ids=("large", "tiny"))
+def test_sample_at_large_and_tiny_scale(capsys, alpha, dim):
+    code, out = run(capsys, "sample", "--alpha", alpha, "--dim", dim,
+                    "--count", "3")
+    assert code == 0
+    target = [float(cli.as_fraction(a)) for a in alpha.split(",")]
+    for doc in json.loads(out):
+        sides = np.linalg.norm(doc["edges"], axis=1)
+        assert np.abs(sides / target - 1).max() < 1e-9
 
 
 def test_angles_with_dim_2_names_the_conflict(capsys):

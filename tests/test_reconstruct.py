@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction as F
-from unittest import mock
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -62,6 +62,10 @@ def test_violations_report_first_index():
     with pytest.raises(TriangleViolation) as err:
         rec.reconstruct(LDPoint((1, 5, 1, 1), (1.0,)), 2)
     assert (err.value.index, err.value.inequality) == (1, "A")
+    # a small triangle beside sides of 1e11 keeps a tolerance of its size
+    with pytest.raises(TriangleViolation) as err:
+        rec.reconstruct(LDPoint((1e11, 1e11, 1, 1), (2.1,)), 2)
+    assert (err.value.index, err.value.inequality) == (2, "B")
 
 
 def test_nan_diagonal_is_a_violation():
@@ -178,27 +182,90 @@ def test_quad_sampling_covers_interval():
     assert max(d2) > float(hi) - 1e-2
 
 
+def _frac_uniform(rng, lo, hi):
+    """Uniform rational in [lo, hi] with a fixed denominator grid."""
+    span = hi - lo
+    if span == 0:
+        return lo
+    k = int(rng.integers(0, rec._GRID + 1))
+    return lo + span * F(k, rec._GRID)
+
+
+def _sample_ld_oracle(alpha, rng):
+    """The exact diagonals of sample_ld, drawn in Fraction arithmetic.
+
+    This was sample_ld before it moved to integer numerators over one
+    denominator; it must give the same values and leave the same rng state.
+    """
+    alpha = pg.exact_lengths(alpha)
+    m = len(alpha)
+    rests = list(accumulate(reversed(alpha)))[::-1]
+    tops = list(accumulate(reversed(alpha), max))[::-1]
+    d_prev = alpha[0]
+    delta = []
+    for i in range(1, m - 2):
+        a = alpha[i]
+        rest = rests[i + 1]
+        tri_lo, tri_hi = pt._interval_pair(d_prev, a)
+        lo = max(tri_lo, 2 * tops[i + 1] - rest)
+        hi = min(tri_hi, rest)
+        if lo > hi:
+            raise EmptyPolytope("no diagonal data fits these lengths")
+        d_next = _frac_uniform(rng, lo, hi)
+        delta.append(d_next)
+        d_prev = d_next
+    return tuple(delta)
+
+
+def _assert_matches_oracle(alpha, seed, draws=1):
+    rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+    for _ in range(draws):
+        try:
+            drawn = _sample_ld_oracle(alpha, oracle_rng)
+        except EmptyPolytope:
+            with pytest.raises(EmptyPolytope):
+                rec.sample_ld(alpha, rng)
+        else:
+            assert rec.sample_ld(alpha, rng) == LDPoint(alpha, drawn)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("m", range(3, 25))
+def test_sample_ld_matches_fraction_oracle(m):
+    for seed in range(5):
+        rng = np.random.default_rng(100 * m + seed)
+        den = int(rng.integers(1, 10))
+        alpha = tuple(F(int(n), den) for n in rng.integers(1, 20, size=m))
+        _assert_matches_oracle(alpha, seed, draws=5)
+
+
+@pytest.mark.parametrize("alpha", [
+    (1, 1, 1, 3),           # the only diagonal is forced: no draw
+    (F(1, 3), F(1, 7), 1, F(11, 21)),
+    (1, 0, 1, 1, 1),        # a zero side forces d_2; d_3 is drawn
+    (1, 1, 1, 0, 1, 1),     # d_2 and d_3 drawn; a zero side forces d_4
+    (1, 1, 1, 5),           # infeasible at the first step
+    (1, 1, 10, 1, 1),
+])
+def test_sample_ld_matches_fraction_oracle_on_forced_and_empty_steps(alpha):
+    _assert_matches_oracle(alpha, seed=5, draws=3)
+
+
 @given(st.lists(st.integers(min_value=1, max_value=12), min_size=4,
                 max_size=9),
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_sample_ld_draws_inside_triangle_and_closing_ranges(nums, seed):
     alpha = tuple(F(n) for n in nums)
-    drawn = []
-    draw = rec._frac_uniform
-
-    def recording_draw(rng, lo, hi):
-        drawn.append(draw(rng, lo, hi))
-        return drawn[-1]
-
     rng = np.random.default_rng(seed)
-    with mock.patch.object(rec, "_frac_uniform", recording_draw):
-        if not pg.is_feasible_lengths(alpha):
-            # the first step already fails, before any draw
-            with pytest.raises(EmptyPolytope):
-                rec.sample_ld(alpha, rng)
-            assert drawn == []
-            return
-        ld = rec.sample_ld(alpha, rng)
+    state = rng.bit_generator.state
+    if not pg.is_feasible_lengths(alpha):
+        # the first step already fails, before any draw
+        with pytest.raises(EmptyPolytope):
+            rec.sample_ld(alpha, rng)
+        assert rng.bit_generator.state == state
+        return
+    drawn = _sample_ld_oracle(alpha, np.random.default_rng(seed))
+    ld = rec.sample_ld(alpha, rng)
     assert ld.delta == tuple(float(d) for d in drawn)
     d_prev = alpha[0]
     for i, d in enumerate(drawn, start=1):

@@ -331,7 +331,6 @@ class NeverAccepts:
 
 @pytest.mark.parametrize("draw", [
     lambda rng: verify.random_prodigal_polygon(rng, 5),
-    verify.random_quad_lengths,
     lambda rng: verify.random_rational_lengths(rng, 4),
 ])
 def test_rejection_samplers_stop_at_the_cap(draw):
