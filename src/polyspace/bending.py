@@ -16,19 +16,24 @@ from .errors import InputError, ZeroDiagonal
 from .polygon import Polygon, perimeter
 
 _TANGENT_TOL = 1e-9
+_CROSS_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 STEPS_PER_TURN = 2000
 
 
 def cross_matrix(n) -> np.ndarray:
-    """The matrix K with K @ v = n x v."""
-    x, y, z = n
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """The matrix K with K @ v = n x v, rowwise on the last axis of n."""
+    n = np.asarray(n, dtype=float)
+    K = np.zeros(n.shape[:-1] + (9,))
+    # rows (0, -z, y), (z, 0, -x), (-y, x, 0)
+    K[..., [1, 2, 3, 5, 6, 7]] = n[..., [2, 1, 2, 0, 1, 0]] * _CROSS_SIGNS
+    return K.reshape(n.shape[:-1] + (3, 3))
 
 
-def rodrigues(axis: np.ndarray, theta: float) -> np.ndarray:
-    """Rotation matrix about the unit vector ``axis`` by ``theta`` radians."""
+def rodrigues(axis, theta) -> np.ndarray:
+    """Rotation matrices about unit vectors ``axis`` by ``theta``, rowwise."""
     K = cross_matrix(axis)
-    return np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
+    theta = np.asarray(theta, dtype=float)[..., None, None]
+    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
 
 
 def bend_range(poly: Polygon, block: tuple[int, int],

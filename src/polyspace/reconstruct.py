@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bending import bend
+from .bending import rodrigues
 from .errors import (EmptyPolytope, Infeasible, InputError, TriangleViolation,
                      ZeroDiagonal)
 from .polygon import (Polygon, exact_lengths, integer_scaled,
@@ -78,9 +78,6 @@ def _check_triangles(ld: LDPoint) -> None:
             raise TriangleViolation(i, name, slack)
 
 
-# lengths near the float range overflow in the float geometry: the result
-# is then not finite, and the finiteness checks of the caller refuse it
-@np.errstate(over="ignore", invalid="ignore")
 def reconstruct(ld: LDPoint, k: int = 3) -> Polygon:
     """Place vertices in the plane matching the given lengths and diagonals.
 
@@ -92,28 +89,7 @@ def reconstruct(ld: LDPoint, k: int = 3) -> Polygon:
     if k not in (2, 3):
         raise InputError("k must be 2 or 3")
     _check_triangles(ld)
-    tiny = _tiny(ld.alpha)
-    d = ld.full_diagonals()
-    verts = [np.zeros(2), np.array([ld.alpha[0], 0.0])]
-    for i in range(1, ld.m - 1):
-        vi = verts[i]
-        di, dj, a = d[i], d[i + 1], ld.alpha[i]
-        if di < tiny:
-            # the first circle degenerates: any direction works
-            verts.append(np.array([dj, 0.0]))
-            continue
-        t = (di * di + dj * dj - a * a) / (2.0 * di)
-        h2 = dj * dj - t * t
-        h = math.sqrt(h2) if h2 > 0.0 else 0.0
-        n = vi / di
-        perp = np.array([-n[1], n[0]])
-        cand1 = t * n + h * perp
-        cand2 = t * n - h * perp
-        verts.append(cand1 if cand1[1] >= cand2[1] else cand2)
-    verts.append(np.zeros(2))
-    edges = np.diff(np.array(verts), axis=0)
-    poly = Polygon(2, edges)
-    return poly.embedded() if k == 3 else poly
+    return Polygon(k, _place([ld], k)[0])
 
 
 def fiber_sample(ld: LDPoint, angles) -> Polygon:
@@ -122,11 +98,73 @@ def fiber_sample(ld: LDPoint, angles) -> Polygon:
     if len(angles) != ld.m - 3:
         raise InputError(f"need {ld.m - 3} bending angles, one per free "
                          f"diagonal, for m = {ld.m}, got {len(angles)}")
-    poly = reconstruct(ld, 3)
-    for offset, theta in enumerate(angles):
-        if theta != 0.0:
-            poly = bend(poly, offset + 2, theta)
-    return poly
+    edges, fallen = _bend(reconstruct(ld, 3).edges[None], [angles])
+    if fallen[0]:
+        raise ZeroDiagonal(int(fallen[0]))
+    return Polygon(3, edges[0])
+
+
+# lengths near the float range overflow in the float geometry: the result
+# is then not finite, and the finiteness checks of the caller refuse it
+@np.errstate(all="ignore")
+def _place(lds, k: int) -> np.ndarray:
+    """``reconstruct``'s vertex loop on a stack of LDPoints of one m: their
+    edges as an (N, m, k) array, the third coordinate zero."""
+    alpha = np.array([ld.alpha for ld in lds]).T
+    d = np.array([ld.full_diagonals() for ld in lds]).T[..., None]
+    # rows are steps i, columns members; False where circle i degenerates
+    proper = ~(d < np.array([[_tiny(ld.alpha)] for ld in lds]))
+    # vertex i starts at (d_i, 0): vertices 0, 1 and m stay there, and so
+    # does one after a degenerate first circle, where any direction works
+    verts = np.concatenate([d, np.zeros(d.shape[:2] + (k - 1,))], axis=-1)
+    # steps i = 1..m-2: t along vertex i, and h times the quarter turn
+    dd = d * d
+    t = (dd[1:-2] + dd[2:-1] - alpha[1:-1, :, None] ** 2) / (2.0 * d[1:-2])
+    h2 = dd[2:-1] - t * t
+    h_turn = np.sqrt(np.where(h2 > 0.0, h2, 0.0)) * [-1.0, 1.0]
+    for i in range(1, len(alpha) - 1):
+        n = verts[i, :, :2] / d[i]
+        tn, hp = t[i - 1] * n, h_turn[i - 1] * n[:, ::-1]
+        cand1, cand2 = tn + hp, tn - hp
+        v = np.where(cand1[:, 1:] >= cand2[:, 1:], cand1, cand2)
+        np.copyto(verts[i + 1, :, :2], v, where=proper[i])
+    return np.ascontiguousarray((verts[1:] - verts[:-1]).transpose(1, 0, 2))
+
+
+@np.errstate(all="ignore")
+def _bend(edges: np.ndarray, angles):
+    """``fiber_sample``'s bends on a stack: edges (N, m, 3), angles (N, m-3).
+
+    A bend about d_i fixes each d_j, j >= i, so every axis is an unbent
+    d_i and edge r ends as R_{m-2} ... R_{max(r,2)} e_r, a suffix product.
+    A bend by 0 is skipped, its axis unchecked. Also returns per member
+    the first bent diagonal that vanishes, or 0: that member stays unbent.
+    """
+    m, angles = edges.shape[1], np.asarray(angles, dtype=float)
+    fallen = np.zeros(len(edges), dtype=int)
+    if m < 4:
+        return edges, fallen
+    axes = np.cumsum(edges, axis=1)[:, 1:m - 2]
+    norm = np.sqrt((axes * axes).sum(axis=-1))
+    per = np.sqrt((edges * edges).sum(axis=-1)).sum(axis=-1)[:, None]
+    bad = (angles != 0.0) & (~np.isfinite(norm) | (norm <= 1e-9 * per))
+    if bad.any():
+        fallen = np.where(bad.any(axis=1), bad.argmax(axis=1) + 2, 0)
+        for b in np.flatnonzero(fallen):  # the first member that fails decides
+            if not np.isfinite(norm[b, fallen[b] - 2]):
+                raise InputError(f"diagonal {(1, int(fallen[b]))} is beyond "
+                                 "the float range")
+        angles = np.where(fallen[:, None] > 0, 0.0, angles)
+    rot = rodrigues(np.where(angles[..., None] != 0.0, axes / norm[..., None],
+                             0.0), angles)
+    for j in range(m - 5, -1, -1):
+        rot[:, j] = rot[:, j + 1] @ rot[:, j]
+    out = edges.copy()
+    # edges 1 and 2 both turn by the whole product
+    head = np.concatenate([rot[:, :1], rot], axis=1)
+    out[:, :m - 2] = (head @ edges[:, :m - 2, :, None])[..., 0]
+    out[fallen > 0] = edges[fallen > 0]
+    return out, fallen
 
 
 def section_sigma(alpha) -> Polygon:
@@ -211,7 +249,8 @@ def sample_ld(alpha, rng) -> LDPoint:
 
 
 def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:
-    """Deterministic sample of polygons with the given side lengths."""
+    """Deterministic sample of polygons with the given side lengths; the
+    samples of a count are the first samples of any larger count."""
     if k not in (2, 3):
         raise InputError("k must be 2 or 3")
     alpha = exact_lengths(alpha)
@@ -220,33 +259,29 @@ def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:
         raise InputError(f"a polygon needs at least 3 lengths, got {m}")
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no polygon has these side lengths")
-    rng = np.random.default_rng(seed)
-    tiny = _tiny(alpha)
-    out = []
-    for _ in range(count):
-        ld = sample_ld(alpha, rng)
+    rng, tiny = np.random.default_rng(seed), _tiny(alpha)
+    lds, turns = [], []
+    try:
+        for _ in range(count):
+            ld = sample_ld(alpha, rng)
+            _check_triangles(ld)
+            lds.append(ld)
+            turns.append(rng.uniform(0.0, 2.0 * math.pi, size=m - 3)
+                         if k == 3 else rng.integers(0, 2, size=m - 3))
+    finally:
+        # built on an error too, so that an earlier sample's error wins
+        edges = _place(lds, k) if lds else np.zeros((0, m, k))
         if k == 3:
-            angles = rng.uniform(0.0, 2.0 * math.pi, size=max(m - 3, 0))
-            try:
-                poly = fiber_sample(ld, tuple(angles))
-            except ZeroDiagonal:
-                poly = reconstruct(ld, 3)
-        else:
-            poly = reconstruct(ld, 2)
-            signs = rng.integers(0, 2, size=max(m - 3, 0))
-            poly = _planar_flips(poly, signs, tiny)
-        out.append(poly)
-    return out
+            edges = _bend(edges, np.reshape(turns, (len(lds), m - 3)))[0]
+    if k == 3:
+        return [Polygon(3, e) for e in edges]
+    return [_planar_flips(e, s, tiny) for e, s in zip(edges, turns)]
 
 
-def _planar_flips(poly: Polygon, signs, tiny: float) -> Polygon:
-    """Reflect the leading block across each chosen diagonal, in the plane;
-    a diagonal shorter than ``tiny`` is no axis."""
-    edges = poly.edges.copy()
-    for offset, s in enumerate(signs):
-        if not s:
-            continue
-        i = offset + 2
+def _planar_flips(edges: np.ndarray, signs, tiny: float) -> Polygon:
+    """Reflect the leading block of ``edges`` across each chosen diagonal,
+    in place; a diagonal shorter than ``tiny`` is no axis."""
+    for i in np.flatnonzero(signs) + 2:
         axis = edges[:i].sum(axis=0)
         norm = np.linalg.norm(axis)
         if norm < tiny:

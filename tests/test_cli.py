@@ -93,7 +93,7 @@ def test_svg_bytes_are_pinned(tmp_path, capsys, argv, digest):
     ("sample --alpha 1,1,1,1,1 --count 2 --seed 3 --dim 2",
      "4c44eec30057d72478d1e107da561a0837d930cb9a900f775c24bf7ff842bb3e"),
     ("sample --alpha 1,1,1,1,1 --count 2 --seed 3 --dim 3",
-     "ba2fa44faff6aa083006e4b7b22ef4aa8dfc2b2bb65fd9e543aacfaded696146"),
+     "e5a91df1cad3432e737969b9e0de1347e05966f754c8f614654a190af933f92a"),
 ])
 def test_csv_bytes_are_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv.split(), "--format", "csv")
@@ -252,6 +252,23 @@ def test_reconstruct_mixed_scale_violation_exits_3(capsys):
     assert captured.out == ""
     assert captured.err.startswith(
         "infeasible: triangle inequality 'B' violated at step 2 ")
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ("sample --alpha 1e200,1e200,1e200,1e200 --dim 3 --count 2", 1,
+     "error: diagonal (1, 2) is beyond the float range"),
+    # the first sample's axis overflows; the second's diagonal overflows
+    # when drawn, after it: the first sample's error is the one reported
+    ("sample --alpha 1e308,1e308,1e308,1e308,1e308 --dim 3 --count 3 "
+     "--seed 1", 1, "error: diagonal (1, 2) is beyond the float range"),
+    ("reconstruct --alpha 1,1,1,1,1 --diag 1,0 --angles 0.5,0.7", 3,
+     "infeasible: diagonal 3 has zero length; no bending axis"),
+])
+def test_bend_axis_errors_are_pinned(capsys, argv, code, message):
+    assert cli.main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
 
 
 def test_reconstruct_with_angles(capsys):

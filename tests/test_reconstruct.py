@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polyspace import polygon as pg, polytope as pt, reconstruct as rec
-from polyspace.errors import EmptyPolytope, Infeasible, TriangleViolation
+from polyspace import (bending, polygon as pg, polytope as pt,
+                       reconstruct as rec)
+from polyspace.errors import (EmptyPolytope, Infeasible, TriangleViolation,
+                              ZeroDiagonal)
 from polyspace.reconstruct import LDPoint
 
 
@@ -272,3 +274,157 @@ def test_sample_ld_draws_inside_triangle_and_closing_ranges(nums, seed):
         assert abs(d_prev - alpha[i]) <= d <= d_prev + alpha[i]
         assert pg.is_feasible_lengths((d,) + alpha[i + 1:])
         d_prev = d
+
+
+# Test-only oracles: reconstruct's vertex loop one vertex at a time,
+# fiber_sample's chain of bend calls (each axis taken from the polygon bent
+# so far) and sample_moduli one sample at a time, as they were before the
+# sampler became one stack.
+def _reconstruct_oracle(ld, k):
+    rec._check_triangles(ld)
+    tiny = rec._tiny(ld.alpha)
+    d = ld.full_diagonals()
+    verts = [np.zeros(2), np.array([ld.alpha[0], 0.0])]
+    for i in range(1, ld.m - 1):
+        vi = verts[i]
+        di, dj, a = d[i], d[i + 1], ld.alpha[i]
+        if di < tiny:
+            verts.append(np.array([dj, 0.0]))
+            continue
+        t = (di * di + dj * dj - a * a) / (2.0 * di)
+        h2 = dj * dj - t * t
+        h = math.sqrt(h2) if h2 > 0.0 else 0.0
+        n = vi / di
+        perp = np.array([-n[1], n[0]])
+        cand1 = t * n + h * perp
+        cand2 = t * n - h * perp
+        verts.append(cand1 if cand1[1] >= cand2[1] else cand2)
+    verts.append(np.zeros(2))
+    poly = pg.Polygon(2, np.diff(np.array(verts), axis=0))
+    return poly.embedded() if k == 3 else poly
+
+
+def _fiber_oracle(ld, angles):
+    poly = _reconstruct_oracle(ld, 3)
+    for offset, theta in enumerate(angles):
+        if theta != 0.0:
+            poly = bending.bend(poly, offset + 2, theta)
+    return poly
+
+
+def _planar_flips_oracle(poly, signs, tiny):
+    edges = poly.edges.copy()
+    for offset, s in enumerate(signs):
+        if not s:
+            continue
+        i = offset + 2
+        axis = edges[:i].sum(axis=0)
+        norm = np.linalg.norm(axis)
+        if norm < tiny:
+            continue
+        n = axis / norm
+        refl = 2.0 * np.outer(n, n) - np.eye(2)
+        edges[:i] = edges[:i] @ refl.T
+    return pg.Polygon(2, edges)
+
+
+def _sample_moduli_oracle(alpha, k, count, seed):
+    alpha = pg.exact_lengths(alpha)
+    m = len(alpha)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        ld = rec.sample_ld(alpha, rng)
+        if k == 3:
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=m - 3)
+            try:
+                poly = _fiber_oracle(ld, tuple(angles))
+            except ZeroDiagonal:
+                poly = _reconstruct_oracle(ld, 3)
+        else:
+            poly = _reconstruct_oracle(ld, 2)
+            poly = _planar_flips_oracle(poly, rng.integers(0, 2, size=m - 3),
+                                        rec._tiny(alpha))
+        out.append(poly)
+    return out
+
+
+def _seeded_lengths(m, seed):
+    """Feasible rational lengths drawn from the seed, some with zero sides."""
+    rng = np.random.default_rng(1000 * m + seed)
+    while True:
+        nums = rng.integers(0 if seed % 5 == 0 else 1, 30, size=m)
+        alpha = tuple(F(int(n), int(rng.integers(1, 8))) for n in nums)
+        if pg.is_feasible_lengths(alpha) and any(alpha):
+            return alpha
+
+
+def _assert_close(poly, oracle):
+    """Within 1e-13 of the perimeter: the stack rounds in another order."""
+    scale = 1e-13 * pg.perimeter(oracle)
+    assert np.abs(poly.edges - oracle.edges).max() <= scale
+
+
+def _bent_or_zero_axis(fiber, ld, angles):
+    """The bent polygon, or the index of the diagonal that vanished."""
+    try:
+        return fiber(ld, angles)
+    except ZeroDiagonal as exc:
+        return exc.index
+
+
+@pytest.mark.parametrize("m", range(4, 25))
+def test_stacked_sampler_matches_per_sample_oracle(m):
+    for seed in range(50):
+        alpha = _seeded_lengths(m, seed)
+        ld = rec.sample_ld(alpha, np.random.default_rng(seed))
+        for k in (2, 3):
+            assert np.array_equal(rec.reconstruct(ld, k).edges,
+                                  _reconstruct_oracle(ld, k).edges)
+        angles = np.random.default_rng(seed).uniform(-7.0, 7.0, size=m - 3)
+        angles[seed % (m - 3)] = 0.0  # a bend by 0 is skipped
+        got, want = (_bent_or_zero_axis(f, ld, angles)
+                     for f in (rec.fiber_sample, _fiber_oracle))
+        if isinstance(want, int):
+            assert got == want
+        else:
+            _assert_close(got, want)
+        flat = rec.sample_moduli(alpha, 2, 2, seed)
+        for p, q in zip(flat, _sample_moduli_oracle(alpha, 2, 2, seed)):
+            assert np.array_equal(p.edges, q.edges)
+        spatial = rec.sample_moduli(alpha, 3, 2, seed)
+        oracle = _sample_moduli_oracle(alpha, 3, 2, seed)
+        assert len(spatial) == len(oracle) == 2
+        for p, q in zip(spatial, oracle):
+            _assert_close(p, q)
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_a_sample_does_not_depend_on_the_count(k):
+    for m in range(4, 25, 2):
+        for seed in range(8):
+            alpha = _seeded_lengths(m, seed)
+            few = rec.sample_moduli(alpha, k, 2, seed)
+            many = rec.sample_moduli(alpha, k, 6, seed)
+            for p, q in zip(few, many[:2]):
+                assert np.array_equal(p.edges, q.edges)
+
+
+def test_a_vanishing_axis_unbends_only_its_member():
+    alpha = (1, 1, 1, 1, 1)
+    lds = [LDPoint(alpha, (1.2, 1.2)), LDPoint(alpha, (1.0, 0.0)),
+           LDPoint(alpha, (1.0, 0.0)), LDPoint(alpha, (1.3, 1.1))]
+    # d_3 of the second member vanishes; the third one bends by 0 about it,
+    # so that axis is not checked
+    angles = [(0.5, 0.7), (0.5, 0.7), (0.5, 0.0), (0.9, -0.4)]
+    edges, fallen = rec._bend(rec._place(lds, 3), angles)
+    assert fallen.tolist() == [0, 3, 0, 0]
+    assert np.array_equal(edges[1], rec.reconstruct(lds[1], 3).edges)
+    for b in (0, 2, 3):
+        _assert_close(pg.Polygon(3, edges[b]), _fiber_oracle(lds[b], angles[b]))
+    with pytest.raises(ZeroDiagonal) as err:
+        rec.fiber_sample(lds[1], angles[1])
+    assert err.value.index == 3
+    with pytest.raises(ZeroDiagonal) as err:
+        _fiber_oracle(lds[1], angles[1])
+    assert err.value.index == 3
