@@ -35,10 +35,10 @@ class RationalPolytope:
     ``rows`` holds integer (normal, offset) pairs over one shared
     denominator ``den``: x lies in the polytope when normal . x <=
     offset / den for every row.  For dim <= 3 the vertices come from one
-    incidence table, built once: each dim-subset of the rows is solved by
-    Cramer's rule, and a solution that satisfies every row becomes a
-    vertex, mapped to the indices of the rows tight at it.  The vertices,
-    full-dimensionality and the facets are all read from that table.
+    incidence table, built once: each dim-subset of the distinct normals,
+    at their tightest offsets, is solved by Cramer's rule, and a solution
+    that satisfies every row becomes a vertex, mapped to the rows tight at
+    it.  The vertices, full-dimensionality and facets are read from it.
     """
 
     variables: tuple[str, ...]
@@ -57,8 +57,12 @@ class RationalPolytope:
         if n > 3:
             raise InputError("vertex enumeration limited to dimension <= 3")
         rows = self.rows
+        # a vertex on a row also lies on the tightest row of its normal
+        tightest = {}
+        for a, b in rows:
+            tightest[a] = min(b, tightest.get(a, b))
         found = {}
-        for combo in itertools.combinations(rows, n):
+        for combo in itertools.combinations(tightest.items(), n):
             det = _det([a for a, _ in combo])
             if det == 0:
                 continue
@@ -129,8 +133,9 @@ def in_hypersimplex(alpha) -> bool:
     return all(0 <= a <= 1 for a in alpha) and sum(alpha) == 2
 
 
-# The triangle inequalities at step i, as signs on (d_i, d_{i+1}, l_{i+1}):
-# the two terms signed +1 sum to at least the term signed -1.
+# The triangle inequalities of a triangle, as signs on its three terms (in
+# the fan at step i: d_i, d_{i+1}, l_{i+1}): the two terms signed +1 sum to
+# at least the term signed -1.
 #   A: l_{i+1} <= d_i + d_{i+1}
 #   B: d_i <= d_{i+1} + l_{i+1}
 #   C: d_{i+1} <= d_i + l_{i+1}
@@ -158,6 +163,28 @@ def triangle_slacks(alpha, diag):
     return tuple(out)
 
 
+def _tree_polytope(triangles, names, den, generic) -> RationalPolytope:
+    """Rows of the triangle inequalities of a triangulation's triangles.
+
+    Terms follow TRIANGLE_SIGNS: a free coordinate (int) or a fixed integer
+    length over ``den`` (1-tuple); rows with no free coordinate are dropped.
+    """
+    rows = []
+    for terms in triangles:
+        for _, signs in TRIANGLE_SIGNS:
+            # sum of s * term >= 0 as normal . x <= offset / den
+            normal = [0] * len(names)
+            offset = 0
+            for s, t in zip(signs, terms):
+                if isinstance(t, int):
+                    normal[t] -= s
+                else:
+                    offset += s * t[0]
+            if any(normal):
+                rows.append((tuple(normal), offset))
+    return RationalPolytope(names, tuple(rows), den, generic=generic)
+
+
 def diag_slice(alpha) -> RationalPolytope:
     """Feasible region of the free diagonals d_2..d_{m-2} at fixed lengths.
 
@@ -173,29 +200,14 @@ def diag_slice(alpha) -> RationalPolytope:
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no polygon has these side lengths")
     den, ints = integer_scaled(alpha)
-    n = m - 3
-    # d_0 = d_m = 0, d_1 = alpha_1 and d_{m-1} = alpha_m are substituted;
-    # d_2..d_{m-2} are the free coordinates 0..n-1.
-    fixed = {0: 0, 1: ints[0], m - 1: ints[m - 1], m: 0}
-    rows = []
-    for i in range(m):
-        for _, (s_i, s_j, s_a) in TRIANGLE_SIGNS:
-            # s_i d_i + s_j d_{i+1} + s_a l_{i+1} >= 0 as
-            # normal . x <= offset / den
-            normal = [0] * n
-            offset = s_a * ints[i]
-            for j, s in ((i, s_i), (i + 1, s_j)):
-                if j in fixed:
-                    offset += s * fixed[j]
-                else:
-                    normal[j - 2] = -s
-            # rows without a free coordinate follow from the closing condition
-            if any(normal):
-                rows.append((tuple(normal), offset))
+    # the fan (d_i, d_{i+1}, alpha_{i+1}) with d_0 = d_m = 0, d_1 = alpha_1
+    # and d_{m-1} = alpha_m; d_2..d_{m-2} are the free coordinates
+    d = [(0,), (ints[0],), *range(m - 3), (ints[-1],), (0,)]
+    triangles = [(d[i], d[i + 1], (ints[i],)) for i in range(m)]
     names = tuple(f"d{k}" for k in range(2, m - 1))
     generic = (is_generic_lengths(alpha) if m <= MAX_BRUTE_FORCE_SIDES
                else None)
-    return RationalPolytope(names, tuple(rows), den, generic=generic)
+    return _tree_polytope(triangles, names, den, generic)
 
 
 def _interval_pair(a, b) -> tuple[Fraction, Fraction]:
@@ -282,39 +294,24 @@ def dh_interval_equality(alpha) -> tuple[Fraction, Fraction]:
 
 
 def even_step_polytope(alpha) -> RationalPolytope:
-    """Feasible even-step side lengths: a box cut by the simplex cone.
+    """Feasible even-step side lengths x_k: the pairing tree.
 
-    For odd m the last coordinate is pinned to alpha_m and substituted;
-    for m = 4 the cone degenerates to an equality and the result is the
-    one-dimensional diagonal interval.
+    Its triangles are (alpha_{2k-1}, alpha_{2k}, x_k), closed by
+    (x1, x2, x3) for m = 6 or (x1, x2, alpha_5) for m = 5; for m = 4 both
+    pairs close on x1, the diagonal.
     """
     alpha = exact_lengths(alpha)
     m = len(alpha)
     if not 4 <= m <= 6:
         raise InputError(f"the even-step system needs 4 to 6 lengths, got {m}")
-    den, ints = integer_scaled(alpha)
-    if m == 4:
-        # the cone forces x1 = x2; the polytope is the diagonal interval
-        lo, hi = _quad_meet(ints)[2]
-        return RationalPolytope(("x1",), (((-1,), -lo), ((1,), hi)), den,
-                                generic=is_generic_lengths(alpha))
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no polygon has these even-step lengths")
-    n, free = (m + 1) // 2, m // 2
-    rows = []
-    # the box: each free x_i lies in the interval of alpha_2i-1, alpha_2i
-    for i in range(free):
-        lo, hi = _interval_pair(ints[2 * i], ints[2 * i + 1])
-        axis = tuple(int(j == i) for j in range(free))
-        rows += [(tuple(-c for c in axis), -lo), (axis, hi)]
-    # the cone: x_i <= sum of the others and x_i >= 0, in n variables
-    for i in range(n):
-        for normal in ([1 if j == i else -1 for j in range(n)],
-                       [-int(j == i) for j in range(n)]):
-            # for odd m, x_n = alpha_m moves to the offset
-            offset = -normal.pop() * ints[-1] if free < n else 0
-            if any(normal):
-                rows.append((tuple(normal), offset))
-    names = tuple(f"x{i+1}" for i in range(free))
-    return RationalPolytope(names, tuple(rows), den,
-                            generic=is_generic_lengths(alpha))
+    den, ints = integer_scaled(alpha)
+    free = 1 if m == 4 else m // 2
+    # (alpha_{2k-1}, alpha_{2k}, x_k); at m = 4 both pairs take x1
+    triangles = [((ints[2 * k],), (ints[2 * k + 1],), k % free)
+                 for k in range(m // 2)]
+    if m > 4:
+        triangles.append((0, 1, 2 if m == 6 else (ints[4],)))
+    names = tuple(f"x{k + 1}" for k in range(free))
+    return _tree_polytope(triangles, names, den, is_generic_lengths(alpha))

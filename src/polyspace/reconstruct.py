@@ -48,6 +48,8 @@ class LDPoint:
         if len(delta) != m - 3:
             raise InputError(f"need {m - 3} free diagonals for m = {m}, "
                              f"got {len(delta)}")
+        if sum(alpha) == 0:
+            raise InputError("the side lengths sum to 0")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "delta", delta)
 

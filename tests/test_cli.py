@@ -30,6 +30,7 @@ def run_input_error(capsys, *argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1, captured.err
+    return captured.err
 
 
 def test_polytope_json(capsys):
@@ -97,6 +98,20 @@ def test_svg_bytes_are_pinned(tmp_path, capsys, argv, digest):
 ])
 def test_csv_bytes_are_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv.split(), "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ("polytope --alpha 2,1,5,1,2",
+     "2aabb28b5f4cb04efd15a9d0cc8919ea89f9c3c9b1ae7766c1e567d6074a9e7a"),
+    # the pairing tree: the triangle rows of (a1, a2, x1), (a3, a4, x2)
+    # and (x1, x2, a5)
+    ("polytope --alpha 2,1,5,1,2 --system even",
+     "1c74b6569bd801fe909672159920a84be7cdabbcf32da1e7a85e3f7d476e0852"),
+])
+def test_json_bytes_are_pinned(capsys, argv, digest):
+    code, out = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -545,6 +560,10 @@ def test_overflowing_polygon_exits_1(capsys):
     "reconstruct --alpha 1,1,1,1,1 --diag 1",
     "sample --alpha 1,1,1 --count 1 --seed -1",
     "reconstruct --alpha 1,1,1,1 --diag 1 --dim 2 --angles 0.5",
+    "sample --alpha 0,0,0,0 --dim 2",
+    "sample --alpha 0,0,0,0 --dim 3",
+    "reconstruct --alpha 0,0,0,0 --diag 0",
+    "reconstruct --alpha 0,0,0,0 --diag 0 --angles 0.5",
 ])
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, argv):
     assert run(capsys, "reconstruct", "--alpha", "1,1,1,1,1", "--diag",
@@ -552,7 +571,9 @@ def test_bad_input_exits_1_without_traceback(tmp_path, capsys, argv):
     # an integer edge too large for a float
     (tmp_path / "huge.json").write_text(
         '{"dim": 3, "edges": [[1%s, 0, 0], [-1, 0, 0]]}' % ("0" * 400))
-    run_input_error(capsys, *argv.format(tmp=tmp_path).split())
+    err = run_input_error(capsys, *argv.format(tmp=tmp_path).split())
+    if "0,0,0,0" in argv:
+        assert err == "error: the side lengths sum to 0\n"
 
 
 def test_bend_refuses_non_finite_angle_by_name(tmp_path, capsys):
