@@ -1,13 +1,13 @@
 """Orthonormal 2-frames in C^m and their correspondence with polygons.
 
-Rows of a frame map to polygon edges through the Hopf map; the torus of
-row phases is the fiber, and the truncated Gram matrices recover the
-length/diagonal coordinates through their eigenvalues.
+A frame is the row pair (a, b) of ``quat``: row r maps to edge r through
+the Hopf map.  The torus of row phases is the fiber, and the truncated Gram
+matrices recover the length/diagonal coordinates through their eigenvalues.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,30 +18,18 @@ from .polygon import Polygon, closure_defect, perimeter
 _HERMITIAN_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Frame:
-    """A pair (a, b) of orthonormal vectors in C^m."""
+class Frame(NamedTuple):
+    """Orthonormal vectors a, b in C^m, or a (..., m) stack of such pairs."""
 
-    a: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
-        if a.ndim != 1 or a.shape != b.shape:
-            raise InputError("a and b must be complex vectors of equal length")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
+    a: np.ndarray
+    b: np.ndarray
 
 
 def frame_orthonormalize(a, b) -> Frame:
     """Gram-Schmidt onto the Stiefel manifold, preserving the span of (a, b)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = (np.asarray(w, dtype=complex) for w in (a, b))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise InputError("a and b must be complex vectors of equal length")
     na = np.linalg.norm(a)
     if not na >= 1e-12:
         raise InputError("first column is (numerically) zero")
@@ -55,7 +43,7 @@ def frame_orthonormalize(a, b) -> Frame:
 
 def frame_to_polygon(f: Frame) -> Polygon:
     """Rowwise Hopf map; closure comes from orthogonality of the columns."""
-    return Polygon(3, quat.hopf_complex(f.a, f.b))
+    return Polygon(3, quat.hopf_complex(*f))
 
 
 def torus_act(f: Frame, theta) -> Frame:
@@ -68,7 +56,7 @@ def torus_act(f: Frame, theta) -> Frame:
 
 def u2_act(f: Frame, P) -> Frame:
     """Right action (a, b) -> (a, b) P; conjugates every edge of the polygon."""
-    return Frame(*quat.act_right((f.a, f.b), P))
+    return Frame(*quat.act_right(f, P))
 
 
 def conjugate_frame(f: Frame) -> Frame:
@@ -78,13 +66,13 @@ def conjugate_frame(f: Frame) -> Frame:
 
 def gram(f: Frame) -> np.ndarray:
     """The m x m matrix (a, b)(a, b)*, a rank-2 hermitian projector."""
-    mat = np.column_stack([f.a, f.b])
+    mat = np.column_stack(f)
     return mat @ mat.conj().T
 
 
 def u2_moment(f: Frame) -> np.ndarray:
     """(a, b)*(a, b) - I; vanishes exactly on valid frames."""
-    mat = np.column_stack([f.a, f.b])
+    mat = np.column_stack(f)
     return mat.conj().T @ mat - np.eye(2)
 
 
@@ -94,20 +82,20 @@ def moment_mu(f: Frame) -> np.ndarray:
 
 
 def _gram_stack(f: Frame) -> np.ndarray:
-    """The m truncated Gram matrices; entry i - 1 sums rows 1..i."""
-    ab = np.cumsum(f.a.conj() * f.b)
-    h = np.empty((f.m, 2, 2), dtype=complex)
-    h[:, 0, 0] = np.cumsum(abs(f.a) ** 2)
-    h[:, 1, 1] = np.cumsum(abs(f.b) ** 2)
-    h[:, 0, 1] = ab
-    h[:, 1, 0] = ab.conj()
+    """The (..., m) truncated Gram matrices; entry i - 1 sums rows 1..i."""
+    ab = np.cumsum(f.a.conj() * f.b, axis=-1)
+    h = np.empty(f.a.shape + (2, 2), dtype=complex)
+    h[..., 0, 0] = np.cumsum(abs(f.a) ** 2, axis=-1)
+    h[..., 1, 1] = np.cumsum(abs(f.b) ** 2, axis=-1)
+    h[..., 0, 1] = ab
+    h[..., 1, 0] = ab.conj()
     return h
 
 
 def truncated_gram2(f: Frame, i: int) -> np.ndarray:
     """Sum over the first i rows of the rank-1 matrices row* row."""
-    if not 1 <= i <= f.m:
-        raise InputError(f"truncation index must be in 1..{f.m}")
+    if not 1 <= i <= len(f.a):
+        raise InputError(f"truncation index must be in 1..{len(f.a)}")
     return _gram_stack(f)[i - 1]
 
 
@@ -125,20 +113,20 @@ def eig2(h):
     return half_tr - radius, half_tr + radius
 
 
-@dataclass(frozen=True)
-class GCPattern:
+class GCPattern(NamedTuple):
     """Eigenvalue data of all truncated matrices: per row their sum and gap."""
 
     sums: np.ndarray
     diffs: np.ndarray
 
-    def interlacing_slack(self) -> float:
-        """Smallest slack of lo_i <= lo_{i+1} <= hi_i <= hi_{i+1}."""
-        lo = (self.sums - self.diffs) / 2.0
-        hi = (self.sums + self.diffs) / 2.0
-        slacks = np.concatenate([lo[1:] - lo[:-1], hi[:-1] - lo[1:],
-                                 hi[1:] - hi[:-1]])
-        return float(slacks.min())
+
+def interlacing_slack(pattern: GCPattern):
+    """Least slack of lo_i <= lo_{i+1} <= hi_i <= hi_{i+1}, per member."""
+    lo = (pattern.sums - pattern.diffs) / 2.0
+    hi = (pattern.sums + pattern.diffs) / 2.0
+    slacks = np.concatenate([np.diff(lo), hi[..., :-1] - lo[..., 1:],
+                             np.diff(hi)], axis=-1)
+    return slacks.min(axis=-1)
 
 
 def gc_pattern(f: Frame) -> GCPattern:

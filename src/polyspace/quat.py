@@ -20,12 +20,14 @@ def hopf_complex(u, v) -> np.ndarray:
 
     Expanding conj(q) i q gives i [(|u|^2 - |v|^2) + 2 conj(u) v j], whose
     (i, j, k) coordinates are (|u|^2 - |v|^2, -Im(2 conj(u) v), Re(2 conj(u) v)).
-    u and v are complex numbers or 1-d arrays, giving one row per entry
-    with the coordinates on the last axis.  ``conjugate`` and ``abs``
-    serve both and skip numpy's per-call overhead on a single row.
+    u and v are complex numbers or stacks of shape (...), giving a
+    (..., 3) stack with the coordinates on the last axis.  ``conjugate``
+    and ``abs`` serve both and skip numpy's per-call overhead on a single
+    row.
     """
     c = 2.0 * u.conjugate() * v
-    return np.array([abs(u) ** 2 - abs(v) ** 2, -c.imag, c.real]).T
+    x = np.array([abs(u) ** 2 - abs(v) ** 2, -c.imag, c.real])
+    return x.transpose(*range(1, x.ndim), 0)   # cheaper than np.moveaxis
 
 
 def hopf_differential(u, v, a, b) -> np.ndarray:
@@ -33,11 +35,13 @@ def hopf_differential(u, v, a, b) -> np.ndarray:
 
     With c = 2 conj(u) v the derivative is (2 Re(conj(u) a - conj(v) b),
     -Im dc, Re dc) with dc = 2 (conj(a) v + conj(u) b).  Rowwise like
-    ``hopf_complex``: complex numbers or 1-d arrays of one entry per row.
+    ``hopf_complex``: complex numbers or stacks of shape (...) of one
+    entry per row, giving (..., 3).
     """
     dc = 2.0 * (a.conjugate() * v + u.conjugate() * b)
-    return np.array([2.0 * (u.conjugate() * a - v.conjugate() * b).real,
-                     -dc.imag, dc.real]).T
+    x = np.array([2.0 * (u.conjugate() * a - v.conjugate() * b).real,
+                  -dc.imag, dc.real])
+    return x.transpose(*range(1, x.ndim), 0)
 
 
 # perfbench/tracer.py names quat.hopf, quat.hopf_complex and
@@ -89,7 +93,7 @@ def conjugate_vector(P: np.ndarray, x) -> np.ndarray:
 def hopf_section(x):
     """Deterministic right inverse of the Hopf map, rowwise on the last axis.
 
-    x of shape (3,) or (m, 3) gives (u, v) of shape () or (m,) with
+    x of shape (3,) or (m, 3) gives complex (u, v) of shape () or (m,):
     u = sqrt((r + x1)/2) and v = (x3 - i x2)/sqrt(2 (r + x1)), r = |x|.
     For x1 < 0, r + x1 cancels; it equals (x2^2 + x3^2)/(r - x1), which
     does not.  Within 1e-9 of the negative i-axis in direction, and at
@@ -105,4 +109,4 @@ def hopf_section(x):
         t = np.where(x1 < 0.0, (x2 * x2 + x3 * x3) / (r - x1), r + x1)
         u = np.sqrt(t / 2.0)
         v = (x3 - 1j * x2) / np.sqrt(2.0 * t)
-    return np.where(axis, 0.0, u), np.where(axis, np.sqrt(r), v)
+    return np.where(axis, 0j, u), np.where(axis, np.sqrt(r), v)

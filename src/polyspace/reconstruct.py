@@ -50,6 +50,8 @@ class LDPoint:
                              f"got {len(delta)}")
         if sum(alpha) == 0:
             raise InputError("the side lengths sum to 0")
+        if abs(sum(alpha)) < 1e-150:   # their squares would underflow
+            raise InputError("the side lengths sum to less than 1e-150")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "delta", delta)
 

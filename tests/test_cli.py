@@ -564,6 +564,11 @@ def test_overflowing_polygon_exits_1(capsys):
     "sample --alpha 0,0,0,0 --dim 3",
     "reconstruct --alpha 0,0,0,0 --diag 0",
     "reconstruct --alpha 0,0,0,0 --diag 0 --angles 0.5",
+    # lengths so small that their squares underflow
+    "sample --alpha 1e-170,1e-170,1e-170,1e-170,1e-170",
+    "sample --alpha 1e-160,1e-160,1e-160,1e-160,1e-160 --dim 2",
+    "sample --alpha 1e-320,1e-320,1e-320,1e-320 --dim 2 --count 2",
+    "reconstruct --alpha 1e-320,1e-320,1e-320,1e-320 --diag 1e-320",
 ])
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, argv):
     assert run(capsys, "reconstruct", "--alpha", "1,1,1,1,1", "--diag",
@@ -574,6 +579,26 @@ def test_bad_input_exits_1_without_traceback(tmp_path, capsys, argv):
     err = run_input_error(capsys, *argv.format(tmp=tmp_path).split())
     if "0,0,0,0" in argv:
         assert err == "error: the side lengths sum to 0\n"
+    if "e-" in argv:
+        assert err == "error: the side lengths sum to less than 1e-150\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "sample --alpha {a},{a},{a},{a} --count 2",
+    "sample --alpha {a},{a},{a},{a} --count 2 --dim 2",
+    "reconstruct --alpha {a},{a},{a},{a} --diag 3e-151",
+])
+def test_lengths_at_perimeter_1e_150_are_kept(capsys, argv):
+    # the smallest perimeter accepted: four lengths of 2.5e-151
+    a = 2.5e-151
+    code, out = run(capsys, *argv.format(a=a).split())
+    assert code == 0
+    docs = json.loads(out)
+    for doc in docs if isinstance(docs, list) else [docs]:
+        edges = np.array(doc["edges"]) / a
+        assert np.abs(np.linalg.norm(edges, axis=1) - 1.0).max() < 5e-15
+        assert np.abs(np.array(doc["meta"]["alpha"]) / a - 1.0).max() < 5e-15
+        assert np.linalg.norm(edges.sum(axis=0)) < 5e-15
 
 
 def test_bend_refuses_non_finite_angle_by_name(tmp_path, capsys):

@@ -43,6 +43,9 @@ def test_orthonormalize_dependent():
         frames.frame_orthonormalize([1, 1j, 0], [2, 2j, 0])
     with pytest.raises(InputError, match="first column"):
         frames.frame_orthonormalize([math.nan, 1, 0], [0, 1, 0])
+    for a, b in (([1, 0, 0], [1, 0]), ([[1, 0], [0, 1]], [[0, 1], [1, 0]])):
+        with pytest.raises(InputError, match="vectors of equal length"):
+            frames.frame_orthonormalize(a, b)
 
 
 def test_frame_to_polygon_basis():
@@ -191,7 +194,7 @@ def test_gc_pattern_identities(rng):
         assert np.abs(pat.diffs - pg.diagonals(p)).max() < 1e-10
         assert pat.sums[-1] == pytest.approx(2.0, abs=1e-10)
         assert pat.diffs[-1] < 1e-10
-        assert pat.interlacing_slack() > -1e-9
+        assert frames.interlacing_slack(pat) > -1e-9
 
 
 def test_gc_pattern_matches_truncated_loop(rng):
@@ -202,6 +205,22 @@ def test_gc_pattern_matches_truncated_loop(rng):
             lo, hi = frames.eig2(frames.truncated_gram2(f, i))
             assert abs(pat.sums[i - 1] - (lo + hi)) <= 1e-14
             assert abs(pat.diffs[i - 1] - (hi - lo)) <= 1e-14
+        # a (k, m) stack gives each member's one-frame values
+        members = [frames.random_frame(m, rng) for _ in range(5)]
+        stack = Frame(*map(np.array, zip(*members)))
+        pats = frames.gc_pattern(stack)
+        slacks = frames.interlacing_slack(pats)
+        mus = frames.moment_mu(stack)
+        edges = quat.hopf_complex(*stack)
+        assert pats.sums.shape == mus.shape == (5, m)
+        assert slacks.shape == (5,) and edges.shape == (5, m, 3)
+        for j, g in enumerate(members):
+            one = frames.gc_pattern(g)
+            assert np.array_equal(pats.sums[j], one.sums)
+            assert np.array_equal(pats.diffs[j], one.diffs)
+            assert slacks[j] == frames.interlacing_slack(one)
+            assert np.array_equal(mus[j], frames.moment_mu(g))
+            assert np.array_equal(edges[j], frames.frame_to_polygon(g).edges)
 
 
 def test_gc_first_row():

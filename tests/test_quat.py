@@ -174,6 +174,11 @@ def test_hopf_complex_on_arrays_matches_rows(rng):
         # |hopf(u, v)| = |u|^2 + |v|^2 bounds the rounding of each row
         scale = np.abs(u) ** 2 + np.abs(v) ** 2
         assert (np.abs(stacked - rows).max(axis=1) <= 1e-14 * scale).all()
+        # a (2, m) stack of rows gives (2, m, 3), one 1-d call per member
+        pair = quat.hopf_complex(np.array([u, v]), np.array([v, u]))
+        assert pair.shape == (2, m, 3)
+        assert np.array_equal(pair[0], stacked)
+        assert np.array_equal(pair[1], quat.hopf_complex(v, u))
 
 
 def test_hopf_differential_on_arrays_matches_rows(rng):
@@ -184,6 +189,9 @@ def test_hopf_differential_on_arrays_matches_rows(rng):
     # 4 |(u, v)| |(a, b)| bounds each coordinate and so its rounding
     scale = 4.0 * np.hypot(abs(u), abs(v)) * np.hypot(abs(a), abs(b))
     assert (np.abs(stacked - rows).max(axis=1) <= 1e-14 * scale).all()
+    grid = quat.hopf_differential(*(w.reshape(5, 6) for w in (u, v, a, b)))
+    assert grid.shape == (5, 6, 3)
+    assert np.array_equal(grid.reshape(30, 3), stacked)
 
 
 def test_hopf_squares_the_radius(rng):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyspace import bending, polytope, quat, verify
+from polyspace import bending, frames, polygon as pg, polytope, quat, verify
 from polyspace.errors import PolyspaceError
 
 FLOW_TIMES = (0.1, 1.0, math.pi, 2.0 * math.pi)
@@ -146,6 +146,43 @@ def test_stacked_hopf_suite_matches_per_trial_loop(monkeypatch, trials,
         recorded.clear()
         report = verify.suite_hopf(trials, seed)
         oracle = per_trial_hopf(trials, seed)
+        assert [case for case, _, _ in recorded] == \
+            [case for case, _, _ in oracle]
+        for (case, dev, tol), (_, want, want_tol) in zip(recorded, oracle):
+            assert abs(dev - want) <= 1e-12, case
+            assert tol == want_tol, case
+        failed = [case for case, dev, tol in oracle if not dev <= tol]
+        assert report.ok == (not failed)
+        assert [case for case, _, _ in report.failures] == failed
+
+
+def per_trial_gc(trials, seed):
+    """Oracle: the gc suite one frame at a time, as (case, dev, tol)."""
+    rows = []
+    for k in range(trials):
+        f = frames.random_frame(3 + k % 8, verify.trial_rng(seed, k))
+        poly = frames.frame_to_polygon(f)
+        ell, d = pg.side_lengths(poly), pg.diagonals(poly)
+        pattern = frames.gc_pattern(f)
+        rows.append((f"sums[{k}]",
+                     np.abs(pattern.sums - np.cumsum(ell)).max(), 1e-10))
+        rows.append((f"diffs[{k}]", np.abs(pattern.diffs - d).max(), 1e-10))
+        rows.append((f"interlacing[{k}]", -frames.interlacing_slack(pattern),
+                     1e-9))
+        rows.append((f"moment[{k}]",
+                     np.abs(frames.moment_mu(f) - ell).max(), 1e-12))
+    return rows
+
+
+# 7 trials draw fewer frames than there are sizes m = 3..10
+@pytest.mark.parametrize("trials, seeds", [(200, range(10)), (0, [0]),
+                                           (1, [0, 1]), (7, [0])])
+def test_stacked_gc_suite_matches_per_trial_loop(monkeypatch, trials, seeds):
+    recorded = _logged_records(monkeypatch)
+    for seed in seeds:
+        recorded.clear()
+        report = verify.suite_gc(trials, seed)
+        oracle = per_trial_gc(trials, seed)
         assert [case for case, _, _ in recorded] == \
             [case for case, _, _ in oracle]
         for (case, dev, tol), (_, want, want_tol) in zip(recorded, oracle):
