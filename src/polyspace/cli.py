@@ -84,6 +84,9 @@ def polygon_from_doc(doc: dict) -> Polygon:
         raise InputError("polygon document has a non-finite edge")
     with np.errstate(over="ignore"):
         per, defect = perimeter(poly), closure_defect(poly)
+        size = np.abs(poly.edges).sum()
+    if size < 1e-150:  # their squares would underflow
+        raise InputError("polygon document coordinates sum below 1e-150")
     if not math.isfinite(per):
         raise InputError("polygon document is beyond the float range")
     if not defect <= 1e-9 * max(per, 1e-300):
@@ -242,14 +245,15 @@ def cmd_sample(args) -> int:
         raise InputError(f"--count must be >= 0, got {args.count}")
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
-    polys = rec.sample_moduli(alpha, args.dim, args.count, args.seed)
+    docs = [polygon_to_doc(p) for p in
+            rec.sample_moduli(alpha, args.dim, args.count, args.seed)]
     if args.format == "json":
-        text = json.dumps([polygon_to_doc(p) for p in polys], indent=2)
+        text = json.dumps(docs, indent=2)
     else:
         text = _csv(("polygon,edge", "xyz"[:args.dim]),
                     ((f"{i},{e + 1}", map(repr, row))
-                     for i, p in enumerate(polys)
-                     for e, row in enumerate(p.edges.tolist())))
+                     for i, doc in enumerate(docs)
+                     for e, row in enumerate(doc["edges"])))
     return _emit(args, text)
 
 

@@ -65,8 +65,8 @@ class LDPoint:
 
 
 def _tiny(alpha) -> float:
-    """Lengths below this are zero: 1e-12, scaled down with a perimeter
-    sum |alpha_i| below 1."""
+    """A vertex-loop circle of smaller radius is degenerate: 1e-12, scaled
+    down with a perimeter sum |alpha_i| below 1."""
     return 1e-12 * min(1, sum(map(abs, alpha)))
 
 
@@ -93,7 +93,7 @@ def reconstruct(ld: LDPoint, k: int = 3) -> Polygon:
     if k not in (2, 3):
         raise InputError("k must be 2 or 3")
     _check_triangles(ld)
-    return Polygon(k, _place([ld], k)[0])
+    return Polygon(k, _place([ld])[0][:, :k])
 
 
 def fiber_sample(ld: LDPoint, angles) -> Polygon:
@@ -111,16 +111,16 @@ def fiber_sample(ld: LDPoint, angles) -> Polygon:
 # lengths near the float range overflow in the float geometry: the result
 # is then not finite, and the finiteness checks of the caller refuse it
 @np.errstate(all="ignore")
-def _place(lds, k: int) -> np.ndarray:
+def _place(lds) -> np.ndarray:
     """``reconstruct``'s vertex loop on a stack of LDPoints of one m: their
-    edges as an (N, m, k) array, the third coordinate zero."""
+    edges as an (N, m, 3) array in the xy-plane."""
     alpha = np.array([ld.alpha for ld in lds]).T
     d = np.array([ld.full_diagonals() for ld in lds]).T[..., None]
     # rows are steps i, columns members; False where circle i degenerates
     proper = ~(d < np.array([[_tiny(ld.alpha)] for ld in lds]))
     # vertex i starts at (d_i, 0): vertices 0, 1 and m stay there, and so
     # does one after a degenerate first circle, where any direction works
-    verts = np.concatenate([d, np.zeros(d.shape[:2] + (k - 1,))], axis=-1)
+    verts = np.concatenate([d, np.zeros(d.shape[:2] + (2,))], axis=-1)
     # steps i = 1..m-2: t along vertex i, and h times the quarter turn
     dd = d * d
     t = (dd[1:-2] + dd[2:-1] - alpha[1:-1, :, None] ** 2) / (2.0 * d[1:-2])
@@ -141,8 +141,9 @@ def _bend(edges: np.ndarray, angles):
 
     A bend about d_i fixes each d_j, j >= i, so every axis is an unbent
     d_i and edge r ends as R_{m-2} ... R_{max(r,2)} e_r, a suffix product.
-    A bend by 0 is skipped, its axis unchecked. Also returns per member
-    the first bent diagonal that vanishes, or 0: that member stays unbent.
+    A bend by 0 is skipped, its axis unchecked; one by pi about an axis in
+    the plane flips across it. Also returns per member the first bent
+    diagonal at or below 1e-9 x perimeter, or 0: that member stays unbent.
     """
     m, angles = edges.shape[1], np.asarray(angles, dtype=float)
     fallen = np.zeros(len(edges), dtype=int)
@@ -254,7 +255,8 @@ def sample_ld(alpha, rng) -> LDPoint:
 
 def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:
     """Deterministic sample of polygons with the given side lengths; the
-    samples of a count are the first samples of any larger count."""
+    samples of a count are the first samples of any larger count. Each
+    bends about every free diagonal by a uniform angle, or by 0 or pi (k=2)."""
     if k not in (2, 3):
         raise InputError("k must be 2 or 3")
     alpha = exact_lengths(alpha)
@@ -263,34 +265,17 @@ def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:
         raise InputError(f"a polygon needs at least 3 lengths, got {m}")
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no polygon has these side lengths")
-    rng, tiny = np.random.default_rng(seed), _tiny(alpha)
+    rng = np.random.default_rng(seed)
     lds, turns = [], []
     try:
         for _ in range(count):
             ld = sample_ld(alpha, rng)
             _check_triangles(ld)
             lds.append(ld)
-            turns.append(rng.uniform(0.0, 2.0 * math.pi, size=m - 3)
-                         if k == 3 else rng.integers(0, 2, size=m - 3))
+            turns.append(rng.uniform(0.0, math.tau, size=m - 3) if k == 3
+                         else math.pi * rng.integers(0, 2, size=m - 3))
     finally:
         # built on an error too, so that an earlier sample's error wins
-        edges = _place(lds, k) if lds else np.zeros((0, m, k))
-        if k == 3:
-            edges = _bend(edges, np.reshape(turns, (len(lds), m - 3)))[0]
-    if k == 3:
-        return [Polygon(3, e) for e in edges]
-    return [_planar_flips(e, s, tiny) for e, s in zip(edges, turns)]
-
-
-def _planar_flips(edges: np.ndarray, signs, tiny: float) -> Polygon:
-    """Reflect the leading block of ``edges`` across each chosen diagonal,
-    in place; a diagonal shorter than ``tiny`` is no axis."""
-    for i in np.flatnonzero(signs) + 2:
-        axis = edges[:i].sum(axis=0)
-        norm = np.linalg.norm(axis)
-        if norm < tiny:
-            continue
-        n = axis / norm
-        refl = 2.0 * np.outer(n, n) - np.eye(2)
-        edges[:i] = edges[:i] @ refl.T
-    return Polygon(2, edges)
+        edges = _bend(_place(lds) if lds else np.zeros((0, m, 3)),
+                      np.reshape(turns, (len(lds), m - 3)))[0]
+    return [Polygon(k, e[:, :k]) for e in edges]

@@ -91,8 +91,9 @@ def test_svg_bytes_are_pinned(tmp_path, capsys, argv, digest):
     # dim 0: the header is "vertex," and the one row "0,"
     ("polytope --alpha 1,1,1",
      "b103eb669a2d40427a1813938320abd71db79bdef346b1f220b8a1018422a826"),
+    # the planar flips are bends by pi, one suffix product per edge
     ("sample --alpha 1,1,1,1,1 --count 2 --seed 3 --dim 2",
-     "4c44eec30057d72478d1e107da561a0837d930cb9a900f775c24bf7ff842bb3e"),
+     "e22688c2b895255c53fc715fa45a816d95e6472ffd11c7730079b0fdf73cf478"),
     ("sample --alpha 1,1,1,1,1 --count 2 --seed 3 --dim 3",
      "e5a91df1cad3432e737969b9e0de1347e05966f754c8f614654a190af933f92a"),
 ])
@@ -569,6 +570,12 @@ def test_overflowing_polygon_exits_1(capsys):
     "sample --alpha 1e-160,1e-160,1e-160,1e-160,1e-160 --dim 2",
     "sample --alpha 1e-320,1e-320,1e-320,1e-320 --dim 2 --count 2",
     "reconstruct --alpha 1e-320,1e-320,1e-320,1e-320 --diag 1e-320",
+    # polygon files with edges so small that their squares underflow
+    "bend --in {tmp}/open170.json --range 1,2 --angle 0.5",
+    "bend --in {tmp}/square170.json --range 1,2 --angle 0.5",
+    # the CSV form checks that the polygons are finite, as JSON does
+    "sample --alpha 1e200,1e200,1e200 --count 1 --format csv",
+    "sample --alpha 1e200,1e200,1e200 --count 1 --format csv --dim 2",
 ])
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, argv):
     assert run(capsys, "reconstruct", "--alpha", "1,1,1,1,1", "--diag",
@@ -576,11 +583,22 @@ def test_bad_input_exits_1_without_traceback(tmp_path, capsys, argv):
     # an integer edge too large for a float
     (tmp_path / "huge.json").write_text(
         '{"dim": 3, "edges": [[1%s, 0, 0], [-1, 0, 0]]}' % ("0" * 400))
+    (tmp_path / "open170.json").write_text(
+        '{"dim": 3, "edges": [[1e-170, 0, 0], [0, 1e-170, 0], '
+        '[0, 0, 1e-170], [1e-170, 1e-170, 0]]}')
+    (tmp_path / "square170.json").write_text(
+        '{"dim": 3, "edges": [[1e-170, 0, 0], [0, 1e-170, 0], '
+        '[-1e-170, 0, 0], [0, -1e-170, 0]]}')
     err = run_input_error(capsys, *argv.format(tmp=tmp_path).split())
     if "0,0,0,0" in argv:
         assert err == "error: the side lengths sum to 0\n"
     if "e-" in argv:
         assert err == "error: the side lengths sum to less than 1e-150\n"
+    if "170.json" in argv:
+        assert err == ("error: polygon document coordinates sum below "
+                       "1e-150\n")
+    if "1e200" in argv:
+        assert err.startswith("error: the polygon is not finite")
 
 
 @pytest.mark.parametrize("argv", [
@@ -724,7 +742,8 @@ def polygon_dir(tmp_path_factory):
 
 def check_contract(argv):
     """Exit 0-3; on 1 and 3 one line on stderr and nothing on stdout; on 0
-    no stderr and no NaN or Infinity; no exception or warning escapes."""
+    no stderr and no NaN or Infinity, nor a nan or inf CSV cell; no
+    exception or warning escapes."""
     out, err = io.StringIO(), io.StringIO()
     with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
           contextlib.redirect_stderr(err)):
@@ -738,6 +757,9 @@ def check_contract(argv):
     if code == 0:
         assert err == "", (argv, err)
         assert "NaN" not in out and "Infinity" not in out, argv
+        # CSV cells are float reprs: nan, inf or -inf when not finite
+        cells = set(out.replace("\n", ",").split(","))
+        assert not cells & {"nan", "inf", "-inf"}, argv
 
 
 @pytest.mark.parametrize("command", ("polytope", "classify", "reconstruct",
