@@ -113,7 +113,9 @@ def fiber_sample(ld: LDPoint, angles) -> Polygon:
 @np.errstate(all="ignore")
 def _place(lds) -> np.ndarray:
     """``reconstruct``'s vertex loop on a stack of LDPoints of one m: their
-    edges as an (N, m, 3) array in the xy-plane."""
+    edges as an (N, m, 3) array in the xy-plane. A zero side alpha_{i+1}
+    takes h = 0, so vertex i+1 stays on vertex i: the root of the one-ulp
+    h^2 that d_{i+1} = d_i leaves would be about 1e-8 d_i."""
     alpha = np.array([ld.alpha for ld in lds]).T
     d = np.array([ld.full_diagonals() for ld in lds]).T[..., None]
     # rows are steps i, columns members; False where circle i degenerates
@@ -125,7 +127,8 @@ def _place(lds) -> np.ndarray:
     dd = d * d
     t = (dd[1:-2] + dd[2:-1] - alpha[1:-1, :, None] ** 2) / (2.0 * d[1:-2])
     h2 = dd[2:-1] - t * t
-    h_turn = np.sqrt(np.where(h2 > 0.0, h2, 0.0)) * [-1.0, 1.0]
+    h2 = np.where((h2 > 0.0) & (alpha[1:-1, :, None] != 0.0), h2, 0.0)
+    h_turn = np.sqrt(h2) * [-1.0, 1.0]
     for i in range(1, len(alpha) - 1):
         n = verts[i, :, :2] / d[i]
         tn, hp = t[i - 1] * n, h_turn[i - 1] * n[:, ::-1]
@@ -176,9 +179,13 @@ def section_sigma(alpha) -> Polygon:
     """Planar polygon with the given normalized side lengths.
 
     The partial sums beta_i locate the unique step r where they cross 1;
-    the triangle with sides (beta_r, alpha_{r+1}, 2 - beta_{r+1}) is then
-    subdivided so its first side carries alpha_1..alpha_r and its third
-    side alpha_{r+2}..alpha_m.
+    the triangle (0, 0), (t1, 0), (x, y) with sides (t1, t2, t3) =
+    (beta_r, alpha_{r+1}, 2 - beta_{r+1}) carries alpha_1..alpha_r on its
+    first side and alpha_{r+2}..alpha_m on its third. Each edge is its
+    length times its side's unit vector (c, +-sqrt(1 - c^2)), signs +, +,
+    -, whose cosine c is exact: 1, (x - t1)/t2 and -x/t3, with x = (t1^2 +
+    t3^2 - t2^2)/(2 t1). A side of length 0 takes c = 1; so sigma is lined
+    on a wall, where the triangle is flat.
     """
     alpha = exact_lengths(alpha)
     m = len(alpha)
@@ -186,41 +193,16 @@ def section_sigma(alpha) -> Polygon:
         raise InputError(f"a polygon needs at least 3 lengths, got {m}")
     if not in_hypersimplex(alpha):
         raise Infeasible("side lengths must lie in the hypersimplex")
-    beta = [Fraction(0)]
-    for a in alpha:
-        beta.append(beta[-1] + a)
+    beta = list(accumulate(alpha, initial=Fraction(0)))
     r = next(i for i in range(1, m) if beta[i] <= 1 <= beta[i + 1])
     t1, t2, t3 = beta[r], alpha[r], 2 - beta[r + 1]
-    v0 = np.zeros(2)
-    v1 = np.array([float(t1), 0.0])
-    f1, f2, f3 = float(t1), float(t2), float(t3)
-    if f1 < 1e-15:
-        # degenerate triangle flattened onto the axis
-        v2 = np.array([f2, 0.0])
-    else:
-        x = (f1 * f1 + f3 * f3 - f2 * f2) / (2.0 * f1)
-        y2 = f3 * f3 - x * x
-        v2 = np.array([x, math.sqrt(y2) if y2 > 0.0 else 0.0])
-    edges = []
-
-    def subdivide(start, end, total, parts):
-        if float(total) < 1e-15:
-            direction = np.zeros(2)
-        else:
-            direction = (end - start) / float(total)
-        for part in parts:
-            edges.append(direction * float(part))
-
-    subdivide(v0, v1, t1, alpha[:r])
-    edges.append(v2 - v1)
-    subdivide(v2, v0, t3, alpha[r + 1:])
-    # exact edge norms: rescale each nonzero edge to its target length
-    arr = np.array(edges)
-    for i, a in enumerate(alpha):
-        norm = np.linalg.norm(arr[i])
-        if norm > 0.0:
-            arr[i] *= float(a) / norm
-    return Polygon(2, arr)
+    x = (t1 * t1 + t3 * t3 - t2 * t2) / (2 * t1) if t1 else t3
+    cosines = (1, (x - t1) / t2 if t2 else 1, -x / t3 if t3 else 1)
+    # + 0.0 turns the -0.0 of a flat third side into 0.0
+    units = np.array([(float(c), s * math.sqrt(1 - c * c) + 0.0)
+                      for c, s in zip(cosines, (1, 1, -1))])
+    side = np.repeat(units, (r, 1, m - r - 1), axis=0)
+    return Polygon(2, np.array(alpha, dtype=float)[:, None] * side)
 
 
 def sample_ld(alpha, rng) -> LDPoint:

@@ -110,6 +110,10 @@ def test_csv_bytes_are_pinned(capsys, argv, digest):
     # and (x1, x2, a5)
     ("polytope --alpha 2,1,5,1,2 --system even",
      "1c74b6569bd801fe909672159920a84be7cdabbcf32da1e7a85e3f7d476e0852"),
+    # on a wall (beta_2 = 1): the triangle is flat and every edge lies on
+    # the x-axis, with no rounding left in its exact-cosine direction
+    ("section --alpha 1/22,21/22,1",
+     "859bd32d00702d0cdba8d90b0f707e873055be56bb6dc59a466f80f71d6ec266"),
 ])
 def test_json_bytes_are_pinned(capsys, argv, digest):
     code, out = run(capsys, *argv.split())

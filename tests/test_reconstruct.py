@@ -139,6 +139,62 @@ def test_section_sigma_random(rng):
         assert pg.closure_defect(p) < 1e-11
 
 
+def _run_of_sum(rng, n, total):
+    """n random nonnegative rationals that sum to total."""
+    nums = [int(x) for x in rng.integers(0, 6, size=n)]
+    nums[int(rng.integers(0, n))] += 1
+    return [F(total * x, sum(nums)) for x in nums]
+
+
+def _wall_lengths(rng, m):
+    """Hypersimplex lengths on a wall: some beta_i = 1, or some alpha_i = 1."""
+    if rng.integers(0, 2):
+        cut = int(rng.integers(1, m))
+        return tuple(_run_of_sum(rng, cut, 1) + _run_of_sum(rng, m - cut, 1))
+    rest = _run_of_sum(rng, m - 1, 1)
+    rest.insert(int(rng.integers(0, m)), F(1))
+    return tuple(rest)
+
+
+def _hypersimplex_lengths(rng, m):
+    while True:
+        alpha = tuple(_run_of_sum(rng, m, 2))
+        if max(alpha) <= 1:
+            return alpha
+
+
+def test_section_sigma_on_a_wall_is_lined(rng):
+    walls = [(F(1, 22), F(21, 22), F(1)), (F(1), F(1), F(0)),
+             (F(1, 2), F(1, 2), F(1, 3), F(2, 3))]
+    walls += [_wall_lengths(rng, m) for m in range(3, 12) for _ in range(30)]
+    for alpha in walls:
+        p = rec.section_sigma(alpha)
+        assert pg.is_lined(p), alpha
+        assert np.abs(pg.side_lengths(p)
+                      - [float(a) for a in alpha]).max() < 1e-15
+
+
+def _longest_diagonals(alpha):
+    """d_i = min(beta_i, 2 - beta_i), i = 1..m: each diagonal as long as
+    its two triangles allow."""
+    return [min(b, 2 - b) for b in accumulate(alpha)]
+
+
+def test_section_sigma_is_the_fan_polytope_vertex_of_longest_diagonals(rng):
+    for m in range(4, 7):
+        for _ in range(15):
+            alpha = _hypersimplex_lengths(rng, m)
+            top = tuple(_longest_diagonals(alpha)[1:m - 2])
+            assert top in pt.diag_slice(alpha).vertices(), alpha
+    for m in range(3, 13):
+        for _ in range(30):
+            alpha = _hypersimplex_lengths(rng, m)
+            p = rec.section_sigma(alpha)
+            want = [float(x) for x in _longest_diagonals(alpha)]
+            error = np.abs(pg.diagonals(p) - want).max()
+            assert error <= 1e-15 * pg.perimeter(p), alpha
+
+
 def test_section_sigma_rejects_outside():
     with pytest.raises(Infeasible, match="hypersimplex"):
         rec.section_sigma((1, 1, 1))
@@ -294,7 +350,7 @@ def _reconstruct_oracle(ld, k):
             continue
         t = (di * di + dj * dj - a * a) / (2.0 * di)
         h2 = dj * dj - t * t
-        h = math.sqrt(h2) if h2 > 0.0 else 0.0
+        h = math.sqrt(h2) if h2 > 0.0 and a != 0.0 else 0.0
         n = vi / di
         perp = np.array([-n[1], n[0]])
         cand1 = t * n + h * perp
@@ -368,6 +424,13 @@ def _assert_close(poly, oracle):
     assert np.abs(poly.edges - oracle.edges).max() <= scale
 
 
+def _assert_zero_sides_stay(poly, alpha):
+    """A zero side stays on its vertex: at most 1e-15 x perimeter long."""
+    zero = [i for i, a in enumerate(alpha) if a == 0]
+    scale = 1e-15 * pg.perimeter(poly)
+    assert np.abs(poly.edges[zero]).max(initial=0.0) <= scale
+
+
 def _bent_or_zero_axis(fiber, ld, angles):
     """The bent polygon, or the index of the diagonal that vanished."""
     try:
@@ -385,8 +448,9 @@ def _sampler_matches_oracles(m):
         alpha = _seeded_lengths(m, seed)
         ld = rec.sample_ld(alpha, np.random.default_rng(seed))
         for k in (2, 3):
-            assert np.array_equal(rec.reconstruct(ld, k).edges,
-                                  _reconstruct_oracle(ld, k).edges)
+            poly = rec.reconstruct(ld, k)
+            assert np.array_equal(poly.edges, _reconstruct_oracle(ld, k).edges)
+            _assert_zero_sides_stay(poly, alpha)
         angles = np.random.default_rng(seed).uniform(-7.0, 7.0, size=m - 3)
         angles[seed % (m - 3)] = 0.0  # a bend by 0 is skipped
         got, want = (_bent_or_zero_axis(f, ld, angles)
@@ -395,6 +459,7 @@ def _sampler_matches_oracles(m):
             assert got == want
         else:
             _assert_close(got, want)
+            _assert_zero_sides_stay(got, alpha)
         for k in (2, 3):
             stack = rec.sample_moduli(alpha, k, 2, seed)
             oracle, lost = _sample_moduli_oracle(alpha, k, 2, seed)
@@ -402,6 +467,7 @@ def _sampler_matches_oracles(m):
             for p, q in zip(stack, oracle):
                 assert p.dim == q.dim == k
                 _assert_close(p, q)
+                _assert_zero_sides_stay(p, alpha)
             fallen[k - 2] += lost
     return tuple(fallen)
 
