@@ -13,9 +13,8 @@ import math
 import numpy as np
 
 from .errors import InputError, ZeroDiagonal
-from .polygon import Polygon, perimeter
+from .polygon import Polygon, is_zero, perimeter
 
-_TANGENT_TOL = 1e-9
 _CROSS_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 STEPS_PER_TURN = 2000
 
@@ -50,7 +49,7 @@ def bend_range(poly: Polygon, block: tuple[int, int],
         norm, per = np.linalg.norm(axis), perimeter(poly)
     if not math.isfinite(norm):
         raise InputError(f"diagonal {(p, q)} is beyond the float range")
-    if norm <= 1e-9 * per:
+    if is_zero(norm, per):
         raise ZeroDiagonal((p, q))
     rot = rodrigues(axis / norm, theta)
     edges = poly.edges.copy()
@@ -80,14 +79,13 @@ def _dot(u, v) -> np.ndarray:
 
 
 def _check_tangent(x: np.ndarray, *vecs) -> np.ndarray:
-    """The radii |x| of a row or a stack of rows, if every vector is tangent
-    to its sphere at x.  Written so that a NaN fails."""
+    """The radii |x| of a row or a stack of rows, if every vector v is
+    tangent at x: |<x, v>| is zero beside r |v|, and a NaN is not."""
     r = np.linalg.norm(x, axis=-1)
     if (r == 0.0).any():
         raise InputError("base point is the origin")
     for v in vecs:
-        bound = _TANGENT_TOL * np.maximum(1.0, r * np.linalg.norm(v, axis=-1))
-        if not (abs(_dot(x, v)) <= bound).all():
+        if not is_zero(abs(_dot(x, v)), r * np.linalg.norm(v, axis=-1)).all():
             raise InputError("vector is not tangent to the sphere at x")
     return r
 
@@ -192,12 +190,13 @@ def hamiltonian_flow(points, field, t) -> np.ndarray:
             k4 = field(points + h * k3)
             points = points + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             norms = np.sqrt(np.einsum("...ij,...ij->...i", points, points))
-            if not (np.isfinite(norms).all() and norms.min() >= 1e-12):
+            bad = ~np.isfinite(norms) | is_zero(norms, radii)
+            if bad.any():
                 rows = norms.reshape(-1, norms.shape[-1])
-                finite = np.isfinite(rows).all(axis=-1)
-                b = np.flatnonzero(~finite | (rows.min(axis=-1) < 1e-12))[0]
+                b = np.flatnonzero(bad.reshape(rows.shape).any(axis=-1))[0]
                 raise InputError(f"member {b}: " + (
-                    "a factor point collapsed to the origin" if finite[b]
+                    "a factor point collapsed to the origin"
+                    if np.isfinite(rows[b]).all()
                     else "flow left the domain of definition"))
             points = points * (radii / norms)[..., None]
     return points

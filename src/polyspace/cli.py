@@ -22,7 +22,7 @@ from . import verify
 from .bending import bend_range
 from .errors import EmptyPolytope, Infeasible, InputError, PolyspaceError
 from .polygon import (Polygon, as_fraction, closure_defect, diagonals,
-                      perimeter, side_lengths)
+                      is_zero, perimeter, side_lengths)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -77,7 +77,7 @@ def polygon_to_doc(p: Polygon) -> dict:
 
 def polygon_from_doc(doc: dict) -> Polygon:
     try:
-        poly = Polygon(int(doc["dim"]), np.array(doc["edges"], dtype=float))
+        poly = Polygon(doc["dim"], np.array(doc["edges"], dtype=float))
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"bad polygon document: {exc}") from exc
     if not np.isfinite(poly.edges).all():
@@ -89,7 +89,7 @@ def polygon_from_doc(doc: dict) -> Polygon:
         raise InputError("polygon document coordinates sum below 1e-150")
     if not math.isfinite(per):
         raise InputError("polygon document is beyond the float range")
-    if not defect <= 1e-9 * max(per, 1e-300):
+    if not is_zero(defect, per):
         raise InputError("polygon document is not closed")
     return poly
 
@@ -125,7 +125,7 @@ def _svg(points: list[tuple[float, float]], fill: str, labels=()) -> str:
     there are at least 2), a dot on each, then each label beside its dot."""
     xs, ys = zip(*points)
     lo_x, lo_y = min(xs), min(ys)
-    scale = 720.0 / max(max(xs) - lo_x, max(ys) - lo_y, 1e-12)
+    scale = 720.0 / (max(max(xs) - lo_x, max(ys) - lo_y) or 1.0)
     px = [(40.0 + (x - lo_x) * scale, 760.0 - (y - lo_y) * scale)
           for x, y in points]
     parts = []

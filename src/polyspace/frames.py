@@ -13,7 +13,7 @@ import numpy as np
 
 from . import quat
 from .errors import InputError
-from .polygon import Polygon, closure_defect, perimeter
+from .polygon import Polygon, closure_defect, is_zero, perimeter
 
 _HERMITIAN_TOL = 1e-10
 
@@ -30,15 +30,15 @@ def frame_orthonormalize(a, b) -> Frame:
     a, b = (np.asarray(w, dtype=complex) for w in (a, b))
     if a.ndim != 1 or a.shape != b.shape:
         raise InputError("a and b must be complex vectors of equal length")
-    na = np.linalg.norm(a)
-    if not na >= 1e-12:
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if np.isnan(na) or is_zero(na, na + nb):
         raise InputError("first column is (numerically) zero")
     a = a / na
-    b = b - np.vdot(a, b) * a
-    nb = np.linalg.norm(b)
-    if not nb >= 1e-12:
+    b_perp = b - np.vdot(a, b) * a
+    nb_perp = np.linalg.norm(b_perp)
+    if np.isnan(nb_perp) or is_zero(nb_perp, nb):
         raise InputError("columns are (numerically) linearly dependent")
-    return Frame(a, b / nb)
+    return Frame(a, b_perp / nb_perp)
 
 
 def frame_to_polygon(f: Frame) -> Polygon:
@@ -141,7 +141,7 @@ def frame_from_polygon(p: Polygon) -> Frame:
     per = perimeter(p)
     if not abs(per - 2.0) <= 1e-9:
         raise InputError(f"perimeter is {per}, expected 2")
-    if not closure_defect(p) <= 1e-9 * per:
+    if not is_zero(closure_defect(p), per):
         raise InputError("edge vectors do not sum to zero")
     return Frame(*quat.hopf_section(p.edges))
 

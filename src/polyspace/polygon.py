@@ -50,8 +50,8 @@ class Polygon:
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
-        if self.dim not in (1, 2, 3):
-            raise InputError(f"dim must be 1, 2 or 3, got {self.dim}")
+        if type(self.dim) is not int or self.dim not in (1, 2, 3):
+            raise InputError(f"dim must be 1, 2 or 3, got {self.dim!r}")
         if edges.ndim != 2 or edges.shape[1] != self.dim:
             raise InputError(f"edges must have shape (m, {self.dim})")
         if edges.shape[0] < 2:
@@ -98,14 +98,15 @@ def diagonals(p: Polygon) -> np.ndarray:
     return np.linalg.norm(np.cumsum(p.edges, axis=0), axis=1)
 
 
-def _zero_edge_tol(p: Polygon) -> float:
-    return max(1e-12, 1e-9 * perimeter(p))
+def is_zero(x, scale):
+    """x <= 1e-9 scale, rowwise: the length x is zero beside a polygon of
+    size ``scale``, at any scale (there is no absolute floor). NaN is not."""
+    return x <= 1e-9 * scale
 
 
 def stratum_index(p: Polygon) -> int:
     """m minus the number of zero edges: the smallest j with p in E_j."""
-    tol = _zero_edge_tol(p)
-    return int(p.m - np.count_nonzero(side_lengths(p) < tol))
+    return int(p.m - np.count_nonzero(is_zero(side_lengths(p), perimeter(p))))
 
 
 def is_proper(p: Polygon) -> bool:
@@ -117,13 +118,13 @@ def is_lined(p: Polygon) -> bool:
     sv = np.linalg.svd(p.edges.T, compute_uv=False)
     if len(sv) < 2:
         return True
-    return bool(sv[1] < 1e-9 * max(perimeter(p), 1e-300))
+    return bool(is_zero(sv[1], perimeter(p)))
 
 
 def is_prodigal(p: Polygon) -> bool:
     """No diagonal returns to the origin prematurely."""
     d = diagonals(p)[: p.m - 1]
-    return bool(np.all(d > 1e-9 * perimeter(p)))
+    return not is_zero(d, perimeter(p)).any()
 
 
 def reflect(p: Polygon, axis: int = -1) -> Polygon:

@@ -18,7 +18,7 @@ from .bending import rodrigues
 from .errors import (EmptyPolytope, Infeasible, InputError, TriangleViolation,
                      ZeroDiagonal)
 from .polygon import (Polygon, exact_lengths, integer_scaled,
-                      is_feasible_lengths)
+                      is_feasible_lengths, is_zero)
 from .polytope import _interval_pair, in_hypersimplex, triangle_slacks
 
 _GRID = 720720
@@ -74,9 +74,9 @@ def _check_triangles(ld: LDPoint) -> None:
     """Raise on the first violated inequality, in step then A/B/C order."""
     d = ld.full_diagonals()
     # a + b - c rounds in proportion to the terms d_i, d_{i+1}, alpha_i of
-    # its step: max(1e-9, 1e-12 (a + b + c)), scaled term by term, no inf
-    tol = [max(1e-9, 1e-12 * abs(d[i]) + 1e-12 * abs(d[i + 1])
-               + 1e-12 * abs(a)) for i, a in enumerate(ld.alpha)]
+    # its step: 1e-12 (a + b + c), scaled term by term, so no inf
+    tol = [1e-12 * abs(d[i]) + 1e-12 * abs(d[i + 1]) + 1e-12 * abs(a)
+           for i, a in enumerate(ld.alpha)]
     for i, name, slack in triangle_slacks(ld.alpha, d[1:]):
         if not slack >= -tol[i]:  # NaN fails too
             raise TriangleViolation(i, name, slack)
@@ -146,7 +146,7 @@ def _bend(edges: np.ndarray, angles):
     d_i and edge r ends as R_{m-2} ... R_{max(r,2)} e_r, a suffix product.
     A bend by 0 is skipped, its axis unchecked; one by pi about an axis in
     the plane flips across it. Also returns per member the first bent
-    diagonal at or below 1e-9 x perimeter, or 0: that member stays unbent.
+    diagonal that is zero beside the perimeter, or 0: it stays unbent.
     """
     m, angles = edges.shape[1], np.asarray(angles, dtype=float)
     fallen = np.zeros(len(edges), dtype=int)
@@ -155,7 +155,7 @@ def _bend(edges: np.ndarray, angles):
     axes = np.cumsum(edges, axis=1)[:, 1:m - 2]
     norm = np.sqrt((axes * axes).sum(axis=-1))
     per = np.sqrt((edges * edges).sum(axis=-1)).sum(axis=-1)[:, None]
-    bad = (angles != 0.0) & (~np.isfinite(norm) | (norm <= 1e-9 * per))
+    bad = (angles != 0.0) & (~np.isfinite(norm) | is_zero(norm, per))
     if bad.any():
         fallen = np.where(bad.any(axis=1), bad.argmax(axis=1) + 2, 0)
         for b in np.flatnonzero(fallen):  # the first member that fails decides

@@ -85,6 +85,20 @@ def test_svg_bytes_are_pinned(tmp_path, capsys, argv, digest):
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
 
 
+def test_svg_fits_a_polygon_of_any_scale(tmp_path, capsys):
+    # times 2^-50 every coordinate is exactly scaled: the page is the same
+    drawings = []
+    for k in (0, -50):
+        alpha, diag = ([repr(math.ldexp(x, k)) for x in values]
+                       for values in ((1, 2, 2, 1, 1), (2.5, 2)))
+        svg = tmp_path / f"{k}.svg"
+        assert run(capsys, "reconstruct", "--alpha", ",".join(alpha),
+                   "--diag", ",".join(diag), "--dim", "2",
+                   "--svg", str(svg))[0] == 0
+        drawings.append(svg.read_bytes())
+    assert drawings[0] == drawings[1]
+
+
 @pytest.mark.parametrize("argv, digest", [
     ("polytope --alpha 2,1,3,1,2",
      "46d76a9c9d30ab8eb8ace8b51ddb556add18277b56d4e50ad891c07f342e22e9"),
@@ -364,7 +378,12 @@ def test_read_enforces_closure(tmp_path, capsys):
     b'{"dim": 3, "edges": [[1e200, 0, 0], [-1e200, 1e200, 0], '
     b'[0, -1e200, 0]]}',                          # norms overflow
     b'{"dim": 3, "edges": [[1, 0, 0],',           # not JSON
-], ids=["not-utf8", "too-deep", "overflow", "not-json"])
+    # a dim that is no JSON integer
+    b'{"dim": 2.7, "edges": [[1, 0], [0, 1], [-1, 0], [0, -1]]}',
+    b'{"dim": true, "edges": [[1], [1], [-2]]}',
+    b'{"dim": "3", "edges": [[1, 0, 0], [0, 1, 0], [-1, -1, 0]]}',
+], ids=["not-utf8", "too-deep", "overflow", "not-json", "float-dim",
+        "bool-dim", "string-dim"])
 def test_bend_refuses_an_unreadable_polygon_file(tmp_path, capsys, content):
     src = tmp_path / "bad.json"
     src.write_bytes(content)
