@@ -7,6 +7,7 @@ matrices recover the length/diagonal coordinates through their eigenvalues.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -30,13 +31,19 @@ def frame_orthonormalize(a, b) -> Frame:
     a, b = (np.asarray(w, dtype=complex) for w in (a, b))
     if a.ndim != 1 or a.shape != b.shape:
         raise InputError("a and b must be complex vectors of equal length")
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if np.isnan(na) or is_zero(na, na + nb):
+    with np.errstate(over="ignore"):
+        na, nb = (float(np.linalg.norm(w)) for w in (a, b))
+    for name, w, norm in (("first", a, na), ("second", b, nb)):
+        if not math.isfinite(norm):
+            raise InputError(f"{name} column " + (
+                "has a norm beyond the float range" if np.isfinite(w).all()
+                else "has an entry that is not finite"))
+    if is_zero(na, na + nb):
         raise InputError("first column is (numerically) zero")
     a = a / na
     b_perp = b - np.vdot(a, b) * a
     nb_perp = np.linalg.norm(b_perp)
-    if np.isnan(nb_perp) or is_zero(nb_perp, nb):
+    if is_zero(nb_perp, nb):
         raise InputError("columns are (numerically) linearly dependent")
     return Frame(a, b_perp / nb_perp)
 

@@ -104,9 +104,17 @@ def is_zero(x, scale):
     return x <= 1e-9 * scale
 
 
+def _finite(p: Polygon) -> Polygon:
+    """p itself, if its edges are finite; a NaN or inf edge is refused."""
+    if not np.isfinite(p.edges).all():
+        raise InputError("polygon has an edge that is not finite")
+    return p
+
+
 def stratum_index(p: Polygon) -> int:
     """m minus the number of zero edges: the smallest j with p in E_j."""
-    return int(p.m - np.count_nonzero(is_zero(side_lengths(p), perimeter(p))))
+    lengths = side_lengths(_finite(p))
+    return int(p.m - np.count_nonzero(is_zero(lengths, perimeter(p))))
 
 
 def is_proper(p: Polygon) -> bool:
@@ -115,7 +123,7 @@ def is_proper(p: Polygon) -> bool:
 
 def is_lined(p: Polygon) -> bool:
     """True if all edges span a line (or less)."""
-    sv = np.linalg.svd(p.edges.T, compute_uv=False)
+    sv = np.linalg.svd(_finite(p).edges.T, compute_uv=False)
     if len(sv) < 2:
         return True
     return bool(is_zero(sv[1], perimeter(p)))
@@ -123,7 +131,7 @@ def is_lined(p: Polygon) -> bool:
 
 def is_prodigal(p: Polygon) -> bool:
     """No diagonal returns to the origin prematurely."""
-    d = diagonals(p)[: p.m - 1]
+    d = diagonals(_finite(p))[: p.m - 1]
     return not is_zero(d, perimeter(p)).any()
 
 

@@ -203,6 +203,30 @@ def test_flow_matches_bend(rng):
         assert np.abs(flowed - target.edges).max() < 1e-6
 
 
+def _one_turn_miss():
+    """How far a unit radius about d_2 lands from its start after a turn."""
+    # x_1 = e_1 and x_2 = e_3 - e_1: d_2 = e_3, and x_1 is perpendicular to it
+    w = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    out = bending.hamiltonian_flow(w, bending.diagonal_field(2), math.tau)
+    return float(np.linalg.norm(out[0] - w[0]))
+
+
+def test_one_turn_misses_by_the_closed_form_rk4_error(monkeypatch):
+    # RK4 at S steps per turn lags a unit rotation by tau (tau/S)^4 / 120
+    def bound(steps):
+        return math.tau * (math.tau / steps) ** 4 / 120.0
+
+    miss = _one_turn_miss()
+    assert miss == pytest.approx(bound(bending.STEPS_PER_TURN), rel=0.01)
+    # STEPS_PER_TURN is the least step count within 1e-10
+    assert miss <= 1e-10 < bound(bending.STEPS_PER_TURN - 1)
+    half = bending.STEPS_PER_TURN // 2
+    monkeypatch.setattr(bending, "STEPS_PER_TURN", half)
+    coarse = _one_turn_miss()
+    assert coarse == pytest.approx(bound(half), rel=0.01)
+    assert coarse / miss == pytest.approx(16.0, rel=0.02)
+
+
 def test_flow_sign_is_measured_by_finite_differences():
     # the finite-difference flow of d_2 on this pentagon is bend(+t)
     edges = np.array([

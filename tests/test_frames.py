@@ -48,6 +48,20 @@ def test_orthonormalize_dependent():
             frames.frame_orthonormalize(a, b)
 
 
+@pytest.mark.parametrize("a, b, match", [
+    ([math.inf, 1, 0], [0, 1, 0], "first column has an entry that is not"),
+    ([1, 0, 0], [math.inf, 1, 0], "second column has an entry that is not"),
+    ([1, 0, 0], [math.nan, 1, 0], "second column has an entry that is not"),
+    ([1, complex(0, -math.inf), 0], [0, 1, 0], "first column has an entry"),
+    # finite entries whose norm overflows, refused without a RuntimeWarning
+    ([1e200, 1e200, 0], [0, 1, 0], "first column has a norm beyond"),
+    ([1, 0, 0], [0, 1e200, 0], "second column has a norm beyond"),
+])
+def test_orthonormalize_names_the_column_that_is_not_finite(a, b, match):
+    with pytest.raises(InputError, match=match):
+        frames.frame_orthonormalize(a, b)
+
+
 def test_frame_to_polygon_basis():
     p = frames.frame_to_polygon(basis_frame())
     assert np.allclose(p.edges, [[1, 0, 0], [-1, 0, 0], [0, 0, 0]])

@@ -1,6 +1,7 @@
 """Polygon data model: lengths, diagonals, strata, predicates."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,15 @@ def test_predicates():
     flat = Polygon(3, [[1, 0, 0], [-1, 0, 0], [1, 0, 0], [-1, 0, 0]])
     assert pg.is_lined(flat)
     assert not pg.is_prodigal(flat)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("predicate", [
+    pg.stratum_index, pg.is_proper, pg.is_lined, pg.is_prodigal])
+def test_predicates_refuse_an_edge_that_is_not_finite(predicate, bad):
+    p = Polygon(3, [[1, 0, 0], [bad, 0, 0], [0, 0, 0]])
+    with pytest.raises(InputError, match="edge that is not finite"):
+        predicate(p)
 
 
 def test_reflect():

@@ -53,14 +53,20 @@ def test_bend_suite_makes_one_padded_flow_call(monkeypatch, trials, shapes):
     assert [shape for shape, _ in calls] == shapes
 
 
-def per_size_flows(trials, seed):
-    """Oracle: the bend suite's flows with one unpadded call per size m,
-    as {(trial, t): points}."""
+def bend_suite_draws(trials, seed):
+    """The bend suite's draws at ``seed``, as (trial, polygon, head)."""
     drawn = []
     for k in range(trials):
         rng = verify.trial_rng(seed, k)
         poly = verify.random_prodigal_polygon(rng, 5 + k % 2)
         drawn.append((k, poly, int(rng.integers(2, poly.m - 1))))
+    return drawn
+
+
+def per_size_flows(trials, seed):
+    """Oracle: the bend suite's flows with one unpadded call per size m,
+    as {(trial, t): points}."""
+    drawn = bend_suite_draws(trials, seed)
     flowed = {}
     for m in sorted({poly.m for _, poly, _ in drawn}):
         ks, polys, heads, ts = zip(*[(k, p, i, t) for k, p, i in drawn
@@ -86,6 +92,32 @@ def test_padded_flow_matches_per_size_flows(monkeypatch, seed, trials):
         assert np.array_equal(padded[b, :m], points), (k, t)
         # the pad row of a pentagon never moves
         assert (padded[b, m:] == [0.0, 0.0, 1.0]).all()
+
+
+def test_bend_suite_flow_margin_stays_below_1e_9_at_seeds_0_to_99():
+    # the suite's draws at seeds 0..99 and 4 trials, padded and flowed as
+    # the suite does, but in one call for all seeds
+    seeds, trials = range(100), 4
+    drawn = [d for seed in seeds for d in bend_suite_draws(trials, seed)]
+    edges = np.tile([0.0, 0.0, 1.0], (len(drawn), 6, 1))
+    for b, (_, poly, _) in enumerate(drawn):
+        edges[b, :poly.m] = poly.edges
+    n = len(FLOW_TIMES)
+    flowed = bending.hamiltonian_flow(
+        np.repeat(edges, n, axis=0),
+        bending.diagonal_field(np.repeat([i for _, _, i in drawn], n)),
+        FLOW_TIMES * len(drawn))
+    worst = np.zeros(len(seeds))
+    for b, (_, poly, i) in enumerate(drawn):
+        for j, t in enumerate(FLOW_TIMES):
+            dev = np.abs(flowed[n * b + j, :poly.m]
+                         - bending.bend(poly, i, t).edges).max()
+            worst[b // trials] = max(worst[b // trials], dev)
+    assert worst.max() < 1e-9
+    # these are the suite's draws: its report at the worst seed agrees
+    seed = int(worst.argmax())
+    assert verify.suite_bend(trials, seed).margins["flow"][0] == \
+        pytest.approx(worst[seed], rel=1e-9)
 
 
 @pytest.mark.parametrize("linked", [
