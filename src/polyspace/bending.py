@@ -149,7 +149,7 @@ def diagonal_field(i):
         if m not in masks:
             masks[m] = (np.arange(m) < heads[..., None])[..., None] * 1.0
         head = points * masks[m]
-        d = head.sum(axis=-2)
+        d = np.einsum("...ij->...j", head)   # cheaper than sum(axis=-2)
         norm2 = np.einsum("...k,...k->...", d, d)
         if not norm2.all():
             b = np.flatnonzero(norm2 == 0.0)[0]

@@ -241,10 +241,6 @@ def cmd_bend(args) -> int:
 
 def cmd_sample(args) -> int:
     alpha = parse_rationals(args.alpha)
-    if args.count < 0:
-        raise InputError(f"--count must be >= 0, got {args.count}")
-    if args.seed < 0:
-        raise InputError(f"--seed must be >= 0, got {args.seed}")
     docs = [polygon_to_doc(p) for p in
             rec.sample_moduli(alpha, args.dim, args.count, args.seed)]
     if args.format == "json":
@@ -265,8 +261,6 @@ def cmd_section(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials is not None and args.trials < 0:
-        raise InputError(f"--trials must be >= 0, got {args.trials}")
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = [verify.run_suite(name, args.trials, args.seed)
                for name in names]

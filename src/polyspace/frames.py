@@ -14,7 +14,7 @@ import numpy as np
 
 from . import quat
 from .errors import InputError
-from .polygon import Polygon, closure_defect, is_zero, perimeter
+from .polygon import Polygon, is_zero
 
 _HERMITIAN_TOL = 1e-10
 
@@ -141,16 +141,24 @@ def gc_pattern(f: Frame) -> GCPattern:
     return GCPattern(lo + hi, hi - lo)
 
 
-def frame_from_polygon(p: Polygon) -> Frame:
-    """Rowwise deterministic Hopf lift of a closed perimeter-2 polygon."""
-    if p.dim != 3:
-        p = p.embedded()
-    per = perimeter(p)
-    if not abs(per - 2.0) <= 1e-9:
-        raise InputError(f"perimeter is {per}, expected 2")
-    if not is_zero(closure_defect(p), per):
+def frame_from_edges(edges) -> Frame:
+    """Rowwise deterministic Hopf lift of closed perimeter-2 polygons: the
+    edges of one, (m, 3), or of a (..., m, 3) stack. The first member off
+    perimeter 2, else the first open one, is refused."""
+    edges = np.asarray(edges, dtype=float)
+    per = np.linalg.norm(edges, axis=-1).sum(axis=-1)
+    near = abs(per - 2.0) <= 1e-9   # NaN is not near
+    if not near.all():
+        raise InputError(f"perimeter is {float(per.flat[np.argmin(near)])}, "
+                         "expected 2")
+    if not is_zero(np.linalg.norm(edges.sum(axis=-2), axis=-1), per).all():
         raise InputError("edge vectors do not sum to zero")
-    return Frame(*quat.hopf_section(p.edges))
+    return Frame(*quat.hopf_section(edges))
+
+
+def frame_from_polygon(p: Polygon) -> Frame:
+    """``frame_from_edges`` of one polygon, embedded in R^3."""
+    return frame_from_edges((p if p.dim == 3 else p.embedded()).edges)
 
 
 def random_frame(m: int, rng) -> Frame:

@@ -81,14 +81,6 @@ def perimeter(p: Polygon) -> float:
     return float(np.linalg.norm(p.edges, axis=1).sum())
 
 
-def normalize(p: Polygon) -> Polygon:
-    """Scale to the perimeter-2 representative on the sphere S(F)."""
-    per = perimeter(p)
-    if per == 0.0:
-        raise InputError("the zero polygon has no normalized representative")
-    return Polygon(p.dim, p.edges * (2.0 / per))
-
-
 def side_lengths(p: Polygon) -> np.ndarray:
     return np.linalg.norm(p.edges, axis=1)
 

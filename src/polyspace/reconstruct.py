@@ -235,29 +235,41 @@ def sample_ld(alpha, rng) -> LDPoint:
     return LDPoint(alpha, tuple(delta))
 
 
+def draw_sample(alpha, k: int, rng) -> tuple[LDPoint, np.ndarray]:
+    """One sample's draws from rng, in order: its ``sample_ld`` point, whose
+    triangles are checked, then its m - 3 bending angles, uniform (k = 3) or
+    0 or pi (k = 2). ``_bend(_place(lds), angles)`` builds a stack of them."""
+    ld = sample_ld(alpha, rng)
+    _check_triangles(ld)
+    return ld, (rng.uniform(0.0, math.tau, size=ld.m - 3) if k == 3
+                else math.pi * rng.integers(0, 2, size=ld.m - 3))
+
+
 def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:
     """Deterministic sample of polygons with the given side lengths; the
     samples of a count are the first samples of any larger count. Each
     bends about every free diagonal by a uniform angle, or by 0 or pi (k=2)."""
     if k not in (2, 3):
         raise InputError("k must be 2 or 3")
+    if count < 0:
+        raise InputError(f"count must be >= 0, got {count}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     alpha = exact_lengths(alpha)
     m = len(alpha)
     if m < 3:
         raise InputError(f"a polygon needs at least 3 lengths, got {m}")
     if not is_feasible_lengths(alpha):
         raise EmptyPolytope("no polygon has these side lengths")
-    rng = np.random.default_rng(seed)
+    # default_rng(seed) is this generator, built without its dispatch
+    rng = np.random.Generator(np.random.PCG64(seed))
     lds, turns = [], []
     try:
         for _ in range(count):
-            ld = sample_ld(alpha, rng)
-            _check_triangles(ld)
+            ld, angles = draw_sample(alpha, k, rng)
             lds.append(ld)
-            turns.append(rng.uniform(0.0, math.tau, size=m - 3) if k == 3
-                         else math.pi * rng.integers(0, 2, size=m - 3))
+            turns.append(angles)
     finally:
         # built on an error too, so that an earlier sample's error wins
-        edges = _bend(_place(lds) if lds else np.zeros((0, m, 3)),
-                      np.reshape(turns, (len(lds), m - 3)))[0]
+        edges = _bend(_place(lds), turns)[0] if lds else []
     return [Polygon(k, e[:, :k]) for e in edges]

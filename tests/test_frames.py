@@ -264,9 +264,42 @@ def test_frame_from_polygon_validation():
         frames.frame_from_polygon(nan_edge)
 
 
+def _closed_stack(rng, count=4, m=5):
+    """A stack of closed perimeter-2 polygons, their edges (count, m, 3)."""
+    edges = rng.standard_normal((count, m, 3))
+    edges -= edges.mean(axis=1, keepdims=True)
+    return edges * (2.0 / np.linalg.norm(edges, axis=-1).sum(axis=-1))[
+        :, None, None]
+
+
+def test_stacked_lift_is_each_polygons_lift(rng):
+    edges = _closed_stack(rng)
+    f = frames.frame_from_edges(edges)
+    assert f.a.shape == f.b.shape == (4, 5)
+    for b, e in enumerate(edges):
+        g = frames.frame_from_polygon(pg.Polygon(3, e))
+        assert np.array_equal(f.a[b], g.a) and np.array_equal(f.b[b], g.b)
+
+
+def test_stacked_lift_refuses_one_bad_member(rng):
+    edges = _closed_stack(rng)
+    scaled = edges.copy()
+    scaled[2] *= 1.5
+    opened = edges.copy()
+    # a perimeter-2 path that does not close: its last edge reversed
+    opened[1, -1] *= -1.0
+    for stack, bad, message in ((scaled, 2, r"perimeter is 2\.99"),
+                                (opened, 1, "edge vectors do not sum")):
+        with pytest.raises(InputError, match=message) as one:
+            frames.frame_from_polygon(pg.Polygon(3, stack[bad]))
+        # the stack says what the lift of its bad member alone says
+        with pytest.raises(InputError) as err:
+            frames.frame_from_edges(stack)
+        assert str(err.value) == str(one.value)
+
+
 def test_frame_from_polygon_deterministic():
-    p = pg.normalize(pg.Polygon(3, [[1, 0, 0], [0, 1, 0],
-                                    [-1, 0, 0], [0, -1, 0]]))
+    p = pg.Polygon(3, [[0.5, 0, 0], [0, 0.5, 0], [-0.5, 0, 0], [0, -0.5, 0]])
     f = frames.frame_from_polygon(p)
     g = frames.frame_from_polygon(p)
     assert np.array_equal(f.a, g.a) and np.array_equal(f.b, g.b)

@@ -26,21 +26,6 @@ def test_closure_and_perimeter():
     assert pg.closure_defect(open_path) == 1.0
 
 
-def test_normalize():
-    n = pg.normalize(SQUARE)
-    assert pg.perimeter(n) == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(n.edges, SQUARE.edges / 2.0)
-    again = pg.normalize(n)
-    assert np.allclose(again.edges, n.edges)
-    with pytest.raises(InputError, match="zero polygon"):
-        pg.normalize(Polygon(2, np.zeros((3, 2))))
-
-
-def test_normalize_triangle():
-    tri = Polygon(2, [[3, 0], [-3, 4], [0, -4]])
-    assert np.allclose(pg.normalize(tri).edges, tri.edges / 6.0)
-
-
 def test_side_lengths_and_diagonals():
     assert np.allclose(pg.side_lengths(SQUARE), [1, 1, 1, 1])
     assert np.allclose(pg.diagonals(SQUARE), [1, np.sqrt(2), 1, 0])
@@ -65,7 +50,6 @@ def test_stratum_index():
     assert pg.stratum_index(SQUARE) == 4
     assert pg.stratum_index(DEGENERATE) == 2
     assert pg.stratum_index(Polygon(2, np.zeros((3, 2)))) == 0
-    assert pg.stratum_index(pg.normalize(DEGENERATE)) == 2
 
 
 def test_predicates():

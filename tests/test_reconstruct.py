@@ -11,8 +11,8 @@ from hypothesis import given, strategies as st
 
 from polyspace import (bending, polygon as pg, polytope as pt,
                        reconstruct as rec)
-from polyspace.errors import (EmptyPolytope, Infeasible, TriangleViolation,
-                              ZeroDiagonal)
+from polyspace.errors import (EmptyPolytope, Infeasible, InputError,
+                              TriangleViolation, ZeroDiagonal)
 from polyspace.reconstruct import LDPoint
 
 
@@ -230,6 +230,27 @@ def test_sample_moduli_planar_flips_change_shape():
 def test_sample_moduli_empty():
     with pytest.raises(EmptyPolytope):
         rec.sample_moduli((1, 1, 10, 1), 2, 5, seed=0)
+
+
+@pytest.mark.parametrize("count, seed, message", [
+    (-2, 0, "count must be >= 0, got -2"),
+    (2, -1, "seed must be >= 0, got -1")])
+def test_sample_moduli_refuses_a_negative_count_or_seed(count, seed, message):
+    with pytest.raises(InputError, match=message):
+        rec.sample_moduli((1, 1, 1, 1), 3, count, seed)
+
+
+def test_sample_moduli_draws_from_default_rng():
+    # the samples are draw_sample's draws from default_rng(seed), in order
+    alpha = (1, 2, 2, 1, 1)
+    for seed in (0, 5, 2**63 + 5):
+        for k in (2, 3):
+            rng = np.random.default_rng(seed)
+            lds, turns = zip(*(rec.draw_sample(alpha, k, rng)
+                               for _ in range(2)))
+            edges = rec._bend(rec._place(lds), turns)[0]
+            for p, e in zip(rec.sample_moduli(alpha, k, 2, seed), edges):
+                assert np.array_equal(p.edges, e[:, :k])
 
 
 def test_quad_sampling_covers_interval():

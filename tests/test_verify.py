@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from polyspace import bending, frames, polygon as pg, polytope, quat, verify
-from polyspace.errors import PolyspaceError
+from polyspace import (bending, frames, polygon as pg, polytope, quat,
+                       reconstruct, verify)
+from polyspace.errors import InputError, PolyspaceError
 
 FLOW_TIMES = (0.1, 1.0, math.pi, 2.0 * math.pi)
 
@@ -223,6 +224,99 @@ def test_stacked_gc_suite_matches_per_trial_loop(monkeypatch, trials, seeds):
         failed = [case for case, dev, tol in oracle if not dev <= tol]
         assert report.ok == (not failed)
         assert [case for case, _, _ in report.failures] == failed
+
+
+def per_trial_roundtrip(trials, seed):
+    """Oracle: the roundtrip suite one sampled polygon at a time, as
+    (case, dev, tol)."""
+    rows = []
+    for k in range(trials):
+        alpha = verify.random_rational_lengths(verify.trial_rng(seed, k),
+                                               4 + k % 3)
+        poly = reconstruct.sample_moduli(alpha, 3, 1,
+                                         verify.mix_seed(seed, k))[0]
+        ell, d = pg.side_lengths(poly), pg.diagonals(poly)
+        norm_poly = pg.Polygon(3, poly.edges * (2.0 / pg.perimeter(poly)))
+        f = frames.frame_from_polygon(norm_poly)
+        back = frames.frame_to_polygon(f)
+        rows.append((f"edges[{k}]",
+                     np.abs(back.edges - norm_poly.edges).max(), 1e-9))
+        scale = 2.0 / pg.perimeter(poly)
+        pattern = frames.gc_pattern(f)
+        rows.append((f"lengths[{k}]",
+                     np.abs(pattern.sums - np.cumsum(ell) * scale).max(),
+                     1e-9))
+        rows.append((f"diagonals[{k}]",
+                     np.abs(pattern.diffs - d * scale).max(), 1e-9))
+    return rows
+
+
+# 1 and 2 trials leave some of the sizes m = 4, 5, 6 without a polygon
+@pytest.mark.parametrize("trials, seeds", [(100, range(4)), (0, [0]),
+                                           (1, [0, 1]), (2, [3]),
+                                           (3, [0, 5])])
+def test_stacked_roundtrip_suite_matches_per_trial_loop(monkeypatch, trials,
+                                                        seeds):
+    recorded = _logged_records(monkeypatch)
+    for seed in seeds:
+        recorded.clear()
+        report = verify.suite_roundtrip(trials, seed)
+        oracle = per_trial_roundtrip(trials, seed)
+        assert recorded == oracle   # bit for bit
+        assert report.ok == all(dev <= tol for _, dev, tol in oracle)
+
+
+def _counted(monkeypatch, module, name):
+    """Patch module.name to log each call's result."""
+    fn = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        out = fn(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("trials, seed", [(100, 0), (7, 3), (2, 1)])
+def test_roundtrip_suite_builds_one_stack_per_size(monkeypatch, trials, seed):
+    places = _counted(monkeypatch, reconstruct, "_place")
+    bends = _counted(monkeypatch, reconstruct, "_bend")
+    lifts = _counted(monkeypatch, quat, "hopf_section")
+    verify.suite_roundtrip(trials, seed)
+    sizes = min(trials, 3)
+    assert len(places) == len(bends) == len(lifts) == sizes
+    # the stack of size m = 4 + first holds trials first, first + 3, ...,
+    # each the one polygon sample_moduli draws from that trial's seed
+    for first, (edges, _) in enumerate(list(bends)):
+        assert edges.shape == (len(range(first, trials, 3)), 4 + first, 3)
+        for row, k in zip(edges, range(first, trials, 3)):
+            alpha = verify.random_rational_lengths(
+                verify.trial_rng(seed, k), 4 + first)
+            poly = reconstruct.sample_moduli(alpha, 3, 1,
+                                             verify.mix_seed(seed, k))[0]
+            assert np.array_equal(row, poly.edges)
+
+
+def test_trial_rng_draws_as_default_rng():
+    # mix_seed spreads over 64 bits: half the seeds it gives are >= 2**63
+    seeds = [(seed, k) for seed in (0, 1, 2**63, 2**64 - 1) for k in range(4)]
+    assert any(verify.mix_seed(seed, k) >= 2**63 for seed, k in seeds)
+    for seed, k in seeds:
+        got = verify.trial_rng(seed, k)
+        want = np.random.default_rng(verify.mix_seed(seed, k))
+        assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
+        assert np.array_equal(got.integers(0, 720721, size=5),
+                              want.integers(0, 720721, size=5))
+        assert got.uniform(0.0, 1.0) == want.uniform(0.0, 1.0)
+
+
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_run_suite_refuses_a_negative_trial_count(name):
+    with pytest.raises(InputError, match="trials must be >= 0, got -1"):
+        verify.run_suite(name, -1)
 
 
 def _hopf_differential(row, tangent):
