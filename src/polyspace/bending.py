@@ -105,13 +105,6 @@ def km_complex(x, v) -> np.ndarray:
     return np.cross(x, v) / r[..., None]
 
 
-def km_metric(x, u, v) -> np.ndarray:
-    """Hermitian metric (1/r)<u,v> - (i/r^2)<x, u x v>, rowwise."""
-    x, u, v = (np.asarray(w, dtype=float) for w in (x, u, v))
-    r = _check_tangent(x, u, v)
-    return _dot(u, v) / r - 1j * (_dot(x, np.cross(u, v)) / (r * r))
-
-
 def diagonal_hamiltonian(i: int):
     """H(w) = |x_1 + ... + x_i| as a plain-float callable.
 

@@ -65,14 +65,26 @@ def polygon_to_doc(p: Polygon) -> dict:
     if not all(np.isfinite(a).all() for a in (p.edges, alpha, diags)):
         raise InputError("the polygon is not finite in floating point; "
                          "the input lengths are out of range")
-    return {
-        "dim": p.dim,
-        "edges": p.edges.tolist(),
-        "meta": {
-            "alpha": alpha.tolist(),
-            "diagonals": diags.tolist(),
-        },
-    }
+    return {"dim": p.dim, "edges": p.edges.tolist(),
+            "meta": {"alpha": alpha.tolist(), "diagonals": diags.tolist()}}
+
+
+def _polygon_json(x, pad: str = "") -> str:
+    """``json.dumps(x, indent=2)`` of a ``polygon_to_doc`` document or a list
+    of them, its first line at ``pad``: json writes an int or a finite float
+    as its repr, and a document's keys are plain names, its floats finite."""
+    if not isinstance(x, (dict, list)):
+        return repr(x)
+    if isinstance(x, dict):
+        items = [f'"{k}": {_polygon_json(v, pad + "  ")}' for k, v in x.items()]
+    elif x and type(x[0]) is float:   # a row of floats, in one join
+        items = list(map(float.__repr__, x))
+    else:
+        items = [_polygon_json(v, pad + "  ") for v in x]
+    ends, line = ("{}" if isinstance(x, dict) else "[]"), "\n" + pad + "  "
+    if not items:
+        return ends
+    return ends[0] + line + ("," + line).join(items) + "\n" + pad + ends[1]
 
 
 def polygon_from_doc(doc: dict) -> Polygon:
@@ -212,8 +224,7 @@ def cmd_reconstruct(args) -> int:
         poly = rec.fiber_sample(ld, parse_floats(args.angles))
     else:
         poly = rec.reconstruct(ld, args.dim)
-    return _emit(args, json.dumps(polygon_to_doc(poly), indent=2),
-                 svg_polygon, poly)
+    return _emit(args, _polygon_json(polygon_to_doc(poly)), svg_polygon, poly)
 
 
 def cmd_bend(args) -> int:
@@ -236,7 +247,7 @@ def cmd_bend(args) -> int:
         raise InputError(f"--range needs two integers 'p,q', "
                          f"got {args.range!r}") from exc
     out = bend_range(poly.embedded(), (p, q), args.angle)
-    return _emit(args, json.dumps(polygon_to_doc(out), indent=2))
+    return _emit(args, _polygon_json(polygon_to_doc(out)))
 
 
 def cmd_sample(args) -> int:
@@ -244,7 +255,7 @@ def cmd_sample(args) -> int:
     docs = [polygon_to_doc(p) for p in
             rec.sample_moduli(alpha, args.dim, args.count, args.seed)]
     if args.format == "json":
-        text = json.dumps(docs, indent=2)
+        text = _polygon_json(docs)
     else:
         text = _csv(("polygon,edge", "xyz"[:args.dim]),
                     ((f"{i},{e + 1}", map(repr, row))
@@ -256,8 +267,7 @@ def cmd_sample(args) -> int:
 def cmd_section(args) -> int:
     alpha = parse_rationals(args.alpha)
     poly = rec.section_sigma(alpha)
-    return _emit(args, json.dumps(polygon_to_doc(poly), indent=2),
-                 svg_polygon, poly)
+    return _emit(args, _polygon_json(polygon_to_doc(poly)), svg_polygon, poly)
 
 
 def cmd_verify(args) -> int:

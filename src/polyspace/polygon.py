@@ -127,15 +127,6 @@ def is_prodigal(p: Polygon) -> bool:
     return not is_zero(d, perimeter(p)).any()
 
 
-def reflect(p: Polygon, axis: int = -1) -> Polygon:
-    """Orthogonal reflection negating one coordinate (the last by default)."""
-    if p.dim < 2:
-        raise InputError("reflection is the identity on P(m,1); refusing")
-    edges = p.edges.copy()
-    edges[:, axis] = -edges[:, axis]
-    return Polygon(p.dim, edges)
-
-
 def even_step(p: Polygon) -> Polygon:
     """Replace consecutive edge pairs by their sums, halving the polygon.
 

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import InputError
 
 _UNITARY_TOL = 1e-9
+_SOUTH = np.array([-1.0, 0.0, 0.0])
 
 
 def hopf_complex(u, v) -> np.ndarray:
@@ -90,6 +91,11 @@ def conjugate_vector(P: np.ndarray, x) -> np.ndarray:
                     axis=-1)
 
 
+def row_norms(x) -> np.ndarray:
+    """|x| along the last axis: np.linalg.norm's bits without its dispatch."""
+    return np.sqrt((x * x).sum(axis=-1))
+
+
 def hopf_section(x):
     """Deterministic right inverse of the Hopf map, rowwise on the last axis.
 
@@ -100,12 +106,10 @@ def hopf_section(x):
     r = 0, the lift is (0, sqrt(r)).  hopf_complex(*hopf_section(x)) = x.
     """
     x = np.asarray(x, dtype=float)
-    x1, x2, x3 = np.moveaxis(x, -1, 0)
-    r = np.linalg.norm(x, axis=-1)
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
+    r = row_norms(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        n = x / r[..., None]
-        off = np.linalg.norm(n - [-1.0, 0.0, 0.0], axis=-1)
-        axis = (r == 0.0) | (off < 1e-9)
+        axis = (r == 0.0) | (row_norms(x / r[..., None] - _SOUTH) < 1e-9)
         t = np.where(x1 < 0.0, (x2 * x2 + x3 * x3) / (r - x1), r + x1)
         u = np.sqrt(t / 2.0)
         v = (x3 - 1j * x2) / np.sqrt(2.0 * t)

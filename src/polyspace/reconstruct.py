@@ -209,14 +209,16 @@ def sample_ld(alpha, rng) -> LDPoint:
     """One exact rational interior-ish point of the diagonal slice.
 
     Each diagonal is an integer numerator d over den * scale: den scales
-    the lengths to integers and scale = _GRID**k after k draws.
+    the lengths to integers and scale = _GRID**k after k draws. LDPoint
+    takes the quotients d / (den * scale), correctly rounded, after every
+    draw, and refuses one beyond the float range.
     """
     alpha = exact_lengths(alpha)
     den, ints = integer_scaled(alpha)
     # sums and maxima of the tails ints[j:], each computed once
     rests = list(accumulate(reversed(ints)))[::-1]
     tops = list(accumulate(reversed(ints), max))[::-1]
-    d, scale, delta = ints[0] if ints else 0, 1, []
+    d, scale, ratios = ints[0] if ints else 0, 1, []
     for i in range(1, len(ints) - 2):
         # d_{i+1} closes a triangle with d_i and alpha_{i+1}, and a polygon
         # with the tail alpha_{i+2..m}: 2 max(d, tail) <= d + sum(tail)
@@ -231,8 +233,8 @@ def sample_ld(alpha, rng) -> LDPoint:
             # lo + (hi - lo) * k / _GRID on the grid one level finer
             d = lo * _GRID + (hi - lo) * int(rng.integers(0, _GRID + 1))
             scale *= _GRID
-        delta.append(Fraction(d, den * scale))
-    return LDPoint(alpha, tuple(delta))
+        ratios.append((d, den * scale))
+    return LDPoint(alpha, (p / q for p, q in ratios))
 
 
 def draw_sample(alpha, k: int, rng) -> tuple[LDPoint, np.ndarray]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polyspace.errors import InputError
 from polyspace.polygon import Polygon
 
 
@@ -21,3 +22,14 @@ def random_rotation(rng, dim=3):
 
 def rotated(p, rot):
     return Polygon(p.dim, p.edges @ np.asarray(rot).T)
+
+
+# Test-only oracle: the orthogonal reflection of a polygon, as it was when
+# the package kept it as polygon.reflect.
+def reflect(p, axis=-1):
+    """Orthogonal reflection negating one coordinate (the last by default)."""
+    if p.dim < 2:
+        raise InputError("reflection is the identity on P(m,1); refusing")
+    edges = p.edges.copy()
+    edges[:, axis] = -edges[:, axis]
+    return Polygon(p.dim, edges)

@@ -129,15 +129,25 @@ def test_km_complex():
     assert np.linalg.norm(jv) == pytest.approx(np.linalg.norm(v))
 
 
+# Test-only oracle: the Hermitian metric of Kapovich-Millson, as it was when
+# the package kept it as bending.km_metric; its imaginary part is -km_form.
+def km_metric(x, u, v):
+    """Hermitian metric (1/r)<u,v> - (i/r^2)<x, u x v>, rowwise."""
+    x, u, v = (np.asarray(w, dtype=float) for w in (x, u, v))
+    r = bending._check_tangent(x, u, v)
+    return (bending._dot(u, v) / r
+            - 1j * (bending._dot(x, np.cross(u, v)) / (r * r)))
+
+
 def test_km_metric():
     x = np.array([2.0, 0.0, 0.0])
     u = np.array([0.0, 1.0, 0.0])
     v = np.array([0.0, 0.0, 1.0])
-    h = bending.km_metric(x, u, v)
+    h = km_metric(x, u, v)
     assert h == pytest.approx(complex(0.0, -0.5))
     assert h.imag == pytest.approx(-bending.km_form(x, u, v))
-    assert bending.km_metric(x, u, u).real >= 0.0
-    assert bending.km_metric(x, u, u).imag == 0.0
+    assert km_metric(x, u, u).real >= 0.0
+    assert km_metric(x, u, u).imag == 0.0
 
 
 def _tangent_stack(rng, n):
@@ -149,14 +159,14 @@ def _tangent_stack(rng, n):
 
 def test_km_structures_on_rows_match_per_row_calls(rng):
     x, u, v = _tangent_stack(rng, 40)
-    form, metric = bending.km_form(x, u, v), bending.km_metric(x, u, v)
+    form, metric = bending.km_form(x, u, v), km_metric(x, u, v)
     turn = bending.km_complex(x, v)
     assert form.shape == metric.shape == (40,) and turn.shape == (40, 3)
     for b in range(40):
         assert form[b] == pytest.approx(bending.km_form(x[b], u[b], v[b]),
                                         rel=1e-14)
         assert metric[b] == pytest.approx(
-            bending.km_metric(x[b], u[b], v[b]), rel=1e-14)
+            km_metric(x[b], u[b], v[b]), rel=1e-14)
         assert np.array_equal(turn[b], bending.km_complex(x[b], v[b]))
 
 
@@ -171,7 +181,7 @@ def test_tangency_guard_rejects_nan(rng):
         bending.km_form(x, u, v)
     x[2, 0] = math.nan
     with pytest.raises(InputError, match="not tangent"):
-        bending.km_metric(x, v, v)
+        km_metric(x, v, v)
     # a tangency defect on one row is refused too
     x, u, v = _tangent_stack(rng, 5)
     v[4] = x[4]

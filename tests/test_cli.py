@@ -128,9 +128,23 @@ def test_csv_bytes_are_pinned(capsys, argv, digest):
     # the x-axis, with no rounding left in its exact-cosine direction
     ("section --alpha 1/22,21/22,1",
      "859bd32d00702d0cdba8d90b0f707e873055be56bb6dc59a466f80f71d6ec266"),
+    # the polygon documents: json.dumps(indent=2) bytes, lists included
+    ("sample --alpha 1,1,1,1,1 --count 2 --seed 3 --dim 2",
+     "d8ee91dcef168b4f388a205154e431bf685d2c3c8de59c077d93ab43e1126189"),
+    ("sample --alpha 1,1,1,1,1 --count 2 --seed 3 --dim 3",
+     "d7716cbda657d373c00e395398452b229a53e7691daa30b0fe4a293f96ba1c88"),
+    # an empty sample is the empty list "[]" and a newline
+    ("sample --alpha 1,1,1,1,1 --count 0",
+     "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("reconstruct --alpha 1,1,1,1,1 --diag 1.2,1.2",
+     "0867c7018570a2b91bcfaca252277c5845815d60ed57f7b1c661888cbc7c417c"),
+    ("reconstruct --alpha 1,1,1,1,1 --diag 1.2,1.2 --angles 0.5,-0.7",
+     "25ce3cd0387dbca5ebaab7a1cb61d49f3f14fdb5d400a95c5b1b4d5519b3f1e2"),
+    ("bend --in {dir}/square.json --range 2,3 --angle 0.7",
+     "99abb2de2a3d8b65b04cb2d5d74b808167698121ce5f0d0d09dd27cef00d698a"),
 ])
-def test_json_bytes_are_pinned(capsys, argv, digest):
-    code, out = run(capsys, *argv.split())
+def test_json_bytes_are_pinned(capsys, polygon_dir, argv, digest):
+    code, out = run(capsys, *argv.format(dir=polygon_dir).split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -516,6 +530,37 @@ def test_emitted_polygon_parses_back(tmp_path, capsys):
     assert json.dumps(cli.polygon_to_doc(tiny)) == (
         '{"dim": 3, "edges": [[1.0, 1e-300, -0.0], [-1.0, -1e-300, 0.0]], '
         '"meta": {"alpha": [1.0, 1.0], "diagonals": [1.0, 0.0]}}')
+    # and so does the writer every polygon command uses
+    assert cli._polygon_json(cli.polygon_to_doc(tiny)) == (
+        '{\n  "dim": 3,\n  "edges": [\n    [\n      1.0,\n      1e-300,\n'
+        '      -0.0\n    ],\n    [\n      -1.0,\n      -1e-300,\n      0.0\n'
+        '    ]\n  ],\n  "meta": {\n    "alpha": [\n      1.0,\n      1.0\n'
+        '    ],\n    "diagonals": [\n      1.0,\n      0.0\n    ]\n  }\n}')
+
+
+# the float extremes a document can hold: a signed zero, the least
+# subnormal, a tiny normal and the largest finite float
+EXTREME_FLOATS = (-0.0, 5e-324, 1e-300, 1.7976931348623157e308)
+
+
+@st.composite
+def polygon_docs(draw):
+    """A ``polygon_to_doc`` document, m = 2..24 and dim 1..3, whose edges
+    may hold the extreme floats; the largest is put in afterwards, since
+    polygon_to_doc refuses the overflow of its square."""
+    m, dim = draw(st.integers(2, 24)), draw(st.integers(1, 3))
+    cell = st.floats(-1e6, 1e6) | st.sampled_from(EXTREME_FLOATS[:3])
+    edges = draw(st.lists(st.lists(cell, min_size=dim, max_size=dim),
+                          min_size=m, max_size=m))
+    doc = cli.polygon_to_doc(pg.Polygon(dim, edges))
+    if draw(st.booleans()):
+        doc["edges"][draw(st.integers(0, m - 1))][dim - 1] = EXTREME_FLOATS[3]
+    return doc
+
+
+@given(polygon_docs() | st.lists(polygon_docs(), max_size=3))
+def test_polygon_writer_gives_the_json_dumps_bytes(x):
+    assert cli._polygon_json(x) == json.dumps(x, indent=2)
 
 
 def test_non_finite_numbers_exit_1(capsys):

