@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import InputError, ZeroDiagonal
-from .polygon import Polygon, is_zero, perimeter
+from .polygon import Polygon, is_zero, norm, perimeter
 
 _CROSS_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 # the least S whose one-turn RK4 error tau (tau/S)^4 / 120 is <= 1e-10: 951
@@ -47,12 +47,12 @@ def bend_range(poly: Polygon, block: tuple[int, int],
     lo, hi = p - 1, q
     axis = poly.edges[lo:hi].sum(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm, per = np.linalg.norm(axis), perimeter(poly)
-    if not math.isfinite(norm):
+        size, per = norm(axis), perimeter(poly)
+    if not math.isfinite(size):
         raise InputError(f"diagonal {(p, q)} is beyond the float range")
-    if is_zero(norm, per):
+    if is_zero(size, per):
         raise ZeroDiagonal((p, q))
-    rot = rodrigues(axis / norm, theta)
+    rot = rodrigues(axis / size, theta)
     edges = poly.edges.copy()
     edges[lo:hi] = edges[lo:hi] @ rot.T
     return Polygon(3, edges)

@@ -69,22 +69,31 @@ def polygon_to_doc(p: Polygon) -> dict:
             "meta": {"alpha": alpha.tolist(), "diagonals": diags.tolist()}}
 
 
-def _polygon_json(x, pad: str = "") -> str:
-    """``json.dumps(x, indent=2)`` of a ``polygon_to_doc`` document or a list
-    of them, its first line at ``pad``: json writes an int or a finite float
-    as its repr, and a document's keys are plain names, its floats finite."""
-    if not isinstance(x, (dict, list)):
-        return repr(x)
+_value_json = json.JSONEncoder(default=str).encode   # one value, as json.dumps
+_str_json = json.encoder.encode_basestring_ascii
+_ROW_JSON = {float: float.__repr__, str: _str_json}
+
+
+def _json(x, pad: str = "") -> str:
+    """``json.dumps(x, indent=2, default=str)`` of a document with string
+    keys, its first line at ``pad``, by string joins: a list of finite
+    floats or of strings is one join over its ``_ROW_JSON`` function."""
+    if not isinstance(x, (dict, list, tuple)) or not x:
+        return _value_json(x)
+    inner = pad + "  "
+    sep = ",\n" + inner
     if isinstance(x, dict):
-        items = [f'"{k}": {_polygon_json(v, pad + "  ")}' for k, v in x.items()]
-    elif x and type(x[0]) is float:   # a row of floats, in one join
-        items = list(map(float.__repr__, x))
+        ends, body = "{}", sep.join([f"{_str_json(k)}: {_json(v, inner)}"
+                                     for k, v in x.items()])
     else:
-        items = [_polygon_json(v, pad + "  ") for v in x]
-    ends, line = ("{}" if isinstance(x, dict) else "[]"), "\n" + pad + "  "
-    if not items:
-        return ends
-    return ends[0] + line + ("," + line).join(items) + "\n" + pad + ends[1]
+        ends, kind = "[]", type(x[0])
+        try:
+            body = sep.join(map(_ROW_JSON[kind], x))
+        except (KeyError, TypeError):   # another type, or mixed types
+            body = None
+        if body is None or kind is float and "n" in body:   # nan or inf
+            body = sep.join([_json(v, inner) for v in x])
+    return ends[0] + "\n" + inner + body + "\n" + pad + ends[1]
 
 
 def polygon_from_doc(doc: dict) -> Polygon:
@@ -190,7 +199,7 @@ def cmd_polytope(args) -> int:
     else:
         poly = pt.even_step_polytope(alpha)
     if args.format == "json":
-        text = json.dumps(poly.to_json_dict(), indent=2)
+        text = _json(poly.to_json_dict())
     else:
         text = _csv(("vertex", poly.variables),
                     ((str(i), map(str, v))
@@ -209,8 +218,7 @@ def cmd_classify(args) -> int:
         doc = pt.classify_pentagon(alpha)
     else:
         raise InputError("classification is implemented for m = 4 and m = 5")
-    # the exact interval ends are the only values JSON cannot hold
-    return _emit(args, json.dumps(doc, indent=2, default=str))
+    return _emit(args, _json(doc))
 
 
 def cmd_reconstruct(args) -> int:
@@ -224,7 +232,7 @@ def cmd_reconstruct(args) -> int:
         poly = rec.fiber_sample(ld, parse_floats(args.angles))
     else:
         poly = rec.reconstruct(ld, args.dim)
-    return _emit(args, _polygon_json(polygon_to_doc(poly)), svg_polygon, poly)
+    return _emit(args, _json(polygon_to_doc(poly)), svg_polygon, poly)
 
 
 def cmd_bend(args) -> int:
@@ -247,7 +255,7 @@ def cmd_bend(args) -> int:
         raise InputError(f"--range needs two integers 'p,q', "
                          f"got {args.range!r}") from exc
     out = bend_range(poly.embedded(), (p, q), args.angle)
-    return _emit(args, _polygon_json(polygon_to_doc(out)))
+    return _emit(args, _json(polygon_to_doc(out)))
 
 
 def cmd_sample(args) -> int:
@@ -255,7 +263,7 @@ def cmd_sample(args) -> int:
     docs = [polygon_to_doc(p) for p in
             rec.sample_moduli(alpha, args.dim, args.count, args.seed)]
     if args.format == "json":
-        text = _polygon_json(docs)
+        text = _json(docs)
     else:
         text = _csv(("polygon,edge", "xyz"[:args.dim]),
                     ((f"{i},{e + 1}", map(repr, row))
@@ -267,19 +275,20 @@ def cmd_sample(args) -> int:
 def cmd_section(args) -> int:
     alpha = parse_rationals(args.alpha)
     poly = rec.section_sigma(alpha)
-    return _emit(args, _polygon_json(polygon_to_doc(poly)), svg_polygon, poly)
+    return _emit(args, _json(polygon_to_doc(poly)), svg_polygon, poly)
 
 
 def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     reports = [verify.run_suite(name, args.trials, args.seed)
                for name in names]
-    _emit(args, json.dumps([r.to_json_dict() for r in reports], indent=2))
+    _emit(args, _json([r.to_json_dict() for r in reports]))
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY
 
 
 @functools.cache
-def build_parser() -> _Parser:
+def build_parser() -> tuple[_Parser, dict]:
+    """The top-level parser and {subcommand name: its parser}."""
     parser = _Parser(prog="polyspace")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -337,13 +346,16 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     common_out(p)
     p.set_defaults(func=cmd_verify)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        # a known subcommand goes straight to the parser it would be handed to
+        args = (commands[argv[0]].parse_args(argv[1:])
+                if argv and argv[0] in commands else parser.parse_args(argv))
         return args.func(args)
     except Infeasible as exc:
         sys.stderr.write(f"infeasible: {exc}\n")

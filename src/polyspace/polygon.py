@@ -73,21 +73,33 @@ class Polygon:
         return Polygon(3, padded)
 
 
+def norm(x, axis=None):
+    """np.linalg.norm(x, axis=axis); where its squares overflowed from finite
+    x, it is taken again from x scaled by a power of two, exactly."""
+    n = np.linalg.norm(x, axis=axis)
+    if np.isfinite(n).all():
+        return n
+    # frexp gives the exponent 0 for what is not finite: those norms stay
+    top = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
+    redo = np.linalg.norm(np.ldexp(x, -top), axis=axis)
+    return np.where(np.isfinite(n), n, np.ldexp(redo, top.squeeze(axis)))
+
+
 def closure_defect(p: Polygon) -> float:
-    return float(np.linalg.norm(p.edges.sum(axis=0)))
+    return float(norm(p.edges.sum(axis=0)))
 
 
 def perimeter(p: Polygon) -> float:
-    return float(np.linalg.norm(p.edges, axis=1).sum())
+    return float(norm(p.edges, axis=1).sum())
 
 
 def side_lengths(p: Polygon) -> np.ndarray:
-    return np.linalg.norm(p.edges, axis=1)
+    return norm(p.edges, axis=1)
 
 
 def diagonals(p: Polygon) -> np.ndarray:
     """d_i = |rho(1) + ... + rho(i)| for i = 1..m; d_m is the closure defect."""
-    return np.linalg.norm(np.cumsum(p.edges, axis=0), axis=1)
+    return norm(np.cumsum(p.edges, axis=0), axis=1)
 
 
 def is_zero(x, scale):

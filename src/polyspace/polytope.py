@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,7 +76,7 @@ class RationalPolytope:
             tight = []
             for k, (a, b) in enumerate(rows):
                 # the slack of row k at the vertex, times det * den > 0
-                slack = b * det - sum(c * x for c, x in zip(a, num))
+                slack = b * det - sum(map(operator.mul, a, num))
                 if slack < 0:
                     break
                 if slack == 0:

@@ -389,8 +389,8 @@ def test_read_enforces_closure(tmp_path, capsys):
 @pytest.mark.parametrize("content", [
     b'\xff\xfe{"dim": 3}',                         # not UTF-8
     b"[" * 100_000 + b"]" * 100_000,              # nested past the stack
-    b'{"dim": 3, "edges": [[1e200, 0, 0], [-1e200, 1e200, 0], '
-    b'[0, -1e200, 0]]}',                          # norms overflow
+    b'{"dim": 3, "edges": [[1.5e308, 1.5e308, 0], '
+    b'[-1.5e308, -1.5e308, 0]]}',                 # norms beyond the range
     b'{"dim": 3, "edges": [[1, 0, 0],',           # not JSON
     # a dim that is no JSON integer
     b'{"dim": 2.7, "edges": [[1, 0], [0, 1], [-1, 0], [0, -1]]}',
@@ -405,14 +405,19 @@ def test_bend_refuses_an_unreadable_polygon_file(tmp_path, capsys, content):
                     "--angle", "1.0")
 
 
-def test_bend_refuses_an_axis_beyond_the_float_range(tmp_path, capsys):
-    # every edge and prefix diagonal is finite, but the axis of edges 2..3
-    # overflows; the rotation about it would leave the polygon unbent
+def test_bend_about_an_axis_whose_square_overflows(tmp_path, capsys):
+    # every edge, prefix diagonal and the axis of edges 2..3 is finite,
+    # though the axis's square is not: edges 2 and 3 turn about -x
     src = tmp_path / "axis.json"
     src.write_text('{"dim": 3, "edges": [[7e153, 0, 0], [-7e153, 0.1, 0], '
                    '[-7e153, -0.1, 0], [7e153, 0, 0]]}')
-    run_input_error(capsys, "bend", "--in", str(src), "--range", "2,3",
+    code, out = run(capsys, "bend", "--in", str(src), "--range", "2,3",
                     "--angle", "1.0")
+    assert code == 0
+    y, z = 0.1 * math.cos(1.0), 0.1 * math.sin(1.0)
+    assert np.allclose(json.loads(out)["edges"], [
+        [7e153, 0, 0], [-7e153, y, -z], [-7e153, -y, z], [7e153, 0, 0]],
+        rtol=1e-15, atol=1e-15)
 
 
 def test_closure_tolerance_is_fixed(tmp_path, capsys):
@@ -531,7 +536,7 @@ def test_emitted_polygon_parses_back(tmp_path, capsys):
         '{"dim": 3, "edges": [[1.0, 1e-300, -0.0], [-1.0, -1e-300, 0.0]], '
         '"meta": {"alpha": [1.0, 1.0], "diagonals": [1.0, 0.0]}}')
     # and so does the writer every polygon command uses
-    assert cli._polygon_json(cli.polygon_to_doc(tiny)) == (
+    assert cli._json(cli.polygon_to_doc(tiny)) == (
         '{\n  "dim": 3,\n  "edges": [\n    [\n      1.0,\n      1e-300,\n'
         '      -0.0\n    ],\n    [\n      -1.0,\n      -1e-300,\n      0.0\n'
         '    ]\n  ],\n  "meta": {\n    "alpha": [\n      1.0,\n      1.0\n'
@@ -560,7 +565,51 @@ def polygon_docs(draw):
 
 @given(polygon_docs() | st.lists(polygon_docs(), max_size=3))
 def test_polygon_writer_gives_the_json_dumps_bytes(x):
-    assert cli._polygon_json(x) == json.dumps(x, indent=2)
+    assert cli._json(x) == json.dumps(x, indent=2)
+
+
+# strings json escapes or that look like its words: the item separator,
+# quotes, backslashes, control and non-ASCII characters
+TEXTS = st.text() | st.sampled_from(
+    ('", "', ",\n  ", '"', "\\", "\\u00e9", "\x00\t\n\x1f\x7f", "é€😀",
+     "nan", "-inf", "NaN", ""))
+# the floats whose json form is no repr, beside the extremes of a document
+ODD_FLOATS = st.sampled_from(EXTREME_FLOATS + (math.nan, math.inf, -math.inf))
+FLOATS = st.floats() | ODD_FLOATS
+SCALARS = (st.none() | st.booleans() | st.integers() | FLOATS | TEXTS
+           | st.fractions())
+# rows as the writer joins them whole, and rows that mix in other types:
+# ints and bools among floats, Fractions among strings
+ROWS = (st.lists(FLOATS) | st.lists(TEXTS)
+        | st.lists(FLOATS | st.integers() | st.booleans())
+        | st.lists(st.integers() | st.booleans())
+        | st.lists(TEXTS | st.fractions() | st.none()))
+
+
+@given(st.recursive(SCALARS | ROWS, lambda inner: (
+    st.lists(inner, max_size=4) | st.dictionaries(TEXTS, inner, max_size=4)),
+    max_leaves=12))
+@example({"": [], "a": {}, "b": [[], {}], "c": [1.0, True, 2]})
+@example([-0.0, math.nan, 5e-324, -math.inf])
+def test_writer_gives_the_json_dumps_bytes(x):
+    assert cli._json(x) == json.dumps(x, indent=2, default=str)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_reports_are_written_as_json_dumps_writes_them(
+        monkeypatch, capsys, seed):
+    reports, run_suite = [], cli.verify.run_suite
+
+    def kept(*args):
+        reports.append(run_suite(*args))
+        return reports[-1]
+    monkeypatch.setattr(cli.verify, "run_suite", kept)
+    code, out = run(capsys, "verify", "--suite", "all", "--trials", "3",
+                    "--seed", str(seed))
+    assert code == 0
+    assert len(reports) == len(cli.verify.SUITES)
+    assert out == json.dumps([r.to_json_dict() for r in reports],
+                             indent=2) + "\n"
 
 
 def test_non_finite_numbers_exit_1(capsys):
@@ -716,6 +765,67 @@ def test_failed_svg_writes_no_output(tmp_path, capsys, argv):
     run_input_error(capsys, *argv.format(tmp=tmp_path).split())
 
 
+SUITE_CHOICES = ("'all', 'hopf', 'gc', 'bend', 'kahler', 'dh', 'hexcount', "
+                 "'roundtrip'")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["nope"], "argument command: invalid choice: 'nope' (choose from "
+               "'polytope', 'classify', 'reconstruct', 'bend', 'sample', "
+               "'section', 'verify')"),
+    (["polytope"], "the following arguments are required: --alpha"),
+    (["polytope", "--alpha"], "argument --alpha: expected one argument"),
+    (["verify", "--suite", "nope"],
+     f"argument --suite: invalid choice: 'nope' (choose from {SUITE_CHOICES})"),
+])
+def test_parse_errors_are_pinned(capsys, argv, message):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+TOP_HELP = """\
+usage: polyspace [-h]
+                 {polytope,classify,reconstruct,bend,sample,section,verify}
+                 ...
+
+positional arguments:
+  {polytope,classify,reconstruct,bend,sample,section,verify}
+    polytope            emit a diagonal or even-step polytope
+    classify            moduli classification for m = 4, 5
+    reconstruct         polygon from lengths and diagonals
+    bend                bend a polygon about a diagonal block
+    sample              sample polygons with given lengths
+    section             planar polygon with given lengths
+    verify              run randomized verification suites
+
+options:
+  -h, --help            show this help message and exit
+"""
+POLYTOPE_HELP = """\
+usage: polyspace polytope [-h] --alpha ALPHA [--system {diag,even}]
+                          [--format {json,csv}] [--svg SVG] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --alpha ALPHA         comma-separated lengths
+  --system {diag,even}
+  --format {json,csv}
+  --svg SVG             also write an SVG drawing
+  --out OUT             output file (stdout)
+"""
+
+
+@pytest.mark.parametrize("argv, text", [(["-h"], TOP_HELP),
+                                        (["polytope", "-h"], POLYTOPE_HELP)])
+def test_help_is_pinned(monkeypatch, capsys, argv, text):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps to the terminal
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr() == (text, "")
+
+
 def test_parser_is_reused_after_a_parse_error(capsys):
     run_input_error(capsys, "classify", "--bogus")
     first = run(capsys, "classify", "--alpha", "2,1,5,1,2")
@@ -729,8 +839,8 @@ def test_parser_is_reused_after_a_parse_error(capsys):
 # are no length at all
 LENGTHS = ("1", "2", "3", "3/2", "5", "1e300", "1e400", "5e-324")
 HOSTILE = ("nan", "inf", "-inf", "3/0", "", "0", "-1", "x")
-# polygon files for bend: closed, planar, open, NaN, overflowing edges,
-# an axis whose norm overflows, an integer beyond the float range
+# polygon files for bend: closed, planar, open, NaN, edges and an axis
+# whose squares overflow, an integer beyond the float range
 POLYGON_FILES = {
     "square": '{"dim": 3, "edges": [[1, 0, 0], [0, 1, 0], [-1, 0, 0], '
               '[0, -1, 0]]}',

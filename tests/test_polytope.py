@@ -625,6 +625,67 @@ def test_incidence_table_matches_elimination_oracle(rng):
     assert {(n, False, False) for n in (1, 2, 3)} <= seen
 
 
+# Test-only oracle: RationalPolytope._incidence as it was when each row's
+# slack was a generator sum over zip(normal, numerators).
+def _generator_incidence(poly):
+    rows, n = poly.rows, poly.dim
+    tightest = {}
+    for a, b in rows:
+        tightest[a] = min(b, tightest.get(a, b))
+    found = {}
+    for combo in itertools.combinations(tightest.items(), n):
+        det = pt._det([a for a, _ in combo])
+        if det == 0:
+            continue
+        num = [pt._det([a[:j] + (b,) + a[j + 1:] for a, b in combo])
+               for j in range(n)]
+        if det < 0:
+            det, num = -det, [-c for c in num]
+        tight = []
+        for k, (a, b) in enumerate(rows):
+            slack = b * det - sum(c * x for c, x in zip(a, num))
+            if slack < 0:
+                break
+            if slack == 0:
+                tight.append(k)
+        else:
+            found[tuple(F(c, det * poly.den) for c in num)] = frozenset(tight)
+    return dict(sorted(found.items()))
+
+
+def _oracle_lengths(rng):
+    """Feasible lengths for m = 3..6: random generic ones, random ones on
+    a wall (a signed sum set to vanish), and the box {1..3}^m, m <= 5,
+    with {1, 2}^6."""
+    for m in range(3, 7):
+        for _ in range(12):
+            alpha = [F(int(n), int(d)) for n, d in
+                     zip(rng.integers(1, 13, size=m), rng.integers(1, 4, size=m))]
+            if pg.is_generic_lengths(alpha):
+                yield alpha
+            signs = rng.choice([-1, 1], size=m - 1)
+            last = abs(sum(int(s) * a for s, a in zip(signs, alpha)))
+            if last:
+                yield alpha[:-1] + [last]
+        yield from itertools.product(range(1, 4 if m < 6 else 3), repeat=m)
+
+
+def test_incidence_table_matches_generator_oracle(rng):
+    systems, walls = 0, 0
+    for alpha in _oracle_lengths(rng):
+        if not pg.is_feasible_lengths(alpha):
+            continue
+        walls += not pg.is_generic_lengths(alpha)
+        builders = (pt.diag_slice,) + ((pt.even_step_polytope,)
+                                       if len(alpha) > 3 else ())
+        for build in builders:
+            poly = build(alpha)
+            assert (list(poly._incidence.items())
+                    == list(_generator_incidence(poly).items())), alpha
+            systems += 1
+    assert systems > 900 and walls > 100
+
+
 # Test-only oracle: the Fraction row builders of diag_slice and
 # even_step_polytope that the integer rows over one denominator replaced.
 # The even-step one is the box and cone that the pairing tree's triangle

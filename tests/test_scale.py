@@ -132,6 +132,24 @@ def test_sample_and_bend_are_scale_covariant(capsys, tmp_path):
                 f"2,{m - 1}", "--angle", 1.1])
 
 
+@pytest.mark.parametrize("k", (532, 1020))
+def test_bend_keeps_sides_whose_squares_overflow(capsys, tmp_path, k):
+    # sides of about 1e160 (k = 532) and 1e307: far inside the float range,
+    # though their squares are not, so the norms are taken at a smaller
+    # power of two; the bent triangle is the unit one's times 2^k
+    edges = np.array([[1.0, 0.0, 0.0], [-0.5, math.sqrt(3) / 2, 0.5]])
+    edges = np.vstack([edges, -edges.sum(axis=0)])
+    docs = []
+    for scale in (0, k):
+        (tmp_path / f"{scale}.json").write_text(json.dumps(
+            {"dim": 3, "edges": np.ldexp(edges, scale).tolist()}))
+        code, doc = _run(capsys, "bend", "--in", tmp_path / f"{scale}.json",
+                         "--range", "1,2", "--angle", 0.7)
+        assert code == 0, scale
+        docs.append(_unscaled(doc, scale))
+    assert all(map(np.array_equal, docs[1], docs[0]))
+
+
 def _predicates(p):
     return pg.stratum_index(p), pg.is_lined(p), pg.is_prodigal(p)
 
