@@ -38,6 +38,8 @@ class _Parser(argparse.ArgumentParser):
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(as_fraction(tok.strip()) for tok in text.split(","))
+    except InputError:
+        raise
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"cannot parse rational list {text!r}") from exc
 

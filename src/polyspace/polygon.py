@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,27 +19,42 @@ import numpy as np
 from .errors import InputError
 
 MAX_BRUTE_FORCE_SIDES = 24
+# Python's limit on the digits of an int written as text; 0 for none
+_digit_limit = getattr(sys, "get_int_max_str_digits", int)
 
 
 def as_fraction(value) -> Fraction:
-    """Exact conversion accepting int, Fraction and decimal/fraction strings.
+    """The exact length a decimal or fraction string stands for: an
+    ``--alpha`` token, or a string item of ``integer_lengths``.
 
-    Floats are rejected: wall membership is a codimension-one exact
-    condition and a float cannot certify it.
+    Anything else is refused, floats too: wall membership is a
+    codimension-one exact condition and a float cannot certify it.  A
+    string whose exponent is past the digit limit by more than its length
+    is refused unexpanded.
     """
-    if isinstance(value, bool) or isinstance(value, float):
+    if not isinstance(value, str):
         raise TypeError(f"exact rational expected, got {value!r}")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    limit, (head, _, exp) = _digit_limit(), value.lower().partition("e")
+    if limit and exp and abs(int(exp)) > limit + len(head):
+        raise InputError(f"a length needs more than {limit} digits")
+    return Fraction(value)
 
 
-def exact_lengths(alpha) -> tuple[Fraction, ...]:
-    return tuple(as_fraction(a) for a in alpha)
+def integer_lengths(alpha) -> tuple[int, list[int]]:
+    """(den, ints): the exact lengths alpha as one integer vector ints over
+    their common denominator den; int and Fraction items pass through.
+    Refused past the digit limit: den or 4 * sum |ints|, which bound every
+    offset, vertex (a Cramer determinant of dim <= 3 is at most 4) and
+    interval end written from them."""
+    values = [a if type(a) is int or isinstance(a, Fraction)
+              else as_fraction(a) for a in alpha]
+    den = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    limit, big = _digit_limit(), 4 * max(den, sum(map(abs, ints)))
+    # an int below 8^limit has at most limit digits: no power is needed
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise InputError(f"the lengths need more than {limit} digits")
+    return den, ints
 
 
 @dataclass(frozen=True)
@@ -162,32 +178,23 @@ def is_feasible_lengths(alpha) -> bool:
     That holds iff every length is nonnegative and none exceeds the sum
     of the others, i.e. 2 * max(alpha) <= sum(alpha).
     """
-    alpha = exact_lengths(alpha)
-    return min(alpha) >= 0 and 2 * max(alpha) <= sum(alpha)
+    _, ints = integer_lengths(alpha)
+    return min(ints) >= 0 and 2 * max(ints) <= sum(ints)
 
 
-def integer_scaled(values) -> tuple[int, list[int]]:
-    """(den, ints): den is the lcm of the denominators of the exact
-    rationals ``values``, and ints are the values times den."""
-    den = math.lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
-def _split_sums(alpha: tuple[Fraction, ...]):
+def _split_sums(ints: list[int]):
     """Meet-in-the-middle form of the signed sums with first sign +1.
 
-    Scales alpha to integers by the common denominator ``den``.  A sign
-    vector with minus set T in {2..m} has signed sum
-    (total - 2 * (a + b)) / den, where a is the sum of T's entries among
-    alpha_2..alpha_h, b among alpha_{h+1}..alpha_m, and h = ceil(m/2)
-    (Horowitz-Sahni).  ``left`` and ``right`` list those partial sums for
-    every sign vector of their half, in ``itertools.product((1, -1))``
-    order.  Returns (total, den, left, right).
+    A sign vector with minus set T in {2..m} has signed sum
+    total - 2 * (a + b) on the integer lengths ``ints``, where a is the sum
+    of T's entries among ints_2..ints_h, b among ints_{h+1}..ints_m, and
+    h = ceil(m/2) (Horowitz-Sahni).  ``left`` and ``right`` list those
+    partial sums for every sign vector of their half, in
+    ``itertools.product((1, -1))`` order.  Returns (total, left, right).
     """
-    m = len(alpha)
+    m = len(ints)
     if m > MAX_BRUTE_FORCE_SIDES:
         raise InputError(f"brute force limited to m <= {MAX_BRUTE_FORCE_SIDES}")
-    den, ints = integer_scaled(alpha)
     h = (m + 1) // 2
 
     def minus_sums(values):
@@ -196,12 +203,12 @@ def _split_sums(alpha: tuple[Fraction, ...]):
             sums = [s + t for s in sums for t in (0, v)]
         return sums
 
-    return sum(ints), den, minus_sums(ints[1:h]), minus_sums(ints[h:])
+    return sum(ints), minus_sums(ints[1:h]), minus_sums(ints[h:])
 
 
 def is_generic_lengths(alpha) -> bool:
     """True iff no signed combination of the side lengths vanishes."""
-    total, _, left, right = _split_sums(exact_lengths(alpha))
+    total, left, right = _split_sums(integer_lengths(alpha)[1])
     if total % 2:
         return True
     reach = set(right)
@@ -213,13 +220,13 @@ def enumerate_lined(alpha) -> list[tuple[int, ...]]:
 
     Listed in ``itertools.product((1, -1))`` order with first sign +1.
     """
-    alpha = exact_lengths(alpha)
-    total, _, left, right = _split_sums(alpha)
+    _, ints = integer_lengths(alpha)
+    total, left, right = _split_sums(ints)
     if total % 2:
         return []
-    h = (len(alpha) + 1) // 2
+    h = (len(ints) + 1) // 2
     matches = {}
-    for signs, b in zip(itertools.product((1, -1), repeat=len(alpha) - h),
+    for signs, b in zip(itertools.product((1, -1), repeat=len(ints) - h),
                         right):
         matches.setdefault(b, []).append(signs)
     return [(1,) + lead + tail
@@ -229,7 +236,8 @@ def enumerate_lined(alpha) -> list[tuple[int, ...]]:
 
 def wall_distance(alpha) -> Fraction:
     """Exact distance min |sum eps_i alpha_i| to the nearest inner wall."""
-    total, den, left, right = _split_sums(exact_lengths(alpha))
+    den, ints = integer_lengths(alpha)
+    total, left, right = _split_sums(ints)
     doubled = sorted(2 * b for b in right)
     gaps = []
     for a in left:
@@ -237,4 +245,3 @@ def wall_distance(alpha) -> Fraction:
         i = bisect.bisect_left(doubled, key)
         gaps += [abs(key - b) for b in doubled[max(i - 1, 0):i + 1]]
     return Fraction(min(gaps), den)
-

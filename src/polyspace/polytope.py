@@ -1,8 +1,8 @@
 """Exact rational polytopes for length and diagonal data.
 
-Everything here is exact (fractions.Fraction, and integers for vertex
-enumeration): side and facet counts jump at walls, and floats cannot
-certify which side of a wall a given length vector sits on.
+Everything here is exact, on the one integer vector ``integer_lengths``
+makes of the lengths: side and facet counts jump at walls, and floats
+cannot certify which side of a wall a given length vector sits on.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyPolytope, Infeasible, InputError
-from .polygon import (MAX_BRUTE_FORCE_SIDES, exact_lengths, integer_scaled,
+from .polygon import (MAX_BRUTE_FORCE_SIDES, integer_lengths,
                       is_feasible_lengths, is_generic_lengths)
 
 
@@ -130,8 +130,12 @@ class RationalPolytope:
 
 def in_hypersimplex(alpha) -> bool:
     """0 <= alpha_i <= 1 and sum(alpha) == 2, exactly."""
-    alpha = exact_lengths(alpha)
-    return all(0 <= a <= 1 for a in alpha) and sum(alpha) == 2
+    return _in_hypersimplex(*integer_lengths(alpha))
+
+
+def _in_hypersimplex(den, ints) -> bool:
+    """``in_hypersimplex`` of the lengths ints / den."""
+    return all(0 <= a <= den for a in ints) and sum(ints) == 2 * den
 
 
 # The triangle inequalities of a triangle, as signs on its three terms (in
@@ -194,24 +198,23 @@ def diag_slice(alpha) -> RationalPolytope:
     triangle inequalities below have no common solution.  ``generic`` is
     :func:`is_generic_lengths` for m <= MAX_BRUTE_FORCE_SIDES, else None.
     """
-    alpha = exact_lengths(alpha)
-    m = len(alpha)
+    den, ints = integer_lengths(alpha)
+    m = len(ints)
     if m < 3:
         raise InputError(f"a polygon needs at least 3 lengths, got {m}")
-    if not is_feasible_lengths(alpha):
+    if not is_feasible_lengths(ints):
         raise EmptyPolytope("no polygon has these side lengths")
-    den, ints = integer_scaled(alpha)
     # the fan (d_i, d_{i+1}, alpha_{i+1}) with d_0 = d_m = 0, d_1 = alpha_1
     # and d_{m-1} = alpha_m; d_2..d_{m-2} are the free coordinates
     d = [(0,), (ints[0],), *range(m - 3), (ints[-1],), (0,)]
     triangles = [(d[i], d[i + 1], (ints[i],)) for i in range(m)]
     names = tuple(f"d{k}" for k in range(2, m - 1))
-    generic = (is_generic_lengths(alpha) if m <= MAX_BRUTE_FORCE_SIDES
+    generic = (is_generic_lengths(ints) if m <= MAX_BRUTE_FORCE_SIDES
                else None)
     return _tree_polytope(triangles, names, den, generic)
 
 
-def _interval_pair(a, b) -> tuple[Fraction, Fraction]:
+def _interval_pair(a, b) -> tuple[int, int]:
     """The triangle inequalities solved for the third side c of (a, b, c)."""
     return abs(a - b), a + b
 
@@ -237,16 +240,16 @@ def classify_pentagon(alpha) -> dict:
     so at L = 3 they share a side (F_1, row 4a) or form a triangle
     (F_even, row 4b).  ``sides`` is chi: off the axes, the side count.
     """
-    alpha = exact_lengths(alpha)
-    if len(alpha) != 5:
+    _, ints = integer_lengths(alpha)
+    if len(ints) != 5:
         raise InputError("need exactly 5 lengths")
-    if not is_feasible_lengths(alpha):
+    if not is_feasible_lengths(ints):
         raise EmptyPolytope("no polygon has these side lengths")
-    if not is_generic_lengths(alpha):
+    if not is_generic_lengths(ints):
         raise Infeasible("the side lengths lie on a wall")
-    total = sum(alpha)
+    total = sum(ints)
     long_pairs = [{i, j} for i, j in itertools.combinations(range(5), 2)
-                  if 2 * (alpha[i] + alpha[j]) > total]
+                  if 2 * (ints[i] + ints[j]) > total]
     sides = 7 - len(long_pairs)
     row = str(sides)
     if sides == 4:
@@ -261,13 +264,13 @@ def classify_pentagon(alpha) -> dict:
     }
 
 
-def _quad_meet(alpha):
+def _quad_meet(ints):
     """I_1 = [|a1-a2|, a1+a2], I_2 = [|a4-a3|, a4+a3] and their meet."""
-    if len(alpha) != 4:
+    if len(ints) != 4:
         raise InputError("need exactly 4 lengths")
-    if not is_feasible_lengths(alpha):
+    if not is_feasible_lengths(ints):
         raise EmptyPolytope("no quadrilateral has these side lengths")
-    a1, a2, a3, a4 = alpha
+    a1, a2, a3, a4 = ints
     i1 = _interval_pair(a1, a2)
     i2 = _interval_pair(a4, a3)
     return i1, i2, (max(i1[0], i2[0]), min(i1[1], i2[1]))
@@ -276,22 +279,24 @@ def _quad_meet(alpha):
 def quad_interval(alpha) -> dict:
     """Range of the middle diagonal of a quadrilateral: I_1 meet I_2, as the
     JSON document ``classify`` writes, with exact Fraction interval ends."""
-    alpha = exact_lengths(alpha)
-    i1, i2, (lo, hi) = _quad_meet(alpha)
+    den, ints = integer_lengths(alpha)
+    i1, i2, meet = _quad_meet(ints)
     nested = ((i1[0] >= i2[0] and i1[1] <= i2[1])
               or (i2[0] >= i1[0] and i2[1] <= i1[1]))
     label = "S^1 u S^1" if nested else "S^1"
-    return {"interval": [lo, hi], "i1": list(i1), "i2": list(i2),
-            "label_planar": label, "generic": is_generic_lengths(alpha),
-            "diagonal_can_vanish": lo == 0}
+    interval, i1, i2 = ([Fraction(a, den) for a in ends]
+                        for ends in (meet, i1, i2))
+    return {"interval": interval, "i1": i1, "i2": i2,
+            "label_planar": label, "generic": is_generic_lengths(ints),
+            "diagonal_can_vanish": meet[0] == 0}
 
 
 def dh_interval_equality(alpha) -> tuple[Fraction, Fraction]:
     """Lengths of the variation intervals of the two diagonals; equal."""
-    alpha = exact_lengths(alpha)
+    den, ints = integer_lengths(alpha)
     (lo1, hi1), (lo2, hi2) = (_quad_meet(a)[2]
-                              for a in (alpha, alpha[1:] + alpha[:1]))
-    return hi1 - lo1, hi2 - lo2
+                              for a in (ints, ints[1:] + ints[:1]))
+    return Fraction(hi1 - lo1, den), Fraction(hi2 - lo2, den)
 
 
 def even_step_polytope(alpha) -> RationalPolytope:
@@ -301,13 +306,12 @@ def even_step_polytope(alpha) -> RationalPolytope:
     (x1, x2, x3) for m = 6 or (x1, x2, alpha_5) for m = 5; for m = 4 both
     pairs close on x1, the diagonal.
     """
-    alpha = exact_lengths(alpha)
-    m = len(alpha)
+    den, ints = integer_lengths(alpha)
+    m = len(ints)
     if not 4 <= m <= 6:
         raise InputError(f"the even-step system needs 4 to 6 lengths, got {m}")
-    if not is_feasible_lengths(alpha):
+    if not is_feasible_lengths(ints):
         raise EmptyPolytope("no polygon has these even-step lengths")
-    den, ints = integer_scaled(alpha)
     free = 1 if m == 4 else m // 2
     # (alpha_{2k-1}, alpha_{2k}, x_k); at m = 4 both pairs take x1
     triangles = [((ints[2 * k],), (ints[2 * k + 1],), k % free)
@@ -315,4 +319,4 @@ def even_step_polytope(alpha) -> RationalPolytope:
     if m > 4:
         triangles.append((0, 1, 2 if m == 6 else (ints[4],)))
     names = tuple(f"x{k + 1}" for k in range(free))
-    return _tree_polytope(triangles, names, den, is_generic_lengths(alpha))
+    return _tree_polytope(triangles, names, den, is_generic_lengths(ints))

@@ -17,9 +17,8 @@ import numpy as np
 from .bending import rodrigues
 from .errors import (EmptyPolytope, Infeasible, InputError, TriangleViolation,
                      ZeroDiagonal)
-from .polygon import (Polygon, exact_lengths, integer_scaled,
-                      is_feasible_lengths, is_zero)
-from .polytope import _interval_pair, in_hypersimplex, triangle_slacks
+from .polygon import Polygon, integer_lengths, is_feasible_lengths, is_zero
+from .polytope import _in_hypersimplex, _interval_pair, triangle_slacks
 
 _GRID = 720720
 
@@ -187,22 +186,53 @@ def section_sigma(alpha) -> Polygon:
     t3^2 - t2^2)/(2 t1). A side of length 0 takes c = 1; so sigma is lined
     on a wall, where the triangle is flat.
     """
-    alpha = exact_lengths(alpha)
-    m = len(alpha)
+    den, ints = integer_lengths(alpha)
+    m = len(ints)
     if m < 3:
         raise InputError(f"a polygon needs at least 3 lengths, got {m}")
-    if not in_hypersimplex(alpha):
+    if not _in_hypersimplex(den, ints):
         raise Infeasible("side lengths must lie in the hypersimplex")
-    beta = list(accumulate(alpha, initial=Fraction(0)))
-    r = next(i for i in range(1, m) if beta[i] <= 1 <= beta[i + 1])
-    t1, t2, t3 = beta[r], alpha[r], 2 - beta[r + 1]
-    x = (t1 * t1 + t3 * t3 - t2 * t2) / (2 * t1) if t1 else t3
+    # the triangle in units of 1/den, where the partial sums cross den
+    beta = list(accumulate(ints, initial=0))
+    r = next(i for i in range(1, m) if beta[i] <= den <= beta[i + 1])
+    t1, t2, t3 = beta[r], ints[r], 2 * den - beta[r + 1]
+    x = Fraction(t1 * t1 + t3 * t3 - t2 * t2, 2 * t1) if t1 else Fraction(t3)
     cosines = (1, (x - t1) / t2 if t2 else 1, -x / t3 if t3 else 1)
     # + 0.0 turns the -0.0 of a flat third side into 0.0
     units = np.array([(float(c), s * math.sqrt(1 - c * c) + 0.0)
                       for c, s in zip(cosines, (1, 1, -1))])
     side = np.repeat(units, (r, 1, m - r - 1), axis=0)
-    return Polygon(2, np.array(alpha, dtype=float)[:, None] * side)
+    return Polygon(2, np.array([a / den for a in ints])[:, None] * side)
+
+
+def _ld_points(den, ints, rng):
+    """``sample_ld``'s points for the lengths ints / den, drawn from rng one
+    after another; the lengths are set up once, at the first."""
+    # sums and maxima of the tails ints[j:], each computed once
+    rests = list(accumulate(reversed(ints)))[::-1]
+    tops = list(accumulate(reversed(ints), max))[::-1]
+    # the first point turns the lengths into floats; the others reuse them
+    alpha = tuple(Fraction(a, den) for a in ints)
+    while True:
+        d, scale, ratios = ints[0] if ints else 0, 1, []
+        for i in range(1, len(ints) - 2):
+            # d_{i+1} closes a triangle with d_i and alpha_{i+1}, and a polygon
+            # with the tail alpha_{i+2..m}: 2 max(d, tail) <= d + sum(tail)
+            rest = rests[i + 1] * scale
+            tri_lo, tri_hi = _interval_pair(d, ints[i] * scale)
+            lo = max(tri_lo, 2 * tops[i + 1] * scale - rest)
+            hi = min(tri_hi, rest)
+            if lo > hi:
+                raise EmptyPolytope("no diagonal data fits these lengths")
+            d = lo
+            if lo < hi:
+                # lo + (hi - lo) * k / _GRID on the grid one level finer
+                d = lo * _GRID + (hi - lo) * int(rng.integers(0, _GRID + 1))
+                scale *= _GRID
+            ratios.append((d, den * scale))
+        ld = LDPoint(alpha, (p / q for p, q in ratios))
+        alpha = ld.alpha
+        yield ld
 
 
 def sample_ld(alpha, rng) -> LDPoint:
@@ -213,35 +243,18 @@ def sample_ld(alpha, rng) -> LDPoint:
     takes the quotients d / (den * scale), correctly rounded, after every
     draw, and refuses one beyond the float range.
     """
-    alpha = exact_lengths(alpha)
-    den, ints = integer_scaled(alpha)
-    # sums and maxima of the tails ints[j:], each computed once
-    rests = list(accumulate(reversed(ints)))[::-1]
-    tops = list(accumulate(reversed(ints), max))[::-1]
-    d, scale, ratios = ints[0] if ints else 0, 1, []
-    for i in range(1, len(ints) - 2):
-        # d_{i+1} closes a triangle with d_i and alpha_{i+1}, and a polygon
-        # with the tail alpha_{i+2..m}: 2 max(d, tail) <= d + sum(tail)
-        rest = rests[i + 1] * scale
-        tri_lo, tri_hi = _interval_pair(d, ints[i] * scale)
-        lo = max(tri_lo, 2 * tops[i + 1] * scale - rest)
-        hi = min(tri_hi, rest)
-        if lo > hi:
-            raise EmptyPolytope("no diagonal data fits these lengths")
-        d = lo
-        if lo < hi:
-            # lo + (hi - lo) * k / _GRID on the grid one level finer
-            d = lo * _GRID + (hi - lo) * int(rng.integers(0, _GRID + 1))
-            scale *= _GRID
-        ratios.append((d, den * scale))
-    return LDPoint(alpha, (p / q for p, q in ratios))
+    return next(_ld_points(*integer_lengths(alpha), rng))
 
 
 def draw_sample(alpha, k: int, rng) -> tuple[LDPoint, np.ndarray]:
     """One sample's draws from rng, in order: its ``sample_ld`` point, whose
     triangles are checked, then its m - 3 bending angles, uniform (k = 3) or
     0 or pi (k = 2). ``_bend(_place(lds), angles)`` builds a stack of them."""
-    ld = sample_ld(alpha, rng)
+    return _with_angles(sample_ld(alpha, rng), k, rng)
+
+
+def _with_angles(ld: LDPoint, k: int, rng) -> tuple[LDPoint, np.ndarray]:
+    """``draw_sample`` from its ``sample_ld`` point on."""
     _check_triangles(ld)
     return ld, (rng.uniform(0.0, math.tau, size=ld.m - 3) if k == 3
                 else math.pi * rng.integers(0, 2, size=ld.m - 3))
@@ -257,18 +270,18 @@ def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:
         raise InputError(f"count must be >= 0, got {count}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    alpha = exact_lengths(alpha)
-    m = len(alpha)
+    den, ints = integer_lengths(alpha)
+    m = len(ints)
     if m < 3:
         raise InputError(f"a polygon needs at least 3 lengths, got {m}")
-    if not is_feasible_lengths(alpha):
+    if not is_feasible_lengths(ints):
         raise EmptyPolytope("no polygon has these side lengths")
     # default_rng(seed) is this generator, built without its dispatch
     rng = np.random.Generator(np.random.PCG64(seed))
-    lds, turns = [], []
+    points, lds, turns = _ld_points(den, ints, rng), [], []
     try:
         for _ in range(count):
-            ld, angles = draw_sample(alpha, k, rng)
+            ld, angles = _with_angles(next(points), k, rng)
             lds.append(ld)
             turns.append(angles)
     finally:

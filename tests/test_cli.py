@@ -3,8 +3,10 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -225,6 +227,33 @@ def test_classify_pentagon_bytes_are_pinned(capsys, alpha, row, digest):
   "euler_planar": 1
 }
 """
+
+
+# a box of lengths with rational denominators, walls and infeasible
+# lengths: m = 6 gives the 3-dimensional diagonal and even-step polytopes
+EXACT_BOX = ((4, ("1", "3/2", "2", "4")), (5, ("1", "3/2", "9/2")),
+             (6, ("1", "5/3")))
+
+
+def test_exact_documents_on_a_box_are_pinned(capsys):
+    digest, codes = hashlib.sha256(), set()
+    for m, values in EXACT_BOX:
+        # at m = 6 the last length is also 11/2, beyond the sum of the rest
+        last = values + ("11/2",) if m == 6 else values
+        for alpha in itertools.product(*[values] * (m - 1), last):
+            alpha = ",".join(alpha)
+            runs = [["polytope", "--alpha", alpha, "--system", system,
+                     "--format", form]
+                    for system in ("diag", "even") for form in ("json", "csv")]
+            if m < 6:
+                runs.append(["classify", "--alpha", alpha])
+            for argv in runs:
+                code, out = run(capsys, *argv)
+                codes.add(code)
+                digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    assert codes == {0, 3}
+    assert digest.hexdigest() == (
+        "ecfd72350736e3f0ea5053e7f68a55222fd3fe72a8d735d4fcad1a8488056b00")
 
 
 POLYSPACE_ERRORS = sorted(
@@ -693,6 +722,12 @@ def test_overflowing_polygon_exits_1(capsys):
     # the CSV form checks that the polygons are finite, as JSON does
     "sample --alpha 1e200,1e200,1e200 --count 1 --format csv",
     "sample --alpha 1e200,1e200,1e200 --count 1 --format csv --dim 2",
+    # lengths whose documents would hold ints past Python's digit limit
+    "polytope --alpha 1e4300,1,1e4300,1",
+    "classify --alpha 1e5000,2,1e5000,1",
+    "polytope --alpha 1e5000,2,1e5000,1,3 --system even",
+    "polytope --alpha 1e10000000,1,1",
+    "sample --alpha 1e10000000,1,1",
 ])
 def test_bad_input_exits_1_without_traceback(tmp_path, capsys, argv):
     assert run(capsys, "reconstruct", "--alpha", "1,1,1,1,1", "--diag",
@@ -716,6 +751,52 @@ def test_bad_input_exits_1_without_traceback(tmp_path, capsys, argv):
                        "1e-150\n")
     if "1e200" in argv:
         assert err.startswith("error: the polygon is not finite")
+    if any(f"e{k}" in argv for k in (4300, 5000, 10000000)):
+        assert err.endswith(f"more than {sys.get_int_max_str_digits()} "
+                            "digits\n")
+
+
+# lengths whose sum S is as large as the written documents allow: 4 S
+# stays below 10^4300, the default digit limit. With the last length
+# raised to ``past``, 4 S is 10^4300 and the lengths are refused.
+@pytest.mark.parametrize("alpha, past, argv", [
+    ("7e4298,6e4298,5e4298,69999e4294", "7e4298", "classify"),
+    ("7e4298,6e4298,5e4298,69999e4294", "7e4298", "polytope --format csv"),
+    ("5e4298,5e4298,5e4298,5e4298,49999e4294", "5e4298", "classify"),
+    ("5e4298,5e4298,5e4298,5e4298,49999e4294", "5e4298",
+     "polytope --system even"),
+    ("4e4298,4e4298,4e4298,4e4298,4e4298,49999e4294", "5e4298", "polytope"),
+    ("4e4298,4e4298,4e4298,4e4298,4e4298,49999e4294", "5e4298",
+     "polytope --system even --format csv"),
+])
+def test_lengths_at_the_digit_limit_are_written(capsys, alpha, past, argv):
+    assert sys.get_int_max_str_digits() == 4300
+    command, *options = argv.split()
+    code, out = run(capsys, command, "--alpha", alpha, *options)
+    assert code == 0
+    if "csv" not in options:
+        json.loads(out)
+    raised = alpha.rsplit(",", 1)[0] + "," + past
+    err = run_input_error(capsys, command, "--alpha", raised, *options)
+    assert err == "error: the lengths need more than 4300 digits\n"
+
+
+def test_each_length_token_is_parsed_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return parse(value)
+
+    parse = pg.as_fraction
+    monkeypatch.setattr(pg, "as_fraction", counted)
+    monkeypatch.setattr(cli, "as_fraction", counted)
+    for argv in ("polytope --alpha 2,1,5/2,1,2", "polytope --alpha 3/2,1,1,1 "
+                 "--system even --format csv", "classify --alpha 1,2,3/2,2",
+                 "classify --alpha 3,2,5,1,2", "polytope --alpha 1,1,1,1,1,1"):
+        calls.clear()
+        assert run(capsys, *argv.split())[0] == 0
+        assert calls == argv.split()[2].split(","), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -837,7 +918,8 @@ def test_parser_is_reused_after_a_parse_error(capsys):
 
 # lengths, some of them near or beyond the float range, and values that
 # are no length at all
-LENGTHS = ("1", "2", "3", "3/2", "5", "1e300", "1e400", "5e-324")
+LENGTHS = ("1", "2", "3", "3/2", "5", "1e300", "1e400", "5e-324", "1e4299",
+           "1e4300", "1e-4299", "1e10000000")
 HOSTILE = ("nan", "inf", "-inf", "3/0", "", "0", "-1", "x")
 # polygon files for bend: closed, planar, open, NaN, edges and an axis
 # whose squares overflow, an integer beyond the float range

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -140,11 +141,45 @@ def test_too_many_sides():
 
 
 def test_side_lengths_exact_type():
-    s = pg.exact_lengths(["1/2", 1, Fraction(3, 4)])
-    assert s == (Fraction(1, 2), Fraction(1), Fraction(3, 4))
-    assert all(type(a) is Fraction for a in s)
-    with pytest.raises(TypeError):
-        pg.exact_lengths((Fraction(1), 2.0))
+    den, ints = pg.integer_lengths(["1/2", 1, Fraction(3, 4)])
+    assert (den, ints) == (4, [2, 4, 3])
+    assert all(type(a) is int for a in ints)
+    assert pg.integer_lengths(()) == (1, [])
+    for bad in ((Fraction(1), 2.0), (1, True, 1)):
+        with pytest.raises(TypeError):
+            pg.integer_lengths(bad)
+    # as_fraction parses strings only
+    for bad in (2.0, True, 1, Fraction(1)):
+        with pytest.raises(TypeError):
+            pg.as_fraction(bad)
+
+
+def test_integer_lengths_builds_no_fraction(monkeypatch):
+    # int and Fraction items pass through: only strings are parsed
+    calls = []
+    monkeypatch.setattr(pg, "as_fraction",
+                        lambda a: calls.append(a) or Fraction(a))
+    assert pg.integer_lengths((2, Fraction(1, 3), "3/2")) == (6, [12, 2, 9])
+    assert calls == ["3/2"]
+
+
+def test_lengths_past_the_digit_limit_are_refused():
+    limit = sys.get_int_max_str_digits()
+    top = (10 ** limit - 1) // 4   # the largest den and sum |ints| accepted
+    for alpha in ([top], [top - 1, 1], [Fraction(1, top)],
+                  [Fraction(top - 4, 3), Fraction(1, 3), 1]):
+        pg.integer_lengths(alpha)
+    for alpha in ([top + 1], [top, 1], [Fraction(1, top + 1)],
+                  [Fraction(top - 3, 3), Fraction(1, 3), 1], [-top - 1]):
+        with pytest.raises(InputError, match=f"more than {limit} digits"):
+            pg.integer_lengths(alpha)
+    # a token is refused from its exponent, before it is expanded
+    for token in ("1e10000000", "1e-10000000", "-3.5E+99999999"):
+        with pytest.raises(InputError, match=f"more than {limit} digits"):
+            pg.as_fraction(token)
+    assert pg.as_fraction(f"1e{limit - 1}") == 10 ** (limit - 1)
+    assert pg.as_fraction(f"25e-{limit + 2}") == Fraction(1, 4 * 10 ** limit)
+
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=5), min_size=3,
@@ -158,7 +193,7 @@ def test_wall_distance_zero_iff_lined_exists(alpha):
 def _signed_sums(alpha):
     """Oracle: all 2^(m-1) signed sums with first sign +1, summed one by one
     in itertools.product((1, -1)) order."""
-    alpha = pg.exact_lengths(alpha)
+    alpha = tuple(map(Fraction, alpha))
     for rest in itertools.product((1, -1), repeat=len(alpha) - 1):
         eps = (1,) + rest
         yield eps, sum(e * a for e, a in zip(eps, alpha))

@@ -545,6 +545,32 @@ def test_rejects_floats():
         pt.quad_interval((0.5, 0.5, 0.5, 0.5))
 
 
+def _outcome(check, alpha):
+    """check(alpha), or the class of the error it raises."""
+    try:
+        return check(alpha)
+    except (EmptyPolytope, Infeasible) as exc:
+        return type(exc)
+
+
+LENGTH = st.fractions(min_value=0, max_value=5, max_denominator=12)
+
+
+# pentagons, for the classify row, about half the time
+@given(st.lists(LENGTH, min_size=3, max_size=8)
+       | st.lists(LENGTH, min_size=5, max_size=5))
+def test_checks_answer_alike_on_the_integer_vector(alpha):
+    # every check is scale-free, so the exact functions may ask it of the
+    # integer vector ints = alpha * den instead of alpha
+    _, ints = pg.integer_lengths(alpha)
+    checks = [pg.is_feasible_lengths, pg.is_generic_lengths,
+              pg.enumerate_lined]
+    if len(alpha) == 5:
+        checks.append(pt.classify_pentagon)
+    for check in checks:
+        assert _outcome(check, ints) == _outcome(check, alpha), check
+
+
 def test_json_round_trip():
     doc = pt.diag_slice((2, 1, 5, 1, 2)).to_json_dict()
     assert doc["variables"] == ["d2", "d3"]
@@ -763,7 +789,7 @@ def test_integer_rows_match_fraction_builders(rng):
             cases.append(tuple(F(int(n), int(d)) for n, d in zip(nums, dens)))
     seen = set()
     for alpha in cases:
-        alpha = pg.exact_lengths(alpha)
+        alpha = tuple(map(F, alpha))
         builders = [(pt.diag_slice, _fraction_diag_rows)]
         if len(alpha) <= 6:
             builders.append((pt.even_step_polytope, _fraction_even_rows))

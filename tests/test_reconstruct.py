@@ -277,7 +277,7 @@ def _sample_ld_oracle(alpha, rng):
     This was sample_ld before it moved to integer numerators over one
     denominator; it must give the same values and leave the same rng state.
     """
-    alpha = pg.exact_lengths(alpha)
+    alpha = tuple(map(F, alpha))
     m = len(alpha)
     rests = list(accumulate(reversed(alpha)))[::-1]
     tops = list(accumulate(reversed(alpha), max))[::-1]
@@ -410,7 +410,7 @@ def _planar_flips_oracle(poly, signs):
 
 def _sample_moduli_oracle(alpha, k, count, seed):
     """The samples, and how many of them kept a vanished axis unbent."""
-    alpha = pg.exact_lengths(alpha)
+    alpha = tuple(map(F, alpha))
     m = len(alpha)
     rng = np.random.default_rng(seed)
     out, fallen = [], 0
