@@ -66,23 +66,6 @@ def u2_act(f: Frame, P) -> Frame:
     return Frame(*quat.act_right(f, P))
 
 
-def conjugate_frame(f: Frame) -> Frame:
-    """Entrywise conjugation; reflects the polygon across the i-k plane."""
-    return Frame(f.a.conj(), f.b.conj())
-
-
-def gram(f: Frame) -> np.ndarray:
-    """The m x m matrix (a, b)(a, b)*, a rank-2 hermitian projector."""
-    mat = np.column_stack(f)
-    return mat @ mat.conj().T
-
-
-def u2_moment(f: Frame) -> np.ndarray:
-    """(a, b)*(a, b) - I; vanishes exactly on valid frames."""
-    mat = np.column_stack(f)
-    return mat.conj().T @ mat - np.eye(2)
-
-
 def moment_mu(f: Frame) -> np.ndarray:
     """Row norms |a_r|^2 + |b_r|^2; the side lengths of the polygon."""
     return np.abs(f.a) ** 2 + np.abs(f.b) ** 2

@@ -44,8 +44,8 @@ def integer_lengths(alpha) -> tuple[int, list[int]]:
     """(den, ints): the exact lengths alpha as one integer vector ints over
     their common denominator den; int and Fraction items pass through.
     Refused past the digit limit: den or 4 * sum |ints|, which bound every
-    offset, vertex (a Cramer determinant of dim <= 3 is at most 4) and
-    interval end written from them."""
+    offset, vertex (the determinant of its solve, dim <= 3, is at most 4)
+    and interval end written from them."""
     values = [a if type(a) is int or isinstance(a, Fraction)
               else as_fraction(a) for a in alpha]
     den = math.lcm(*(v.denominator for v in values))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,15 +19,25 @@ from .polygon import (MAX_BRUTE_FORCE_SIDES, integer_lengths,
                       is_feasible_lengths, is_generic_lengths)
 
 
-def _det(rows) -> int:
-    """Determinant of a square integer matrix of size at most 3."""
-    if len(rows) == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    return rows[0][0] if rows else 1
+def _solve(combo) -> tuple[int, tuple[int, ...]]:
+    """det and numerators of normal . x = offset on ``combo``'s dim <= 3 rows.
+
+    For rows (a, p), (b, q), (c, r): det = a . (b x c), and the numerators
+    p(b x c) + q(c x a) + r(a x b) are Cramer's, so x = numerators / det.
+    """
+    if len(combo) == 3:
+        ((a0, a1, a2), p), ((b0, b1, b2), q), ((c0, c1, c2), r) = combo
+        bc = (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0)
+        ca = (c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0)
+        ab = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        return (a0 * bc[0] + a1 * bc[1] + a2 * bc[2],
+                (p * bc[0] + q * ca[0] + r * ab[0],
+                 p * bc[1] + q * ca[1] + r * ab[1],
+                 p * bc[2] + q * ca[2] + r * ab[2]))
+    if len(combo) == 2:
+        ((a0, a1), p), ((b0, b1), q) = combo
+        return a0 * b1 - a1 * b0, (p * b1 - q * a1, a0 * q - b0 * p)
+    return (combo[0][0][0], (combo[0][1],)) if combo else (1, ())
 
 
 @dataclass
@@ -37,9 +48,11 @@ class RationalPolytope:
     denominator ``den``: x lies in the polytope when normal . x <=
     offset / den for every row.  For dim <= 3 the vertices come from one
     incidence table, built once: each dim-subset of the distinct normals,
-    at their tightest offsets, is solved by Cramer's rule, and a solution
-    that satisfies every row becomes a vertex, mapped to the rows tight at
-    it.  The vertices, full-dimensionality and facets are read from it.
+    at their tightest offsets, is solved by one adjugate solve, and a
+    solution that satisfies every row becomes a vertex, mapped to the rows
+    tight at it.  A vertex is keyed by integers: its numerators and their
+    denominator over ``den``, divided by their gcd.  The vertices,
+    full-dimensionality and facets are read from the table.
     """
 
     variables: tuple[str, ...]
@@ -53,7 +66,7 @@ class RationalPolytope:
 
     @functools.cached_property
     def _incidence(self) -> dict:
-        """{vertex: frozenset of indices of the rows tight at it}, sorted."""
+        """{vertex key: frozenset of indices of the rows tight at it}, sorted."""
         n = self.dim
         if n > 3:
             raise InputError("vertex enumeration limited to dimension <= 3")
@@ -64,15 +77,15 @@ class RationalPolytope:
             tightest[a] = min(b, tightest.get(a, b))
         found = {}
         for combo in itertools.combinations(tightest.items(), n):
-            det = _det([a for a, _ in combo])
+            det, num = _solve(combo)
             if det == 0:
                 continue
-            # Cramer: the j-th numerator replaces column j by the offsets;
-            # the vertex is num / (det * den)
-            num = [_det([a[:j] + (b,) + a[j + 1:] for a, b in combo])
-                   for j in range(n)]
-            if det < 0:
-                det, num = -det, [-c for c in num]
+            # the vertex num / (det * den), keyed with det > 0 and gcd 1
+            g = math.gcd(det, *num) * (1 if det > 0 else -1)
+            key = (*(c // g for c in num), det // g)
+            if key in found:
+                continue
+            *num, det = key
             tight = []
             for k, (a, b) in enumerate(rows):
                 # the slack of row k at the vertex, times det * den > 0
@@ -82,12 +95,16 @@ class RationalPolytope:
                 if slack == 0:
                     tight.append(k)
             else:
-                vertex = tuple(Fraction(c, det * self.den) for c in num)
-                found[vertex] = frozenset(tight)
-        return dict(sorted(found.items()))
+                found[key] = frozenset(tight)
+        # the vertices' order: their numerators over one common denominator
+        lcm = math.lcm(*(key[-1] for key in found))
+        return dict(sorted(found.items(), key=lambda item: [
+            c * (lcm // item[0][-1]) for c in item[0][:-1]]))
 
     def vertices(self) -> tuple:
-        return tuple(self._incidence)
+        den = self.den
+        return tuple(tuple(Fraction(c, key[-1] * den) for c in key[:-1])
+                     for key in self._incidence)
 
     def _faces(self) -> list[frozenset]:
         """The set of vertices tight on each row with a nonzero normal."""

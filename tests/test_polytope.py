@@ -651,8 +651,43 @@ def test_incidence_table_matches_elimination_oracle(rng):
     assert {(n, False, False) for n in (1, 2, 3)} <= seen
 
 
+# Test-only oracle: the determinant that Cramer's rule read, as it was when
+# the package solved each subset of normals with four of them.
+def _det(rows) -> int:
+    """Determinant of a square integer matrix of size at most 3."""
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    return rows[0][0] if rows else 1
+
+
+def _cramer(combo):
+    """(det, numerators) by Cramer's rule: numerator j swaps in column j."""
+    return (_det([a for a, _ in combo]),
+            tuple(_det([a[:j] + (b,) + a[j + 1:] for a, b in combo])
+                  for j in range(len(combo))))
+
+
+def test_adjugate_solve_is_cramer(rng):
+    singular = 0
+    for n in range(4):
+        for _ in range(60):
+            rows = [(tuple(int(c) for c in rng.integers(-3, 4, size=n)),
+                     int(rng.integers(-20, 21))) for _ in range(5)]
+            # a repeated normal and a zero normal: singular subsets
+            rows += [(rows[0][0], rows[0][1] + 1), ((0,) * n, 1)]
+            for combo in itertools.combinations(rows, n):
+                assert pt._solve(combo) == _cramer(combo), combo
+                singular += _cramer(combo)[0] == 0
+    assert singular > 100
+
+
 # Test-only oracle: RationalPolytope._incidence as it was when each row's
-# slack was a generator sum over zip(normal, numerators).
+# slack was a generator sum over zip(normal, numerators) and each vertex
+# was keyed by its Fraction tuple.
 def _generator_incidence(poly):
     rows, n = poly.rows, poly.dim
     tightest = {}
@@ -660,10 +695,10 @@ def _generator_incidence(poly):
         tightest[a] = min(b, tightest.get(a, b))
     found = {}
     for combo in itertools.combinations(tightest.items(), n):
-        det = pt._det([a for a, _ in combo])
+        det = _det([a for a, _ in combo])
         if det == 0:
             continue
-        num = [pt._det([a[:j] + (b,) + a[j + 1:] for a, b in combo])
+        num = [_det([a[:j] + (b,) + a[j + 1:] for a, b in combo])
                for j in range(n)]
         if det < 0:
             det, num = -det, [-c for c in num]
@@ -706,8 +741,14 @@ def test_incidence_table_matches_generator_oracle(rng):
                                        if len(alpha) > 3 else ())
         for build in builders:
             poly = build(alpha)
-            assert (list(poly._incidence.items())
-                    == list(_generator_incidence(poly).items())), alpha
+            oracle = _generator_incidence(poly)
+            assert poly.vertices() == tuple(oracle), alpha
+            assert list(poly._incidence.values()) == list(oracle.values())
+            # each key is the vertex's numerators and det > 0, in lowest terms
+            for key, vertex in zip(poly._incidence, oracle):
+                assert key[-1] > 0 and math.gcd(*key) == 1, key
+                assert vertex == tuple(F(c, key[-1] * poly.den)
+                                       for c in key[:-1]), key
             systems += 1
     assert systems > 900 and walls > 100
 

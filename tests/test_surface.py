@@ -85,8 +85,7 @@ def test_every_public_name_is_used():
 # when the package reads it or when it moves to the tests as an oracle,
 # and joins it only on purpose.
 README_ONLY = {
-    "frames.conjugate_frame", "frames.gram", "frames.torus_act",
-    "frames.truncated_gram2", "frames.u2_act", "frames.u2_moment",
+    "frames.torus_act", "frames.truncated_gram2", "frames.u2_act",
     "polygon.even_diagonals", "polygon.is_lined", "polygon.is_prodigal",
     "polygon.is_proper",
 }
