@@ -46,7 +46,7 @@ def parse_rationals(text: str) -> tuple[Fraction, ...]:
 
 def parse_lengths(text: str) -> tuple[Fraction, ...]:
     alpha = parse_rationals(text)
-    if any(a <= 0 for a in alpha):
+    if any(a.numerator <= 0 for a in alpha):
         raise InputError("side lengths must be positive")
     return alpha
 
@@ -74,14 +74,17 @@ def polygon_to_doc(p: Polygon) -> dict:
 _value_json = json.JSONEncoder(default=str).encode   # one value, as json.dumps
 _str_json = json.encoder.encode_basestring_ascii
 _ROW_JSON = {float: float.__repr__, str: _str_json}
+_TEXT_JSON = {str: _str_json, Fraction: lambda x: _str_json(str(x))}
 
 
 def _json(x, pad: str = "") -> str:
     """``json.dumps(x, indent=2, default=str)`` of a document with string
     keys, its first line at ``pad``, by string joins: a list of finite
-    floats or of strings is one join over its ``_ROW_JSON`` function."""
+    floats or of strings is one join over its ``_ROW_JSON`` function, and
+    a string or Fraction is written by ``_TEXT_JSON``."""
     if not isinstance(x, (dict, list, tuple)) or not x:
-        return _value_json(x)
+        text = _TEXT_JSON.get(type(x))
+        return text(x) if text else _value_json(x)
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(x, dict):
@@ -204,8 +207,7 @@ def cmd_polytope(args) -> int:
         text = _json(poly.to_json_dict())
     else:
         text = _csv(("vertex", poly.variables),
-                    ((str(i), map(str, v))
-                     for i, v in enumerate(poly.vertices())))
+                    enumerate(poly.vertex_strings()))
     return _emit(args, text, svg_polytope, poly)
 
 

@@ -30,10 +30,15 @@ def as_fraction(value) -> Fraction:
     Anything else is refused, floats too: wall membership is a
     codimension-one exact condition and a float cannot certify it.  A
     string whose exponent is past the digit limit by more than its length
-    is refused unexpanded.
+    is refused unexpanded.  A plain ASCII ``n`` or ``n/d`` is read by
+    ``int``, as ``Fraction`` would read it.
     """
     if not isinstance(value, str):
         raise TypeError(f"exact rational expected, got {value!r}")
+    num, slash, den = value.partition("/")
+    if (num.isascii() and num.isdigit()
+            and (not slash or den.isascii() and den.isdigit())):
+        return Fraction(int(num), int(den or 1))
     limit, (head, _, exp) = _digit_limit(), value.lower().partition("e")
     if limit and exp and abs(int(exp)) > limit + len(head):
         raise InputError(f"a length needs more than {limit} digits")

@@ -40,6 +40,12 @@ def _solve(combo) -> tuple[int, tuple[int, ...]]:
     return (combo[0][0][0], (combo[0][1],)) if combo else (1, ())
 
 
+def _ratio(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` for d > 0, from the integers."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 @dataclass
 class RationalPolytope:
     """An intersection of rational halfspaces with exact vertex data.
@@ -75,7 +81,8 @@ class RationalPolytope:
         tightest = {}
         for a, b in rows:
             tightest[a] = min(b, tightest.get(a, b))
-        found = {}
+        # the row that refused the last candidate, tested first (none yet)
+        found, refuser = {}, ((), 0)
         for combo in itertools.combinations(tightest.items(), n):
             det, num = _solve(combo)
             if det == 0:
@@ -86,11 +93,14 @@ class RationalPolytope:
             if key in found:
                 continue
             *num, det = key
+            if refuser[1] * det < sum(map(operator.mul, refuser[0], num)):
+                continue
             tight = []
             for k, (a, b) in enumerate(rows):
                 # the slack of row k at the vertex, times det * den > 0
                 slack = b * det - sum(map(operator.mul, a, num))
                 if slack < 0:
+                    refuser = a, b
                     break
                 if slack == 0:
                     tight.append(k)
@@ -105,6 +115,12 @@ class RationalPolytope:
         den = self.den
         return tuple(tuple(Fraction(c, key[-1] * den) for c in key[:-1])
                      for key in self._incidence)
+
+    def vertex_strings(self) -> list[list[str]]:
+        """The strings of ``vertices()``, written from the integer keys."""
+        den = self.den
+        return [[_ratio(c, key[-1] * den) for c in key[:-1]]
+                for key in self._incidence]
 
     def _faces(self) -> list[frozenset]:
         """The set of vertices tight on each row with a nonzero normal."""
@@ -132,15 +148,13 @@ class RationalPolytope:
         doc = {
             "variables": list(self.variables),
             "halfspaces": [
-                {"normal": [str(c) for c in a],
-                 "offset": str(Fraction(b, self.den))}
+                {"normal": [str(c) for c in a], "offset": _ratio(b, self.den)}
                 for a, b in self.rows
             ],
         }
         if self.dim <= 3:
-            verts = self.vertices()
-            doc["vertices"] = [[str(c) for c in v] for v in verts]
-            doc["facets"] = self.facet_count() if verts else 0
+            doc["vertices"] = self.vertex_strings()
+            doc["facets"] = self.facet_count() if self._incidence else 0
         doc["generic"] = self.generic
         return doc
 

@@ -8,6 +8,7 @@ import json
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,6 +127,9 @@ def test_csv_bytes_are_pinned(capsys, argv, digest):
     # and (x1, x2, a5)
     ("polytope --alpha 2,1,5,1,2 --system even",
      "1c74b6569bd801fe909672159920a84be7cdabbcf32da1e7a85e3f7d476e0852"),
+    # dim 0: no rows, and the one vertex is the empty point
+    ("polytope --alpha 1,1,1",
+     "ec926722bb35cbc2e140fccd8cfff0e3511d66149caed60166f3d4216a9c9ccc"),
     # on a wall (beta_2 = 1): the triangle is flat and every edge lies on
     # the x-axis, with no rounding left in its exact-cosine direction
     ("section --alpha 1/22,21/22,1",
@@ -254,6 +258,110 @@ def test_exact_documents_on_a_box_are_pinned(capsys):
     assert codes == {0, 3}
     assert digest.hexdigest() == (
         "ecfd72350736e3f0ea5053e7f68a55222fd3fe72a8d735d4fcad1a8488056b00")
+
+
+def _exact_runs(alpha, m):
+    """Every polytope document of ``alpha``, and classify for m = 4, 5."""
+    runs = [["polytope", "--alpha", alpha, "--system", system,
+             "--format", form]
+            for system in ("diag", "even") for form in ("json", "csv")]
+    return runs + [["classify", "--alpha", alpha]] * (m in (4, 5))
+
+
+def _outputs(capsys, runs):
+    """(argv, exit code, stdout, stderr) of each run, in turn."""
+    return [(argv, cli.main(argv), *capsys.readouterr()) for argv in runs]
+
+
+# m = 7..9: the documents hold halfspaces only, and the CSV, which lists
+# vertices, is refused; one generic length vector and one on a wall each
+HALFSPACES_ONLY = (("3/2,4,5,6,2,7,1", True), ("1,1,1,1,1,1,2", False),
+                   ("3,4,5/3,6,2,7,1,2", True), ("1,2,3,4,1,2,3,4", False),
+                   ("2,3,5,7,11,13,1,2,5/2", True),
+                   ("1,1,1,1,1,1,1,1,2", False))
+# lengths spelled outside the plain n or n/d tokens, or with leading
+# zeros, each beside its plain spelling
+SPELLINGS = {"3/2": ("1.5", "15e-1", "6/4", " 3/2 "), "7/2": ("007/2",)}
+SPELLED_BASE = ("1", "2", "5/2", "2", "1", "3")
+
+
+def test_exact_documents_off_the_box_are_pinned(capsys):
+    runs = []
+    for alpha, generic in HALFSPACES_ONLY:
+        runs += [["polytope", "--alpha", alpha, "--format", form]
+                 for form in ("json", "csv")]
+        assert json.loads(run(capsys, *runs[-2])[1])["generic"] is generic
+    outputs = _outputs(capsys, runs)
+    assert [code for _, code, _, _ in outputs] == [0, 1] * 6
+    for m in (4, 5, 6):
+        for k in range(m):
+            for plain, spellings in SPELLINGS.items():
+                # each spelling of one alpha writes the same bytes
+                spelled = [_outputs(capsys, _exact_runs(",".join(
+                    SPELLED_BASE[:k] + (token,) + SPELLED_BASE[k + 1:m]), m))
+                    for token in (plain, *spellings)]
+                for other in spelled[1:]:
+                    assert [out[1:] for out in other] == [
+                        out[1:] for out in spelled[0]], other[0][0]
+                outputs += [out for group in spelled for out in group]
+    digest = hashlib.sha256()
+    for argv, code, out, err in outputs:
+        digest.update(f"{argv!r}\n{code}\n{out}{err}".encode())
+    assert {code for _, code, _, _ in outputs} == {0, 1, 3}
+    assert digest.hexdigest() == (
+        "505530823410359c0d6e1226ec366710a2a957700fe229a67a9d7b2eaa473a94")
+
+
+# one generic length vector for each m = 3..9, with rational lengths
+FRACTION_FREE = ("3,4,5", "3/2,4,5,6", "3,4,5/3,6,2", "3,4,5,6,2,7/2",
+                 "3,4,5,6,2,7,1", "3/2,4,5,6,2,7,1,5/3", "3,4,5,6,2,7,1,2,7/4")
+
+
+def test_polytope_documents_are_written_without_fractions(monkeypatch,
+                                                          capsys):
+    # the JSON and CSV are written from the integer keys and offsets, with
+    # no Fraction per value; only the SVG, which needs floats, builds them
+    runs = [["polytope", "--alpha", alpha, "--system", system,
+             "--format", form] for alpha in FRACTION_FREE
+            for system in ("diag", "even") for form in ("json", "csv")]
+    before = _outputs(capsys, runs)
+
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    monkeypatch.setattr(cli.pt, "Fraction", refuse)
+    assert _outputs(capsys, runs) == before
+    # every diag JSON, the CSV up to m = 6 and the even system at m = 4..6
+    assert [argv for argv, code, _, _ in before if code == 0] == [
+        argv for argv in runs if argv[4] == "diag" and (
+            argv[6] == "json" or argv[2].count(",") < 6)
+        or argv[4] == "even" and 3 <= argv[2].count(",") <= 5]
+
+
+# the plain n and n/d tokens, and tokens just beside them: signs, blanks,
+# underscores, non-ASCII digits, decimals, exponents, a zero denominator
+# and a numerator past the 4300-digit limit
+TOKENS = ("0", "007/010", "1/0", "0/0", "/2", "2/", "+3", "-3", " 3", "1_0",
+          "٣", "²", "1.5", "15e-1", "3/4/5", "1" * 4301, "1e4301")
+
+
+def _parsed(parse, token):
+    try:
+        value = parse(token)
+    except Exception as exc:
+        return type(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("token", TOKENS, ids=lambda t: repr(t[:8]))
+def test_length_tokens_parse_as_their_fractions(monkeypatch, capsys, token):
+    assert _parsed(pg.as_fraction, token) == _parsed(Fraction, token)
+    argv = ["polytope", "--alpha", f"{token},2,2"]
+    before = _outputs(capsys, [argv])
+    monkeypatch.setattr(cli, "as_fraction", Fraction)
+    assert _outputs(capsys, [argv]) == before
+    _, code, out, err = before[0]
+    assert code == 0 or (out, err.count("\n")) == ("", 1), err
 
 
 POLYSPACE_ERRORS = sorted(

@@ -2,12 +2,14 @@
 
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+from polyspace import cli
 from polyspace import polygon as pg
 from polyspace import polytope as pt
 from polyspace.errors import EmptyPolytope, Infeasible
@@ -751,6 +753,35 @@ def test_incidence_table_matches_generator_oracle(rng):
                                        for c in key[:-1]), key
             systems += 1
     assert systems > 900 and walls > 100
+
+
+@given(st.integers(), st.integers(min_value=1))
+def test_ratio_is_the_string_of_its_fraction(n, d):
+    assert pt._ratio(n, d) == str(F(n, d))
+
+
+def test_written_vertices_are_the_strings_of_the_vertices(rng, capsys):
+    # the JSON and CSV vertices, written from the integer keys, on the
+    # draws of the generator oracle: both systems, m = 3..6, walls included
+    systems = 0
+    for alpha in _oracle_lengths(rng):
+        if not pg.is_feasible_lengths(alpha):
+            continue
+        for system, build in (("diag", pt.diag_slice),
+                              ("even", pt.even_step_polytope)):
+            if system == "even" and len(alpha) == 3:
+                continue
+            strings = [[str(c) for c in v] for v in build(alpha).vertices()]
+            argv = ["polytope", "--alpha", ",".join(map(str, alpha)),
+                    "--system", system]
+            assert cli.main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["vertices"] == strings
+            assert cli.main(argv + ["--format", "csv"]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert [row.split(",")[1:] for row in rows] == [
+                v or [""] for v in strings], alpha
+            systems += 1
+    assert systems > 900
 
 
 # Test-only oracle: the Fraction row builders of diag_slice and
