@@ -21,8 +21,8 @@ from . import polytope as pt
 from . import verify
 from .bending import bend_range
 from .errors import EmptyPolytope, Infeasible, InputError, PolyspaceError
-from .polygon import (Polygon, as_fraction, closure_defect, diagonals,
-                      is_zero, perimeter, side_lengths)
+from .polygon import (Polygon, as_fraction, closure_defect, is_zero, norm,
+                      perimeter)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -61,27 +61,32 @@ def parse_floats(text: str) -> tuple[float, ...]:
     return values
 
 
-def polygon_to_doc(p: Polygon) -> dict:
+def polygon_docs(edges: np.ndarray) -> list[dict]:
+    """The documents of an (N, m, dim) edge stack, refused whole if a side
+    or diagonal is not finite (a side is not where its edge is not)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha, diags = side_lengths(p), diagonals(p)
-    if not all(np.isfinite(a).all() for a in (p.edges, alpha, diags)):
+        alpha, diags = norm(edges, -1), norm(np.cumsum(edges, axis=-2), -1)
+    if not np.isfinite([alpha, diags]).all():
         raise InputError("the polygon is not finite in floating point; "
                          "the input lengths are out of range")
-    return {"dim": p.dim, "edges": p.edges.tolist(),
-            "meta": {"alpha": alpha.tolist(), "diagonals": diags.tolist()}}
+    return [{"dim": edges.shape[-1], "edges": e,
+             "meta": {"alpha": a, "diagonals": d}}
+            for e, a, d in zip(edges.tolist(), alpha.tolist(), diags.tolist())]
 
 
 _value_json = json.JSONEncoder(default=str).encode   # one value, as json.dumps
 _str_json = json.encoder.encode_basestring_ascii
 _ROW_JSON = {float: float.__repr__, str: _str_json}
-_TEXT_JSON = {str: _str_json, Fraction: lambda x: _str_json(str(x))}
+_TEXT_JSON = {str: _str_json, Fraction: lambda x: _str_json(str(x)),
+              int: int.__repr__, bool: ("false", "true").__getitem__,
+              type(None): lambda x: "null"}
 
 
 def _json(x, pad: str = "") -> str:
     """``json.dumps(x, indent=2, default=str)`` of a document with string
-    keys, its first line at ``pad``, by string joins: a list of finite
-    floats or of strings is one join over its ``_ROW_JSON`` function, and
-    a string or Fraction is written by ``_TEXT_JSON``."""
+    keys, its first line at ``pad``, by string joins: one over ``_ROW_JSON``
+    per list of finite floats or strings and per row of a list of such
+    lists; a string, Fraction, int, bool or None is a ``_TEXT_JSON`` call."""
     if not isinstance(x, (dict, list, tuple)) or not x:
         text = _TEXT_JSON.get(type(x))
         return text(x) if text else _value_json(x)
@@ -91,9 +96,14 @@ def _json(x, pad: str = "") -> str:
         ends, body = "{}", sep.join([f"{_str_json(k)}: {_json(v, inner)}"
                                      for k, v in x.items()])
     else:
-        ends, kind = "[]", type(x[0])
-        try:
-            body = sep.join(map(_ROW_JSON[kind], x))
+        ends, cell = "[]", sep + "  "
+        rows = type(x[0]) is list and all(type(r) is list and r for r in x)
+        kind = type(x[0][0] if rows else x[0])
+        try:   # a row is "[", its items joined by cell, then "]" on its line
+            write = _ROW_JSON[kind]
+            body = (f"[{cell[1:]}" + f"\n{inner}]{sep}[{cell[1:]}".join(map(
+                cell.join, map(functools.partial(map, write), x)))
+                + f"\n{inner}]" if rows else sep.join(map(write, x)))
         except (KeyError, TypeError):   # another type, or mixed types
             body = None
         if body is None or kind is float and "n" in body:   # nan or inf
@@ -233,10 +243,10 @@ def cmd_reconstruct(args) -> int:
         if args.dim == 2:
             raise InputError("--angles bends the polygon in 3-space; "
                              "it cannot be combined with --dim 2")
-        poly = rec.fiber_sample(ld, parse_floats(args.angles))
+        p = rec.fiber_sample(ld, parse_floats(args.angles))
     else:
-        poly = rec.reconstruct(ld, args.dim)
-    return _emit(args, _json(polygon_to_doc(poly)), svg_polygon, poly)
+        p = rec.reconstruct(ld, args.dim)
+    return _emit(args, _json(*polygon_docs(p.edges[None])), svg_polygon, p)
 
 
 def cmd_bend(args) -> int:
@@ -259,13 +269,14 @@ def cmd_bend(args) -> int:
         raise InputError(f"--range needs two integers 'p,q', "
                          f"got {args.range!r}") from exc
     out = bend_range(poly.embedded(), (p, q), args.angle)
-    return _emit(args, _json(polygon_to_doc(out)))
+    return _emit(args, _json(*polygon_docs(out.edges[None])))
 
 
 def cmd_sample(args) -> int:
     alpha = parse_rationals(args.alpha)
-    docs = [polygon_to_doc(p) for p in
-            rec.sample_moduli(alpha, args.dim, args.count, args.seed)]
+    polys = rec.sample_moduli(alpha, args.dim, args.count, args.seed)
+    docs = polygon_docs(np.reshape([p.edges for p in polys],
+                                   (len(polys), len(alpha), args.dim)))
     if args.format == "json":
         text = _json(docs)
     else:
@@ -278,8 +289,8 @@ def cmd_sample(args) -> int:
 
 def cmd_section(args) -> int:
     alpha = parse_rationals(args.alpha)
-    poly = rec.section_sigma(alpha)
-    return _emit(args, _json(polygon_to_doc(poly)), svg_polygon, poly)
+    p = rec.section_sigma(alpha)
+    return _emit(args, _json(*polygon_docs(p.edges[None])), svg_polygon, p)
 
 
 def cmd_verify(args) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import quat
 from .errors import InputError
-from .polygon import Polygon, is_zero
+from .polygon import Polygon, is_zero, norm
 
 _HERMITIAN_TOL = 1e-10
 
@@ -129,12 +129,12 @@ def frame_from_edges(edges) -> Frame:
     edges of one, (m, 3), or of a (..., m, 3) stack. The first member off
     perimeter 2, else the first open one, is refused."""
     edges = np.asarray(edges, dtype=float)
-    per = quat.row_norms(edges).sum(axis=-1)
+    per = norm(edges, axis=-1).sum(axis=-1)
     near = abs(per - 2.0) <= 1e-9   # NaN is not near
     if not near.all():
         raise InputError(f"perimeter is {float(per.flat[np.argmin(near)])}, "
                          "expected 2")
-    if not is_zero(quat.row_norms(edges.sum(axis=-2)), per).all():
+    if not is_zero(norm(edges.sum(axis=-2), axis=-1), per).all():
         raise InputError("edge vectors do not sum to zero")
     return Frame(*quat.hopf_section(edges))
 

@@ -31,16 +31,17 @@ def as_fraction(value) -> Fraction:
     codimension-one exact condition and a float cannot certify it.  A
     string whose exponent is past the digit limit by more than its length
     is refused unexpanded.  A plain ASCII ``n`` or ``n/d`` is read by
-    ``int``, as ``Fraction`` would read it.
+    ``int``, as ``Fraction`` would read it, and refused past the limit.
     """
     if not isinstance(value, str):
         raise TypeError(f"exact rational expected, got {value!r}")
     num, slash, den = value.partition("/")
-    if (num.isascii() and num.isdigit()
-            and (not slash or den.isascii() and den.isdigit())):
+    limit = _digit_limit() or math.inf
+    plain = value.isascii() and num.isdigit() and (den.isdigit() or not slash)
+    if plain and max(len(num), len(den)) <= limit:
         return Fraction(int(num), int(den or 1))
-    limit, (head, _, exp) = _digit_limit(), value.lower().partition("e")
-    if limit and exp and abs(int(exp)) > limit + len(head):
+    head, _, exp = value.lower().partition("e")
+    if plain or exp and abs(int(exp)) > limit + len(head):
         raise InputError(f"a length needs more than {limit} digits")
     return Fraction(value)
 
@@ -95,10 +96,10 @@ class Polygon:
 
 
 def norm(x, axis=None):
-    """np.linalg.norm(x, axis=axis); where its squares overflowed from finite
-    x, it is taken again from x scaled by a power of two, exactly."""
-    n = np.linalg.norm(x, axis=axis)
-    if np.isfinite(n).all():
+    """np.linalg.norm(x, axis=axis) by its formula; where its squares
+    overflowed from finite x, it is redone from x scaled by a power of 2."""
+    n = np.sqrt(x.dot(x) if axis is None else np.add.reduce(x * x, axis))
+    if math.isfinite(np.add.reduce(n, None)):   # so is every norm
         return n
     # frexp gives the exponent 0 for what is not finite: those norms stay
     top = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
+from .polygon import norm
 
 _UNITARY_TOL = 1e-9
 _SOUTH = np.array([-1.0, 0.0, 0.0])
@@ -91,11 +92,6 @@ def conjugate_vector(P: np.ndarray, x) -> np.ndarray:
                     axis=-1)
 
 
-def row_norms(x) -> np.ndarray:
-    """|x| along the last axis: np.linalg.norm's bits without its dispatch."""
-    return np.sqrt((x * x).sum(axis=-1))
-
-
 def hopf_section(x):
     """Deterministic right inverse of the Hopf map, rowwise on the last axis.
 
@@ -107,9 +103,9 @@ def hopf_section(x):
     """
     x = np.asarray(x, dtype=float)
     x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    r = row_norms(x)
+    r = norm(x, -1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        axis = (r == 0.0) | (row_norms(x / r[..., None] - _SOUTH) < 1e-9)
+        axis = (r == 0.0) | (norm(x / r[..., None] - _SOUTH, -1) < 1e-9)
         t = np.where(x1 < 0.0, (x2 * x2 + x3 * x3) / (r - x1), r + x1)
         u = np.sqrt(t / 2.0)
         v = (x3 - 1j * x2) / np.sqrt(2.0 * t)

@@ -18,9 +18,11 @@ from .bending import rodrigues
 from .errors import (EmptyPolytope, Infeasible, InputError, TriangleViolation,
                      ZeroDiagonal)
 from .polygon import Polygon, integer_lengths, is_feasible_lengths, is_zero
-from .polytope import _in_hypersimplex, _interval_pair, triangle_slacks
+from .polytope import _TRIANGLE_TERMS, _in_hypersimplex, _interval_pair
 
 _GRID = 720720
+# A, B and C are terms[p] + terms[q] - terms[r] of (d_i, d_{i+1}, alpha_i)
+_P, _Q, _R = ([t[k] for t in _TRIANGLE_TERMS] for k in (1, 2, 3))
 
 
 @dataclass(frozen=True)
@@ -69,16 +71,21 @@ def _tiny(alpha) -> float:
     return 1e-12 * min(1, sum(map(abs, alpha)))
 
 
-def _check_triangles(ld: LDPoint) -> None:
-    """Raise on the first violated inequality, in step then A/B/C order."""
-    d = ld.full_diagonals()
-    # a + b - c rounds in proportion to the terms d_i, d_{i+1}, alpha_i of
-    # its step: 1e-12 (a + b + c), scaled term by term, so no inf
-    tol = [1e-12 * abs(d[i]) + 1e-12 * abs(d[i + 1]) + 1e-12 * abs(a)
-           for i, a in enumerate(ld.alpha)]
-    for i, name, slack in triangle_slacks(ld.alpha, d[1:]):
-        if not slack >= -tol[i]:  # NaN fails too
-            raise TriangleViolation(i, name, slack)
+def _check_triangles(lds):
+    """(n, error): the first violated triangle inequality of a stack of
+    LDPoints of one m, by member n, step, then A/B/C, else (len(lds), None)."""
+    terms = np.array([(d[:-1], d[1:], ld.alpha) for ld in lds
+                      for d in [ld.full_diagonals()]]).swapaxes(0, 1)
+    with np.errstate(all="ignore"):
+        # a + b - c rounds as 1e-12 (a + b + c), scaled term by term: no inf
+        tol = sum(1e-12 * abs(terms))
+        slack = terms[_P] + terms[_Q] - terms[_R]
+    bad = ~(slack >= -tol).transpose(1, 2, 0)  # NaN fails too
+    if not bad.any():
+        return len(lds), None
+    n, i, j = np.unravel_index(bad.argmax(), bad.shape)
+    return int(n), TriangleViolation(int(i), _TRIANGLE_TERMS[j][0],
+                                     float(slack[j, n, i]))
 
 
 def reconstruct(ld: LDPoint, k: int = 3) -> Polygon:
@@ -91,7 +98,8 @@ def reconstruct(ld: LDPoint, k: int = 3) -> Polygon:
     """
     if k not in (2, 3):
         raise InputError("k must be 2 or 3")
-    _check_triangles(ld)
+    if error := _check_triangles([ld])[1]:
+        raise error
     return Polygon(k, _place([ld])[0][:, :k])
 
 
@@ -250,14 +258,16 @@ def draw_sample(alpha, k: int, rng) -> tuple[LDPoint, np.ndarray]:
     """One sample's draws from rng, in order: its ``sample_ld`` point, whose
     triangles are checked, then its m - 3 bending angles, uniform (k = 3) or
     0 or pi (k = 2). ``_bend(_place(lds), angles)`` builds a stack of them."""
-    return _with_angles(sample_ld(alpha, rng), k, rng)
+    ld = sample_ld(alpha, rng)
+    if error := _check_triangles([ld])[1]:
+        raise error
+    return ld, _angles(ld.m, k, rng)
 
 
-def _with_angles(ld: LDPoint, k: int, rng) -> tuple[LDPoint, np.ndarray]:
-    """``draw_sample`` from its ``sample_ld`` point on."""
-    _check_triangles(ld)
-    return ld, (rng.uniform(0.0, math.tau, size=ld.m - 3) if k == 3
-                else math.pi * rng.integers(0, 2, size=ld.m - 3))
+def _angles(m: int, k: int, rng) -> np.ndarray:
+    """``draw_sample``'s bending angles."""
+    return (rng.uniform(0.0, math.tau, size=m - 3) if k == 3
+            else math.pi * rng.integers(0, 2, size=m - 3))
 
 
 def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:
@@ -281,10 +291,12 @@ def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:
     points, lds, turns = _ld_points(den, ints, rng), [], []
     try:
         for _ in range(count):
-            ld, angles = _with_angles(next(points), k, rng)
-            lds.append(ld)
-            turns.append(angles)
+            lds.append(next(points))
+            turns.append(_angles(m, k, rng))
     finally:
         # built on an error too, so that an earlier sample's error wins
-        edges = _bend(_place(lds), turns)[0] if lds else []
+        n, error = _check_triangles(lds) if lds else (0, None)
+        edges = _bend(_place(lds[:n]), turns[:n])[0] if n else []
+        if error:
+            raise error
     return [Polygon(k, e[:, :k]) for e in edges]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from polyspace import cli, errors
 from polyspace import polygon as pg
+from polyspace import reconstruct as rec
 
 
 def run(capsys, *argv):
@@ -355,13 +356,29 @@ def _parsed(parse, token):
 
 @pytest.mark.parametrize("token", TOKENS, ids=lambda t: repr(t[:8]))
 def test_length_tokens_parse_as_their_fractions(monkeypatch, capsys, token):
-    assert _parsed(pg.as_fraction, token) == _parsed(Fraction, token)
     argv = ["polytope", "--alpha", f"{token},2,2"]
     before = _outputs(capsys, [argv])
-    monkeypatch.setattr(cli, "as_fraction", Fraction)
-    assert _outputs(capsys, [argv]) == before
     _, code, out, err = before[0]
     assert code == 0 or (out, err.count("\n")) == ("", 1), err
+    if token == "1" * 4301:
+        # Fraction raises a bare ValueError there; the message names the limit
+        assert _parsed(Fraction, token) is ValueError
+        assert _parsed(pg.as_fraction, token) is errors.InputError
+        assert err == "error: a length needs more than 4300 digits\n"
+        return
+    assert _parsed(pg.as_fraction, token) == _parsed(Fraction, token)
+    monkeypatch.setattr(cli, "as_fraction", Fraction)
+    assert _outputs(capsys, [argv]) == before
+
+
+@pytest.mark.parametrize("command", ("polytope", "classify", "sample"))
+@pytest.mark.parametrize("token", (
+    "1" * 4301, "1" * 4301 + "/3", "3/" + "1" * 4301,
+    "1" * 4301 + "/" + "1" * 4301), ids=("n", "n/d", "d", "n/n"))
+def test_a_plain_token_past_the_digit_limit_names_it(capsys, command, token):
+    assert sys.get_int_max_str_digits() == 4300
+    err = run_input_error(capsys, command, "--alpha", f"2,{token},2,2")
+    assert err == "error: a length needs more than 4300 digits\n"
 
 
 POLYSPACE_ERRORS = sorted(
@@ -668,12 +685,13 @@ def test_emitted_polygon_parses_back(tmp_path, capsys):
     assert np.array_equal(poly.edges, np.array(doc["edges"]))
     assert pg.perimeter(poly) == pytest.approx(12.0)
     # the written floats keep the sign of zero and tiny magnitudes
-    tiny = pg.Polygon(3, [[1.0, 1e-300, -0.0], [-1.0, -1e-300, 0.0]])
-    assert json.dumps(cli.polygon_to_doc(tiny)) == (
+    [tiny] = cli.polygon_docs(np.array(
+        [[[1.0, 1e-300, -0.0], [-1.0, -1e-300, 0.0]]]))
+    assert json.dumps(tiny) == (
         '{"dim": 3, "edges": [[1.0, 1e-300, -0.0], [-1.0, -1e-300, 0.0]], '
         '"meta": {"alpha": [1.0, 1.0], "diagonals": [1.0, 0.0]}}')
     # and so does the writer every polygon command uses
-    assert cli._json(cli.polygon_to_doc(tiny)) == (
+    assert cli._json(tiny) == (
         '{\n  "dim": 3,\n  "edges": [\n    [\n      1.0,\n      1e-300,\n'
         '      -0.0\n    ],\n    [\n      -1.0,\n      -1e-300,\n      0.0\n'
         '    ]\n  ],\n  "meta": {\n    "alpha": [\n      1.0,\n      1.0\n'
@@ -685,16 +703,27 @@ def test_emitted_polygon_parses_back(tmp_path, capsys):
 EXTREME_FLOATS = (-0.0, 5e-324, 1e-300, 1.7976931348623157e308)
 
 
+def _polygon_doc_oracle(p):
+    """A polygon's document one polygon at a time, from ``side_lengths``
+    and ``diagonals``, as the CLI wrote it before it wrote stacks."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, diags = pg.side_lengths(p), pg.diagonals(p)
+    return {"dim": p.dim, "edges": p.edges.tolist(),
+            "meta": {"alpha": alpha.tolist(), "diagonals": diags.tolist()}}
+
+
 @st.composite
 def polygon_docs(draw):
-    """A ``polygon_to_doc`` document, m = 2..24 and dim 1..3, whose edges
+    """A ``polygon_docs`` document, m = 2..24 and dim 1..3, whose edges
     may hold the extreme floats; the largest is put in afterwards, since
-    polygon_to_doc refuses the overflow of its square."""
+    polygon_docs refuses the overflow of its square."""
     m, dim = draw(st.integers(2, 24)), draw(st.integers(1, 3))
     cell = st.floats(-1e6, 1e6) | st.sampled_from(EXTREME_FLOATS[:3])
     edges = draw(st.lists(st.lists(cell, min_size=dim, max_size=dim),
                           min_size=m, max_size=m))
-    doc = cli.polygon_to_doc(pg.Polygon(dim, edges))
+    [doc] = cli.polygon_docs(np.array([edges]).reshape(1, m, dim))
+    assert json.dumps(doc) == json.dumps(
+        _polygon_doc_oracle(pg.Polygon(dim, edges)))
     if draw(st.booleans()):
         doc["edges"][draw(st.integers(0, m - 1))][dim - 1] = EXTREME_FLOATS[3]
     return doc
@@ -703,6 +732,30 @@ def polygon_docs(draw):
 @given(polygon_docs() | st.lists(polygon_docs(), max_size=3))
 def test_polygon_writer_gives_the_json_dumps_bytes(x):
     assert cli._json(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize("m", range(3, 25))
+def test_a_stack_writes_the_bytes_of_its_members_alone(m):
+    alpha = [2 + i % 3 for i in range(m)]
+    for dim in (2, 3):
+        for count in (0, 1, 6):
+            polys = rec.sample_moduli(alpha, dim, count, seed=m)
+            stack = np.reshape([p.edges for p in polys], (count, m, dim))
+            alone = [cli.polygon_docs(e[None])[0] for e in stack]
+            assert cli._json(cli.polygon_docs(stack)) == json.dumps(
+                alone, indent=2) == json.dumps(
+                    [_polygon_doc_oracle(p) for p in polys], indent=2)
+
+
+def test_an_overflowing_member_refuses_the_stack():
+    stack = np.array([[[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]] * 3)
+    stack[1] *= 1e308   # its diagonal d_2 overflows
+    for edges in (stack, stack[1:2]):
+        with pytest.raises(errors.InputError, match="^the polygon is not "
+                           "finite in floating point; the input lengths are "
+                           "out of range$"):
+            cli.polygon_docs(edges)
+    assert cli.polygon_docs(stack[::2]) == cli.polygon_docs(stack[:1]) * 2
 
 
 # strings json escapes or that look like its words: the item separator,
@@ -728,8 +781,29 @@ ROWS = (st.lists(FLOATS) | st.lists(TEXTS)
     max_leaves=12))
 @example({"": [], "a": {}, "b": [[], {}], "c": [1.0, True, 2]})
 @example([-0.0, math.nan, 5e-324, -math.inf])
+# lists of rows: floats, strings, an empty row, an int or a bool among
+# floats, nan and inf in one row
+@example([[1.0, -0.0, 5e-324], [2.5, 1.7976931348623157e308]])
+@example([["a", "", "é"], ['"', "nan"]])
+@example([[1.0, 2.0], [], [3.0]])
+@example([[1.0, 2], [3.0]])
+@example([[1.0, 2.0], [True, 3.0]])
+@example([[1.0, 2.0], [3.0, math.nan]])
+@example([[-math.inf], [1.0]])
+# the scalars json writes as words or digits, and an int past the digit
+# limit, which both refuse with one ValueError
+@example([True, False, None, 0, -7, 2**64])
+@example([[1, 2], [True, None]])
+@example(10**4301)
+@example({"a": [10**4301]})
 def test_writer_gives_the_json_dumps_bytes(x):
-    assert cli._json(x) == json.dumps(x, indent=2, default=str)
+    def written(write):
+        try:
+            return write(x)
+        except ValueError as exc:
+            return repr(exc)
+    assert written(cli._json) == written(
+        lambda v: json.dumps(v, indent=2, default=str))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -47,6 +47,26 @@ def test_diagonal_endpoint_identities(rng):
         assert d[m - 1] < 1e-9 * pg.perimeter(p)
 
 
+def test_norm_has_the_bits_of_numpy_norm(rng):
+    # vectors and stacks of rows, at scales from the subnormal to where
+    # the squares overflow
+    for scale in (5e-324, 1e-160, 1.0, 1e150, 1e307):
+        for shape in ((3,), (7, 2), (4, 9, 3)):
+            x = rng.standard_normal(shape) * scale
+            axis = None if len(shape) == 1 else -1
+            with np.errstate(over="ignore", under="ignore"):
+                want = np.linalg.norm(x, axis=axis)
+                got = pg.norm(x, axis)
+            if np.isfinite(want).all():
+                assert np.array_equal(got, want)
+            else:   # squares overflowed: taken again at a smaller scale
+                assert np.isfinite(got).all() and np.allclose(
+                    got, np.linalg.norm(x / scale, axis=axis) * scale)
+    rows = np.array([[1e308, 0.0], [0.0, -1e308]])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(pg.norm(rows, -1), [1e308, 1e308])
+
+
 def test_stratum_index():
     assert pg.stratum_index(SQUARE) == 4
     assert pg.stratum_index(DEGENERATE) == 2

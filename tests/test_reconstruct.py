@@ -77,6 +77,70 @@ def test_nan_diagonal_is_a_violation():
     assert (err.value.index, err.value.inequality) == (1, "A")
 
 
+def _check_triangles_oracle(ld):
+    """The triangle check one LDPoint at a time, from ``triangle_slacks``,
+    as it was before the check took stacks."""
+    d = ld.full_diagonals()
+    tol = [1e-12 * abs(d[i]) + 1e-12 * abs(d[i + 1]) + 1e-12 * abs(a)
+           for i, a in enumerate(ld.alpha)]
+    for i, name, slack in pt.triangle_slacks(ld.alpha, d[1:]):
+        if not slack >= -tol[i]:  # NaN fails too
+            raise TriangleViolation(i, name, slack)
+
+
+def _bits(exc):
+    """(index, inequality, slack bits) of a TriangleViolation, or None."""
+    return exc and (exc.index, exc.inequality, float(exc.slack).hex())
+
+
+def _violation(ld):
+    """``_bits`` of the error the oracle raises on ld, or None."""
+    try:
+        _check_triangles_oracle(ld)
+    except TriangleViolation as exc:
+        return _bits(exc)
+    return None
+
+
+def test_stacked_triangle_check_gives_the_error_of_the_per_point_loop():
+    alpha = (3, 2, 4, 2, 3, 5)
+    rng = np.random.default_rng(4)
+    good = [rec.sample_ld(alpha, rng) for _ in range(3)]
+
+    def with_diagonal(ld, j, value):
+        delta = list(ld.delta)
+        delta[j] = value
+        return LDPoint(ld.alpha, delta)
+    d2, d4 = good[0].delta[0], good[1].delta[2]
+    bad = [with_diagonal(good[0], 0, math.nan),
+           # d_2 past d_1 + alpha_2 (C at step 1): far, then just past its
+           # tolerance, then just inside it
+           with_diagonal(good[0], 0, 5.0 + 1.0),
+           with_diagonal(good[0], 0, 5.0 * (1 + 1e-11)),
+           with_diagonal(good[1], 2, d4 + 100.0),
+           with_diagonal(good[2], 1, -d2)]
+    inside = with_diagonal(good[0], 0, 5.0 * (1 + 1e-13))
+    assert _violation(inside) is None
+    assert all(_violation(ld) for ld in bad)
+    stacks = [good, good + [inside]]
+    for b in bad:
+        stacks += [[b] + good, good[:2] + [b] + good[2:], good + [b]]
+    for b, c in zip(bad, bad[1:]):
+        stacks += [[b, c], [good[0], c, b, good[1]]]
+    for stack in stacks:
+        first = next((n for n, ld in enumerate(stack) if _violation(ld)),
+                     len(stack))
+        want = _violation(stack[first]) if first < len(stack) else None
+        # sample_moduli bends the members before the first that fails
+        n, error = rec._check_triangles(stack)
+        assert (n, _bits(error)) == (first, want)
+        # reconstruct raises the error of its one point
+        if want:
+            with pytest.raises(TriangleViolation) as exc:
+                rec.reconstruct(stack[first])
+            assert _bits(exc.value) == want
+
+
 def test_round_trip_random(rng):
     for _ in range(50):
         m = int(rng.integers(4, 8))
@@ -359,7 +423,7 @@ def test_sample_ld_draws_inside_triangle_and_closing_ranges(nums, seed):
 # so far) and sample_moduli one sample at a time, its planar flips as 2x2
 # reflections in turn, as they were before the sampler became one stack.
 def _reconstruct_oracle(ld, k):
-    rec._check_triangles(ld)
+    _check_triangles_oracle(ld)
     tiny = rec._tiny(ld.alpha)
     d = ld.full_diagonals()
     verts = [np.zeros(2), np.array([ld.alpha[0], 0.0])]
@@ -515,6 +579,18 @@ def test_a_sample_does_not_depend_on_the_count(k):
             many = rec.sample_moduli(alpha, k, 6, seed)
             for p, q in zip(few, many[:2]):
                 assert np.array_equal(p.edges, q.edges)
+
+
+def test_the_sampler_raises_its_earliest_error(monkeypatch):
+    # the bends of the first point overflow; the second fails triangle A
+    huge = LDPoint((1e200,) * 5, (1.2e200, 1.2e200))
+    nan = LDPoint((1e200,) * 5, (math.nan, 1.2e200))
+    for points, error in (([huge, nan], "beyond the float range"),
+                          ([nan, huge], "triangle inequality 'A'")):
+        monkeypatch.setattr(rec, "_ld_points",
+                            lambda den, ints, rng, p=points: iter(p))
+        with pytest.raises((InputError, TriangleViolation), match=error):
+            rec.sample_moduli((1, 1, 1, 1, 1), 3, 2, seed=0)
 
 
 def test_a_vanishing_axis_unbends_only_its_member():

@@ -87,7 +87,7 @@ def test_every_public_name_is_used():
 README_ONLY = {
     "frames.torus_act", "frames.truncated_gram2", "frames.u2_act",
     "polygon.even_diagonals", "polygon.is_lined", "polygon.is_prodigal",
-    "polygon.is_proper",
+    "polygon.is_proper", "polytope.triangle_slacks",
 }
 
 
