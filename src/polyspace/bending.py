@@ -45,8 +45,8 @@ def bend_range(poly: Polygon, block: tuple[int, int],
         raise InputError(f"block {p},{q} must be a proper subset of the "
                          f"edges: need 1 <= p <= q <= {poly.m}, not all")
     lo, hi = p - 1, q
-    axis = poly.edges[lo:hi].sum(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
+        axis = poly.edges[lo:hi].sum(axis=0)
         size, per = norm(axis), perimeter(poly)
     if not math.isfinite(size):
         raise InputError(f"diagonal {(p, q)} is beyond the float range")

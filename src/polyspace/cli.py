@@ -120,9 +120,6 @@ def polygon_from_doc(doc: dict) -> Polygon:
         raise InputError("polygon document has a non-finite edge")
     with np.errstate(over="ignore"):
         per, defect = perimeter(poly), closure_defect(poly)
-        size = np.abs(poly.edges).sum()
-    if size < 1e-150:  # their squares would underflow
-        raise InputError("polygon document coordinates sum below 1e-150")
     if not math.isfinite(per):
         raise InputError("polygon document is beyond the float range")
     if not is_zero(defect, per):

@@ -96,15 +96,14 @@ class Polygon:
 
 
 def norm(x, axis=None):
-    """np.linalg.norm(x, axis=axis) by its formula; where its squares
-    overflowed from finite x, it is redone from x scaled by a power of 2."""
+    """np.linalg.norm(x, axis=axis) by its formula; where its squares may
+    have left the float range, from each row scaled by a power of 2."""
     n = np.sqrt(x.dot(x) if axis is None else np.add.reduce(x * x, axis))
-    if math.isfinite(np.add.reduce(n, None)):   # so is every norm
+    if 2.0 ** -500 <= np.add.reduce(n, None) < math.inf:
         return n
-    # frexp gives the exponent 0 for what is not finite: those norms stay
     top = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
     redo = np.linalg.norm(np.ldexp(x, -top), axis=axis)
-    return np.where(np.isfinite(n), n, np.ldexp(redo, top.squeeze(axis)))
+    return np.ldexp(redo, top.squeeze(axis))
 
 
 def closure_defect(p: Polygon) -> float:

@@ -182,23 +182,6 @@ _TRIANGLE_TERMS = tuple(
     for name, signs in TRIANGLE_SIGNS)
 
 
-def triangle_slacks(alpha, diag):
-    """All 3m slacks of TRIANGLE_SIGNS at steps i = 0..m-1, with d_0 = 0.
-
-    ``diag`` is d_1..d_m, as Fractions or floats.
-    """
-    m = len(alpha)
-    if len(diag) != m:
-        raise InputError("need one diagonal entry per side (the last is 0)")
-    d = (0,) + tuple(diag)
-    out = []
-    for i in range(m):
-        terms = (d[i], d[i + 1], alpha[i])
-        for name, p, q, n in _TRIANGLE_TERMS:
-            out.append((i, name, terms[p] + terms[q] - terms[n]))
-    return tuple(out)
-
-
 def _tree_polytope(triangles, names, den, generic) -> RationalPolytope:
     """Rows of the triangle inequalities of a triangulation's triangles.
 

@@ -51,8 +51,6 @@ class LDPoint:
                              f"got {len(delta)}")
         if sum(alpha) == 0:
             raise InputError("the side lengths sum to 0")
-        if abs(sum(alpha)) < 1e-150:   # their squares would underflow
-            raise InputError("the side lengths sum to less than 1e-150")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "delta", delta)
 
@@ -63,12 +61,6 @@ class LDPoint:
     def full_diagonals(self) -> tuple:
         """d_0 = 0, d_1 = alpha_1, ..., d_{m-1} = alpha_m, d_m = 0."""
         return (0.0, self.alpha[0], *self.delta, self.alpha[-1], 0.0)
-
-
-def _tiny(alpha) -> float:
-    """A vertex-loop circle of smaller radius is degenerate: 1e-12, scaled
-    down with a perimeter sum |alpha_i| below 1."""
-    return 1e-12 * min(1, sum(map(abs, alpha)))
 
 
 def _check_triangles(lds):
@@ -115,18 +107,21 @@ def fiber_sample(ld: LDPoint, angles) -> Polygon:
     return Polygon(3, edges[0])
 
 
-# lengths near the float range overflow in the float geometry: the result
-# is then not finite, and the finiteness checks of the caller refuse it
 @np.errstate(all="ignore")
 def _place(lds) -> np.ndarray:
     """``reconstruct``'s vertex loop on a stack of LDPoints of one m: their
-    edges as an (N, m, 3) array in the xy-plane. A zero side alpha_{i+1}
-    takes h = 0, so vertex i+1 stays on vertex i: the root of the one-ulp
-    h^2 that d_{i+1} = d_i leaves would be about 1e-8 d_i."""
+    edges as an (N, m, 3) array in the xy-plane. A circle of radius below
+    1e-12 times the perimeter sum |alpha_i| is degenerate. A zero side
+    alpha_{i+1} takes h = 0, so vertex i+1 stays on vertex i: the root of
+    the one-ulp h^2 that d_{i+1} = d_i leaves would be about 1e-8 d_i."""
     alpha = np.array([ld.alpha for ld in lds]).T
     d = np.array([ld.full_diagonals() for ld in lds]).T[..., None]
+    # each member times 2^-top, its largest length in [0.5, 1), till its
+    # edges are scaled back: exact, and no square leaves the float range
+    top = np.frexp(np.abs(alpha).max(axis=0))[1]
+    alpha, d = np.ldexp(alpha, -top), np.ldexp(d, -top[:, None])
     # rows are steps i, columns members; False where circle i degenerates
-    proper = ~(d < np.array([[_tiny(ld.alpha)] for ld in lds]))
+    proper = ~(d < 1e-12 * np.abs(alpha).sum(axis=0)[:, None])
     # vertex i starts at (d_i, 0): vertices 0, 1 and m stay there, and so
     # does one after a degenerate first circle, where any direction works
     verts = np.concatenate([d, np.zeros(d.shape[:2] + (2,))], axis=-1)
@@ -142,7 +137,8 @@ def _place(lds) -> np.ndarray:
         cand1, cand2 = tn + hp, tn - hp
         v = np.where(cand1[:, 1:] >= cand2[:, 1:], cand1, cand2)
         np.copyto(verts[i + 1, :, :2], v, where=proper[i])
-    return np.ascontiguousarray((verts[1:] - verts[:-1]).transpose(1, 0, 2))
+    edges = np.ldexp(verts[1:] - verts[:-1], top[:, None])
+    return np.ascontiguousarray(edges.transpose(1, 0, 2))
 
 
 @np.errstate(all="ignore")
@@ -152,32 +148,33 @@ def _bend(edges: np.ndarray, angles):
     A bend about d_i fixes each d_j, j >= i, so every axis is an unbent
     d_i and edge r ends as R_{m-2} ... R_{max(r,2)} e_r, a suffix product.
     A bend by 0 is skipped, its axis unchecked; one by pi about an axis in
-    the plane flips across it. Also returns per member the first bent
-    diagonal that is zero beside the perimeter, or 0: it stays unbent.
+    the plane flips across it. Each member is bent at 2^-top times its
+    size, its largest |coordinate| in [0.5, 1), and scaled back. Also
+    returns per member the first bent diagonal that is zero beside the
+    perimeter, or 0: it stays unbent.
     """
     m, angles = edges.shape[1], np.asarray(angles, dtype=float)
     fallen = np.zeros(len(edges), dtype=int)
     if m < 4:
         return edges, fallen
-    axes = np.cumsum(edges, axis=1)[:, 1:m - 2]
+    top = np.frexp(np.abs(edges).max(axis=(1, 2)))[1][:, None, None]
+    unit = np.ldexp(edges, -top)
+    axes = np.cumsum(unit, axis=1)[:, 1:m - 2]
     norm = np.sqrt((axes * axes).sum(axis=-1))
-    per = np.sqrt((edges * edges).sum(axis=-1)).sum(axis=-1)[:, None]
-    bad = (angles != 0.0) & (~np.isfinite(norm) | is_zero(norm, per))
+    per = np.sqrt((unit * unit).sum(axis=-1)).sum(axis=-1)[:, None]
+    # a member that is not finite bends to NaN, which the caller refuses
+    bad = (angles != 0.0) & is_zero(norm, per) & (per < math.inf)
     if bad.any():
         fallen = np.where(bad.any(axis=1), bad.argmax(axis=1) + 2, 0)
-        for b in np.flatnonzero(fallen):  # the first member that fails decides
-            if not np.isfinite(norm[b, fallen[b] - 2]):
-                raise InputError(f"diagonal {(1, int(fallen[b]))} is beyond "
-                                 "the float range")
         angles = np.where(fallen[:, None] > 0, 0.0, angles)
     rot = rodrigues(np.where(angles[..., None] != 0.0, axes / norm[..., None],
                              0.0), angles)
     for j in range(m - 5, -1, -1):
         rot[:, j] = rot[:, j + 1] @ rot[:, j]
-    out = edges.copy()
     # edges 1 and 2 both turn by the whole product
     head = np.concatenate([rot[:, :1], rot], axis=1)
-    out[:, :m - 2] = (head @ edges[:, :m - 2, :, None])[..., 0]
+    unit[:, :m - 2] = (head @ unit[:, :m - 2, :, None])[..., 0]
+    out = np.ldexp(unit, top)
     out[fallen > 0] = edges[fallen > 0]
     return out, fallen
 
@@ -255,12 +252,11 @@ def sample_ld(alpha, rng) -> LDPoint:
 
 
 def draw_sample(alpha, k: int, rng) -> tuple[LDPoint, np.ndarray]:
-    """One sample's draws from rng, in order: its ``sample_ld`` point, whose
-    triangles are checked, then its m - 3 bending angles, uniform (k = 3) or
-    0 or pi (k = 2). ``_bend(_place(lds), angles)`` builds a stack of them."""
+    """One sample's draws from rng, in order: its ``sample_ld`` point, then
+    its m - 3 bending angles, uniform (k = 3) or 0 or pi (k = 2).
+    ``_bend(_place(lds), angles)`` builds a stack of them that passes
+    ``_check_triangles``."""
     ld = sample_ld(alpha, rng)
-    if error := _check_triangles([ld])[1]:
-        raise error
     return ld, _angles(ld.m, k, rng)
 
 

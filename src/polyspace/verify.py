@@ -288,10 +288,16 @@ def suite_roundtrip(trials: int, seed: int) -> RunReport:
         alpha = random_rational_lengths(trial_rng(seed, k), 4 + k % 3)
         # the draws of sample_moduli(alpha, 3, 1, mix_seed(seed, k))
         drawn.append(reconstruct.draw_sample(alpha, 3, trial_rng(seed, k)))
+    # stack first holds trials first, first + 3, ...: one per size m
+    stacks = [tuple(zip(*drawn[first::3])) for first in range(min(trials, 3))]
+    # member n of stack first is trial first + 3n: the earliest failure wins
+    failed = [(first + 3 * n, error) for first, (lds, _) in enumerate(stacks)
+              for n, error in [reconstruct._check_triangles(lds)] if error]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
     # row k: trial k's three deviations, from one stacked pass per size m
     devs = np.empty((trials, 3))
-    for first in range(min(trials, 3)):
-        lds, turns = zip(*drawn[first::3])
+    for first, (lds, turns) in enumerate(stacks):
         edges = reconstruct._bend(reconstruct._place(lds), turns)[0]
         ell = np.linalg.norm(edges, axis=-1)
         d = np.linalg.norm(np.cumsum(edges, axis=-2), axis=-1)

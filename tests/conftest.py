@@ -3,6 +3,7 @@ import pytest
 
 from polyspace.errors import InputError
 from polyspace.polygon import Polygon
+from polyspace.polytope import _TRIANGLE_TERMS
 
 
 @pytest.fixture
@@ -33,3 +34,22 @@ def reflect(p, axis=-1):
     edges = p.edges.copy()
     edges[:, axis] = -edges[:, axis]
     return Polygon(p.dim, edges)
+
+
+# Test-only oracle: the exact triangle slacks of a length/diagonal point,
+# as they were when the package kept them as polytope.triangle_slacks.
+def triangle_slacks(alpha, diag):
+    """All 3m slacks of TRIANGLE_SIGNS at steps i = 0..m-1, with d_0 = 0.
+
+    ``diag`` is d_1..d_m, as Fractions or floats.
+    """
+    m = len(alpha)
+    if len(diag) != m:
+        raise InputError("need one diagonal entry per side (the last is 0)")
+    d = (0,) + tuple(diag)
+    out = []
+    for i in range(m):
+        terms = (d[i], d[i + 1], alpha[i])
+        for name, p, q, n in _TRIANGLE_TERMS:
+            out.append((i, name, terms[p] + terms[q] - terms[n]))
+    return tuple(out)

@@ -371,6 +371,15 @@ def test_flow_names_the_collapsing_member(rng):
     assert "member 0" not in str(err.value)
 
 
+def test_bend_range_refuses_a_diagonal_past_the_float_range():
+    # finite edges whose block sums past the largest float
+    p = pg.Polygon(3, [[1e308, 0, 0], [1e308, 0, 0], [-1e308, 0, 0],
+                       [-1e308, 0, 0]])
+    with pytest.raises(InputError, match=r"^diagonal \(1, 2\) is beyond "
+                                         "the float range$"):
+        bending.bend_range(p, (1, 2), 0.5)
+
+
 @pytest.mark.parametrize("match", ["collapsed", "domain"])
 def test_single_flow_reports_leaving_the_region(rng, match):
     # one (m, 3) point: the one step of length t goes to the origin or

@@ -19,6 +19,8 @@ from polyspace import cli, errors
 from polyspace import polygon as pg
 from polyspace import reconstruct as rec
 
+MAX = repr(sys.float_info.max)   # the largest float, 1.7976931348623157e308
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -457,12 +459,16 @@ def test_reconstruct_mixed_scale_violation_exits_3(capsys):
 
 
 @pytest.mark.parametrize("argv, code, message", [
-    ("sample --alpha 1e200,1e200,1e200,1e200 --dim 3 --count 2", 1,
-     "error: diagonal (1, 2) is beyond the float range"),
-    # the first sample's axis overflows; the second's diagonal overflows
-    # when drawn, after it: the first sample's error is the one reported
+    # a parallelogram whose sides of the largest float lie on the x axis:
+    # the third edge rounds past it, so the bend is refused as not finite,
+    # not as a zero axis
+    (f"reconstruct --alpha {MAX},1e308,{MAX},1e308 --diag 1.5e308 "
+     "--angles 3.141592653589793", 1, "error: the polygon is not finite in "
+     "floating point; the input lengths are out of range"),
+    # the first sample bends; a later one draws a diagonal past the float
+    # range, which is refused as it is drawn
     ("sample --alpha 1e308,1e308,1e308,1e308,1e308 --dim 3 --count 3 "
-     "--seed 1", 1, "error: diagonal (1, 2) is beyond the float range"),
+     "--seed 1", 1, "error: a length or diagonal is beyond the float range"),
     ("reconstruct --alpha 1,1,1,1,1 --diag 1,0 --angles 0.5,0.7", 3,
      "infeasible: diagonal 3 has zero length; no bending axis"),
 ])
@@ -870,8 +876,11 @@ def test_negative_counts_exit_1(capsys):
 
 
 def test_overflowing_polygon_exits_1(capsys):
-    run_input_error(capsys, "reconstruct", "--alpha", "1e200,1e200,1e200",
-                    "--dim", "2")
+    # the parallelogram of test_bend_axis_errors_are_pinned, unbent
+    err = run_input_error(capsys, "reconstruct", "--alpha",
+                          f"{MAX},1e308,{MAX},1e308", "--diag", "1.5e308",
+                          "--dim", "2")
+    assert err.startswith("error: the polygon is not finite")
 
 
 @pytest.mark.parametrize("argv", [
@@ -893,17 +902,19 @@ def test_overflowing_polygon_exits_1(capsys):
     "sample --alpha 0,0,0,0 --dim 3",
     "reconstruct --alpha 0,0,0,0 --diag 0",
     "reconstruct --alpha 0,0,0,0 --diag 0 --angles 0.5",
-    # lengths so small that their squares underflow
-    "sample --alpha 1e-170,1e-170,1e-170,1e-170,1e-170",
-    "sample --alpha 1e-160,1e-160,1e-160,1e-160,1e-160 --dim 2",
-    "sample --alpha 1e-320,1e-320,1e-320,1e-320 --dim 2 --count 2",
-    "reconstruct --alpha 1e-320,1e-320,1e-320,1e-320 --diag 1e-320",
-    # polygon files with edges so small that their squares underflow
+    # lengths below half the least subnormal float, which round to 0
+    "sample --alpha 1e-400,1e-400,1e-400,1e-400,1e-400",
+    "sample --alpha 1e-400,1e-400,1e-400,1e-400,1e-400 --dim 2",
+    "sample --alpha 2e-324,2e-324,2e-324,2e-324 --dim 2 --count 2",
+    "reconstruct --alpha 1e-400,1e-400,1e-400,1e-400 --diag 1e-400",
+    # polygon files: edges of 1e-170 that do not close, and a square
+    # whose perimeter is beyond the float range
     "bend --in {tmp}/open170.json --range 1,2 --angle 0.5",
-    "bend --in {tmp}/square170.json --range 1,2 --angle 0.5",
-    # the CSV form checks that the polygons are finite, as JSON does
-    "sample --alpha 1e200,1e200,1e200 --count 1 --format csv",
-    "sample --alpha 1e200,1e200,1e200 --count 1 --format csv --dim 2",
+    "bend --in {tmp}/square308.json --range 1,2 --angle 0.5",
+    # the CSV form checks that the polygons are finite, as JSON does: an
+    # edge along a side of the largest float rounds past it
+    f"sample --alpha {MAX},{MAX},{MAX},1 --count 1 --format csv --dim 2",
+    f"sample --alpha {MAX},{MAX},{MAX},1 --count 1 --format csv --seed 2",
     # lengths whose documents would hold ints past Python's digit limit
     "polytope --alpha 1e4300,1,1e4300,1",
     "classify --alpha 1e5000,2,1e5000,1",
@@ -920,18 +931,17 @@ def test_bad_input_exits_1_without_traceback(tmp_path, capsys, argv):
     (tmp_path / "open170.json").write_text(
         '{"dim": 3, "edges": [[1e-170, 0, 0], [0, 1e-170, 0], '
         '[0, 0, 1e-170], [1e-170, 1e-170, 0]]}')
-    (tmp_path / "square170.json").write_text(
-        '{"dim": 3, "edges": [[1e-170, 0, 0], [0, 1e-170, 0], '
-        '[-1e-170, 0, 0], [0, -1e-170, 0]]}')
+    (tmp_path / "square308.json").write_text(
+        '{"dim": 3, "edges": [[1e308, 0, 0], [0, 1e308, 0], '
+        '[-1e308, 0, 0], [0, -1e308, 0]]}')
     err = run_input_error(capsys, *argv.format(tmp=tmp_path).split())
-    if "0,0,0,0" in argv:
+    if "0,0,0,0" in argv or "e-4" in argv or "e-3" in argv:
         assert err == "error: the side lengths sum to 0\n"
-    if "e-" in argv:
-        assert err == "error: the side lengths sum to less than 1e-150\n"
-    if "170.json" in argv:
-        assert err == ("error: polygon document coordinates sum below "
-                       "1e-150\n")
-    if "1e200" in argv:
+    if "open170" in argv:
+        assert err == "error: polygon document is not closed\n"
+    if "square308" in argv:
+        assert err == "error: polygon document is beyond the float range\n"
+    if MAX in argv:
         assert err.startswith("error: the polygon is not finite")
     if any(f"e{k}" in argv for k in (4300, 5000, 10000000)):
         assert err.endswith(f"more than {sys.get_int_max_str_digits()} "
@@ -987,7 +997,7 @@ def test_each_length_token_is_parsed_once(monkeypatch, capsys):
     "reconstruct --alpha {a},{a},{a},{a} --diag 3e-151",
 ])
 def test_lengths_at_perimeter_1e_150_are_kept(capsys, argv):
-    # the smallest perimeter accepted: four lengths of 2.5e-151
+    # four lengths of 2.5e-151, whose squares underflow
     a = 2.5e-151
     code, out = run(capsys, *argv.format(a=a).split())
     assert code == 0

@@ -48,23 +48,29 @@ def test_diagonal_endpoint_identities(rng):
 
 
 def test_norm_has_the_bits_of_numpy_norm(rng):
-    # vectors and stacks of rows, at scales from the subnormal to where
-    # the squares overflow
-    for scale in (5e-324, 1e-160, 1.0, 1e150, 1e307):
+    # vectors and stacks of rows, at scales from the subnormal, where the
+    # squares underflow, to where they overflow; at the ends the norms are
+    # taken again at a power of 2 and match the reference taken at scale 1
+    for scale, in_range in ((5e-324, False), (1e-160, False), (1.0, True),
+                            (1e150, True), (1e307, False)):
         for shape in ((3,), (7, 2), (4, 9, 3)):
             x = rng.standard_normal(shape) * scale
             axis = None if len(shape) == 1 else -1
             with np.errstate(over="ignore", under="ignore"):
                 want = np.linalg.norm(x, axis=axis)
                 got = pg.norm(x, axis)
-            if np.isfinite(want).all():
+            if in_range:
                 assert np.array_equal(got, want)
-            else:   # squares overflowed: taken again at a smaller scale
+            else:   # to within one ulp, or one step of the subnormal grid
+                ref = np.linalg.norm(x / scale, axis=axis) * scale
                 assert np.isfinite(got).all() and np.allclose(
-                    got, np.linalg.norm(x / scale, axis=axis) * scale)
+                    got, ref, rtol=2.0 ** -52, atol=2.0 ** -1074)
     rows = np.array([[1e308, 0.0], [0.0, -1e308]])
     with np.errstate(over="ignore"):
         assert np.array_equal(pg.norm(rows, -1), [1e308, 1e308])
+    # squares that all underflow; a zero row stays 0
+    rows = np.array([[3e-170, 4e-170], [0.0, 0.0], [-5e-320, 0.0]])
+    assert np.array_equal(pg.norm(rows, -1), [5e-170, 0.0, 5e-320])
 
 
 def test_stratum_index():

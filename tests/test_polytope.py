@@ -14,6 +14,8 @@ from polyspace import polygon as pg
 from polyspace import polytope as pt
 from polyspace.errors import EmptyPolytope, Infeasible
 
+from conftest import triangle_slacks
+
 
 # Test polytopes are written as rational (normal, offset) rows, each
 # scaled to integers by its own common denominator (the per-row scaling
@@ -220,18 +222,18 @@ def test_in_hypersimplex_matches_polytope(rng):
 
 def test_gc_membership_square():
     ell = (F(1, 2),) * 4
-    good = pt.triangle_slacks(ell, (F(1, 2), F(7, 10), F(1, 2), 0))
+    good = triangle_slacks(ell, (F(1, 2), F(7, 10), F(1, 2), 0))
     assert len(good) == 12
     # the first and last steps are forced boundaries (d1 = l1, d0 = 0)
     assert min(s for _, _, s in good) == 0
     interior = [s for i, _, s in good if 0 < i < 3]
     assert min(interior) > 0
-    bad = pt.triangle_slacks(ell, (F(1, 2), F(3, 2), F(1, 2), 0))
+    bad = triangle_slacks(ell, (F(1, 2), F(3, 2), F(1, 2), 0))
     assert any(name == "C" for _, name, s in bad if s < 0)
 
 
 def test_gc_membership_boundary():
-    slacks = pt.triangle_slacks((1, 1, 0), (1, 0, 0))
+    slacks = triangle_slacks((1, 1, 0), (1, 0, 0))
     assert min(s for _, _, s in slacks) == 0
 
 

@@ -15,6 +15,8 @@ from polyspace.errors import (EmptyPolytope, Infeasible, InputError,
                               TriangleViolation, ZeroDiagonal)
 from polyspace.reconstruct import LDPoint
 
+from conftest import triangle_slacks
+
 
 def test_square_round_trip():
     ld = LDPoint((1, 1, 1, 1), (math.sqrt(2),))
@@ -83,7 +85,7 @@ def _check_triangles_oracle(ld):
     d = ld.full_diagonals()
     tol = [1e-12 * abs(d[i]) + 1e-12 * abs(d[i + 1]) + 1e-12 * abs(a)
            for i, a in enumerate(ld.alpha)]
-    for i, name, slack in pt.triangle_slacks(ld.alpha, d[1:]):
+    for i, name, slack in triangle_slacks(ld.alpha, d[1:]):
         if not slack >= -tol[i]:  # NaN fails too
             raise TriangleViolation(i, name, slack)
 
@@ -277,7 +279,7 @@ def test_sample_moduli_pass_membership():
     for k in (2, 3):
         for p in rec.sample_moduli((2, 1, 3, 1, 2), k, 20, seed=1):
             assert np.abs(pg.side_lengths(p) - [2, 1, 3, 1, 2]).max() < 1e-9
-            slacks = pt.triangle_slacks(
+            slacks = triangle_slacks(
                 tuple(F(x) for x in (2, 1, 3, 1, 2)),
                 [F(round(float(d) * 10**9), 10**9)
                  for d in pg.diagonals(p)])
@@ -424,7 +426,7 @@ def test_sample_ld_draws_inside_triangle_and_closing_ranges(nums, seed):
 # reflections in turn, as they were before the sampler became one stack.
 def _reconstruct_oracle(ld, k):
     _check_triangles_oracle(ld)
-    tiny = rec._tiny(ld.alpha)
+    tiny = 1e-12 * sum(map(abs, ld.alpha))   # the degenerate-circle cut
     d = ld.full_diagonals()
     verts = [np.zeros(2), np.array([ld.alpha[0], 0.0])]
     for i in range(1, ld.m - 1):
@@ -582,13 +584,20 @@ def test_a_sample_does_not_depend_on_the_count(k):
 
 
 def test_the_sampler_raises_its_earliest_error(monkeypatch):
-    # the bends of the first point overflow; the second fails triangle A
-    huge = LDPoint((1e200,) * 5, (1.2e200, 1.2e200))
-    nan = LDPoint((1e200,) * 5, (math.nan, 1.2e200))
-    for points, error in (([huge, nan], "beyond the float range"),
-                          ([nan, huge], "triangle inequality 'A'")):
+    # the second point is refused by LDPoint as it is drawn: after the
+    # first, whose error (triangle A) is then the one raised, if it has one
+    good = LDPoint((1,) * 5, (1.2, 1.2))
+    nan = LDPoint((1,) * 5, (math.nan, 1.2))
+
+    def points(first):
+        yield first
+        yield LDPoint((F(10) ** 400,) * 5, (1, 1))
+
+    for first, error in ((nan, "triangle inequality 'A'"),
+                         (good, "a length or diagonal is beyond the float "
+                                "range")):
         monkeypatch.setattr(rec, "_ld_points",
-                            lambda den, ints, rng, p=points: iter(p))
+                            lambda den, ints, rng, p=first: points(p))
         with pytest.raises((InputError, TriangleViolation), match=error):
             rec.sample_moduli((1, 1, 1, 1, 1), 3, 2, seed=0)
 

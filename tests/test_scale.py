@@ -1,13 +1,16 @@
 """Scale invariance: every zero test reads the polygon's own scale.
 
-Multiplying every input by 2^k scales every float exactly, far from the
-ends of the float range, so each output must be the unit-scale output
-times 2^k and each exit code must be the unit-scale one. Every length
-here lies far from those ends at every k in SCALES.
+Multiplying every input by 2^k scales every float exactly, so each exit
+code must be the unit-scale one and each output the unit-scale output
+times 2^k. The library functions are checked at SCALES. The commands run
+each float kernel on its input times a power of 2 of its own, and are
+checked at WIDE, across the float range: bit for bit wherever an entry
+is a normal float, and its squares too for a norm.
 """
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +21,9 @@ from polyspace.errors import InputError
 from polyspace.verify import random_prodigal_polygon
 
 SCALES = (-60, -40, -20, 0, 20, 40, 60)
+WIDE = range(-1000, 1001, 25)
+NORMAL = sys.float_info.min       # the least normal float, 2^-1022
+SQUARE_NORMAL = 2.0 ** -480       # a norm whose squares are all normal
 
 
 def _run(capsys, *argv):
@@ -39,25 +45,43 @@ def _unscaled(doc, k):
             (doc["edges"], doc["meta"]["alpha"], doc["meta"]["diagonals"])]
 
 
+def _assert_scaled(got, want, k, floor):
+    """got is want times 2^k: bit for bit where |got| >= floor, and within
+    2^-50 of the largest |want| elsewhere."""
+    got = np.array(got, dtype=float)
+    back, exact = np.ldexp(got, -k), np.abs(got) >= floor
+    assert np.array_equal(back[exact], want[exact])
+    assert np.abs(back - want).max() <= 2.0 ** -50 * np.abs(want).max()
+
+
+def _assert_document_scaled(doc_k, doc, k):
+    """A polygon document at scale 2^k against the one at scale 1: edges
+    with the unit-scale bits where they are normal floats, and sides and
+    diagonals that are the norms of its edges recomputed at scale 1 by
+    numpy, bit for bit where their squares are normal (a norm whose
+    squares underflow beside larger ones is only near)."""
+    _assert_scaled(doc_k["edges"], np.array(doc["edges"]), k, NORMAL)
+    edges = np.ldexp(np.array(doc_k["edges"], dtype=float), -k)
+    for name, rows in (("alpha", edges),
+                       ("diagonals", np.cumsum(edges, axis=0))):
+        _assert_scaled(doc_k["meta"][name], np.linalg.norm(rows, axis=1), k,
+                       SQUARE_NORMAL)
+
+
 def _assert_covariant(capsys, argv_at):
-    """``argv_at(k)`` exits as at k = 0 at every scale, and its output is
-    the unit-scale one times 2^k."""
+    """``argv_at(k)`` exits as at k = 0 at every k in WIDE, and its output
+    is the unit-scale one times 2^k."""
     code, doc = _run(capsys, *argv_at(0))
-    for k in SCALES:
+    docs = doc if isinstance(doc, list) else [doc]
+    for k in WIDE:
         code_k, doc_k = _run(capsys, *argv_at(k))
         assert code_k == code, (k, argv_at(k))
         if code == 0:
-            for got, want in zip(_unscaled(doc_k, k), _unscaled(doc, 0)):
-                assert all(map(np.array_equal, got, want)), (k, argv_at(k))
+            docs_k = doc_k if isinstance(doc_k, list) else [doc_k]
+            assert len(docs_k) == len(docs)
+            for got, want in zip(docs_k, docs):
+                _assert_document_scaled(got, want, k)
     return code
-
-
-def _clear_of_tiny(alpha, delta):
-    """Each diagonal is 0 or above 1e-9 times the perimeter sum(alpha) >= 1,
-    so it stays on one side of ``_tiny``'s degenerate-circle cut, 1e-12
-    min(1, perimeter), at every scale, and at least 1e3 from it."""
-    per = sum(alpha)
-    return all(d == 0 or d > 1e-9 * per for d in delta)
 
 
 def _lengths(rng, m):
@@ -78,8 +102,6 @@ def _reconstruct_cases():
         while len(cases) < 16 * (m - 3):
             alpha = _lengths(rng, m)
             delta = [float(d) for d in rec.sample_ld(alpha, rng).delta]
-            if not _clear_of_tiny(alpha, delta):
-                continue
             stretched = list(delta)
             stretched[rng.integers(m - 3)] += sum(alpha)
             cases += [(alpha, delta, 0), (alpha, stretched, 3)]
@@ -114,22 +136,65 @@ def test_sample_and_bend_are_scale_covariant(capsys, tmp_path):
             alpha = _lengths(rng, m)
             if seed:  # a zero side
                 alpha[rng.integers(m)] = 0
-            if pg.is_feasible_lengths(alpha):
-                # sample 1 of a count of 1 is sample_ld's first draw
-                ld = rec.sample_ld(alpha, np.random.default_rng(seed))
-                assert _clear_of_tiny(alpha, ld.delta)
             for dim in (2, 3):
                 argv = _sample_argv(alpha, dim, seed)
                 code = _assert_covariant(capsys, argv)
             if code:
                 continue
             edges = _run(capsys, *argv(0))[1][0]["edges"]
-            for k in SCALES:
+            for k in WIDE:
                 (tmp_path / f"{k}.json").write_text(json.dumps(
                     {"dim": 3, "edges": np.ldexp(edges, k).tolist()}))
             _assert_covariant(capsys, lambda k: [
                 "bend", "--in", tmp_path / f"{k}.json", "--range",
                 f"2,{m - 1}", "--angle", 1.1])
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_a_stack_of_samples_is_scale_covariant(capsys, dim):
+    alpha = (3, 4, 5, 6, 2, 7)
+    _assert_covariant(capsys, lambda k: [
+        "sample", "--alpha", ",".join(str(a * Fraction(2) ** k)
+                                      for a in alpha),
+        "--dim", dim, "--count", 4, "--seed", 11])
+
+
+@pytest.mark.parametrize("alpha, diag", [
+    ("1e308,1e308,1e308", ""), ("1.7e308,1.7e308,1.7e308", ""),
+    ("1e308,1.7e308,1.7e308", ""), ("1.7e308,1e308,1.7e308", ""),
+    ("1.7e308,1.7e308,1e308,1e308", "1.5e308"),
+    ("1.7e308,1e308,1.7e308,1e308", "1.7e308"),
+    (f"{sys.float_info.max},1e308,{sys.float_info.max},1e308", "1.5e308"),
+])
+@pytest.mark.parametrize("argv", (["reconstruct", "--dim", "2"],
+                                  ["reconstruct", "--dim", "3"],
+                                  ["reconstruct", "--angles"],
+                                  ["sample", "--dim", "2"],
+                                  ["sample", "--dim", "3"]))
+def test_lengths_whose_sum_overflows_are_placed_or_refused(capsys, alpha,
+                                                            diag, argv):
+    # the perimeter is past the float range, the lengths are not: the
+    # polygon written has the lengths and closes, or the command exits 1
+    lengths = np.array(alpha.split(","), dtype=float)
+    if argv[0] == "sample":
+        argv = argv + ["--count", 3]
+    elif argv[1] == "--angles":
+        argv = argv + ["2.5" if diag else "", "--diag", diag]
+    else:
+        argv = argv + ["--diag", diag]
+    code, doc = _run(capsys, *argv, "--alpha", alpha)
+    assert code in (0, 1)
+    for d in doc if isinstance(doc, list) else [doc] if code == 0 else []:
+        # taken at 2^-1024, where nothing overflows
+        edges = np.ldexp(np.array(d["edges"]), -1024)
+        sides = np.linalg.norm(edges, axis=1)
+        assert np.allclose(sides, np.ldexp(lengths, -1024), rtol=1e-15,
+                           atol=0.0)
+        assert np.linalg.norm(edges.sum(axis=0)) <= 1e-15 * sides.max()
+        if argv[0] == "reconstruct" and diag:
+            d2 = np.linalg.norm(edges[:2].sum(axis=0))
+            assert d2 == pytest.approx(math.ldexp(float(diag), -1024),
+                                       rel=1e-15)
 
 
 @pytest.mark.parametrize("k", (532, 1020))

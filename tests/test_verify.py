@@ -9,7 +9,8 @@ import pytest
 
 from polyspace import (bending, frames, polygon as pg, polytope, quat,
                        reconstruct, verify)
-from polyspace.errors import InputError, PolyspaceError
+from polyspace.errors import InputError, PolyspaceError, TriangleViolation
+from polyspace.reconstruct import LDPoint
 
 FLOW_TIMES = (0.1, 1.0, math.pi, 2.0 * math.pi)
 
@@ -278,6 +279,26 @@ def _counted(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("k", [0, 4, 5, 8])
+def test_roundtrip_suite_raises_its_earliest_failing_trial(monkeypatch, k):
+    # trial k gets a NaN diagonal and every later trial a finite violation,
+    # so each of the three stacks fails; trial k's error is raised
+    draw, trial = reconstruct.draw_sample, iter(range(12))
+
+    def corrupted(alpha, dim, rng):
+        ld, turns = draw(alpha, dim, rng)
+        t = next(trial)
+        if t >= k:
+            bad = math.nan if t == k else 1e6
+            ld = LDPoint(ld.alpha, (bad,) + ld.delta[1:])
+        return ld, turns
+
+    monkeypatch.setattr(reconstruct, "draw_sample", corrupted)
+    with pytest.raises(TriangleViolation) as err:
+        verify.suite_roundtrip(12, 0)
+    assert math.isnan(err.value.slack)
 
 
 @pytest.mark.parametrize("trials, seed", [(100, 0), (7, 3), (2, 1)])
