@@ -904,7 +904,7 @@ def test_overflowing_polygon_exits_1(capsys):
     "reconstruct --alpha 0,0,0,0 --diag 0 --angles 0.5",
     # lengths below half the least subnormal float, which round to 0
     "sample --alpha 1e-400,1e-400,1e-400,1e-400,1e-400",
-    "sample --alpha 1e-400,1e-400,1e-400,1e-400,1e-400 --dim 2",
+    "sample --dim 2 --alpha 1e-400,1e-400,1e-400,1e-400,1e-400",
     "sample --alpha 2e-324,2e-324,2e-324,2e-324 --dim 2 --count 2",
     "reconstruct --alpha 1e-400,1e-400,1e-400,1e-400 --diag 1e-400",
     # polygon files: edges of 1e-170 that do not close, and a square
