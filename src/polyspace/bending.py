@@ -45,10 +45,15 @@ def bend_range(poly: Polygon, block: tuple[int, int],
         raise InputError(f"block {p},{q} must be a proper subset of the "
                          f"edges: need 1 <= p <= q <= {poly.m}, not all")
     lo, hi = p - 1, q
+    # the axis and the perimeter of the edges times 2^-top, their largest
+    # |coordinate| in [0.5, 1): exact, and neither sum overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        axis = poly.edges[lo:hi].sum(axis=0)
-        size, per = norm(axis), perimeter(poly)
-    if not math.isfinite(size):
+        top = math.frexp(np.abs(poly.edges).max())[1]
+        unit = Polygon(poly.dim, np.ldexp(poly.edges, -top))
+        axis = unit.edges[lo:hi].sum(axis=0)
+        size, per = norm(axis), perimeter(unit)
+        diagonal = np.ldexp(size, top)
+    if not np.isfinite(diagonal):
         raise InputError(f"diagonal {(p, q)} is beyond the float range")
     if is_zero(size, per):
         raise ZeroDiagonal((p, q))

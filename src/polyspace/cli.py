@@ -118,10 +118,11 @@ def polygon_from_doc(doc: dict) -> Polygon:
         raise InputError(f"bad polygon document: {exc}") from exc
     if not np.isfinite(poly.edges).all():
         raise InputError("polygon document has a non-finite edge")
-    with np.errstate(over="ignore"):
-        per, defect = perimeter(poly), closure_defect(poly)
-    if not math.isfinite(per):
-        raise InputError("polygon document is beyond the float range")
+    # closure of the edges times 2^-top, their largest |coordinate| in
+    # [0.5, 1): exact, and the perimeter sum stays finite
+    top = math.frexp(np.abs(poly.edges).max())[1]
+    unit = Polygon(poly.dim, np.ldexp(poly.edges, -top))
+    per, defect = perimeter(unit), closure_defect(unit)
     if not is_zero(defect, per):
         raise InputError("polygon document is not closed")
     return poly

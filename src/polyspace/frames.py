@@ -145,7 +145,7 @@ def frame_from_polygon(p: Polygon) -> Frame:
 
 
 def random_frame(m: int, rng) -> Frame:
-    """Haar-ish random element of the Stiefel manifold."""
-    a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return frame_orthonormalize(a, b)
+    """Haar-ish random element of the Stiefel manifold: one draw of
+    Re a, Im a, Re b, Im b, in that order."""
+    re_a, im_a, re_b, im_b = rng.standard_normal((4, m))
+    return frame_orthonormalize(re_a + 1j * im_a, re_b + 1j * im_b)

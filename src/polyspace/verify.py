@@ -2,7 +2,9 @@
 
 Each suite draws its per-trial randomness from a 64-bit mix of the base
 seed and the trial index, so trial k is reproducible in isolation and
-results do not depend on execution order.
+results do not depend on execution order.  Consecutive draws of one kind
+from a trial's generator may be merged into one call, which gives the
+same values; they are never reordered.
 """
 
 from __future__ import annotations
@@ -89,13 +91,14 @@ class RunReport:
 
 def suite_hopf(trials: int, seed: int) -> RunReport:
     report = RunReport("hopf", trials)
-    wxyz, theta = np.empty((trials, 4)), np.empty(trials)
-    g = np.empty((trials, 2, 2), dtype=complex)
+    # per trial: (w, x, y, z), Re g and Im g row by row, then theta
+    normals, theta = np.empty((trials, 12)), np.empty(trials)
     for k in range(trials):
         rng = trial_rng(seed, k)
-        wxyz[k] = rng.standard_normal(4)
-        g[k] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        rng.standard_normal(out=normals[k])
         theta[k] = rng.uniform(0.0, 2.0 * math.pi)
+    wxyz, re_g, im_g = np.split(normals, 3, axis=1)
+    g = (re_g + 1j * im_g).reshape(trials, 2, 2)
     q, r = np.linalg.qr(g)   # P: the unitary factor, R's diagonal made > 0
     d = np.diagonal(r, axis1=-2, axis2=-1)
     P = q * (d / np.abs(d))[..., None, :]
@@ -273,11 +276,10 @@ def suite_hexcount(trials: int, seed: int) -> RunReport:
 def random_rational_lengths(rng, m: int) -> tuple[Fraction, ...]:
     """Normalized (sum 2) positive rational lengths with a nonempty slice."""
     for _ in range(MAX_DRAWS):
-        nums = [int(n) for n in rng.integers(1, 30, size=m)]
-        total = sum(nums)
-        alpha = tuple(Fraction(2 * n, total) for n in nums)
-        if is_feasible_lengths(alpha):
-            return alpha
+        nums = rng.integers(1, 30, size=m).tolist()
+        if is_feasible_lengths(nums):
+            total = sum(nums)
+            return tuple(Fraction(2 * n, total) for n in nums)
     raise PolyspaceError(f"no closing {m}-gon lengths in {MAX_DRAWS} draws")
 
 
@@ -285,9 +287,12 @@ def suite_roundtrip(trials: int, seed: int) -> RunReport:
     report = RunReport("roundtrip", trials)
     drawn = []
     for k in range(trials):
-        alpha = random_rational_lengths(trial_rng(seed, k), 4 + k % 3)
-        # the draws of sample_moduli(alpha, 3, 1, mix_seed(seed, k))
-        drawn.append(reconstruct.draw_sample(alpha, 3, trial_rng(seed, k)))
+        rng = trial_rng(seed, k)
+        fresh = rng.bit_generator.state
+        alpha = random_rational_lengths(rng, 4 + k % 3)
+        # replayed: the draws of sample_moduli(alpha, 3, 1, mix_seed(seed, k))
+        rng.bit_generator.state = fresh
+        drawn.append(reconstruct.draw_sample(alpha, 3, rng))
     # stack first holds trials first, first + 3, ...: one per size m
     stacks = [tuple(zip(*drawn[first::3])) for first in range(min(trials, 3))]
     # member n of stack first is trial first + 3n: the earliest failure wins

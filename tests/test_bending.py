@@ -380,6 +380,19 @@ def test_bend_range_refuses_a_diagonal_past_the_float_range():
         bending.bend_range(p, (1, 2), 0.5)
 
 
+@pytest.mark.parametrize("block", [(1, 1), (1, 2), (2, 3)])
+def test_bend_range_takes_an_axis_beside_a_perimeter_that_overflows(block):
+    # every coordinate and axis is finite, the perimeter is not: the bend is
+    # the one of the polygon times 2^-1024, scaled back
+    edges = np.array([[1.5e308, 0, 0], [-1.5e308, 0, 1e308],
+                      [0, 0, -1e308]])
+    assert math.isinf(1.5e308 + math.hypot(1.5e308, 1e308) + 1e308)
+    got = bending.bend_range(pg.Polygon(3, edges), block, 0.7)
+    unit = bending.bend_range(pg.Polygon(3, np.ldexp(edges, -1024)), block,
+                              0.7)
+    assert np.array_equal(got.edges, np.ldexp(unit.edges, 1024))
+
+
 @pytest.mark.parametrize("match", ["collapsed", "domain"])
 def test_single_flow_reports_leaving_the_region(rng, match):
     # one (m, 3) point: the one step of length t goes to the origin or

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polyspace import cli, errors
+from polyspace import bending, cli, errors
 from polyspace import polygon as pg
 from polyspace import reconstruct as rec
 
@@ -549,8 +549,8 @@ def test_read_enforces_closure(tmp_path, capsys):
 @pytest.mark.parametrize("content", [
     b'\xff\xfe{"dim": 3}',                         # not UTF-8
     b"[" * 100_000 + b"]" * 100_000,              # nested past the stack
-    b'{"dim": 3, "edges": [[1.5e308, 1.5e308, 0], '
-    b'[-1.5e308, -1.5e308, 0]]}',                 # norms beyond the range
+    b'{"dim": 3, "edges": [[1.5e308, 1.5e308, 0], [0, -1.5e308, 0], '
+    b'[-1.5e308, 0, 0]]}',                        # a side beyond the range
     b'{"dim": 3, "edges": [[1, 0, 0],',           # not JSON
     # a dim that is no JSON integer
     b'{"dim": 2.7, "edges": [[1, 0], [0, 1], [-1, 0], [0, -1]]}',
@@ -578,6 +578,21 @@ def test_bend_about_an_axis_whose_square_overflows(tmp_path, capsys):
     assert np.allclose(json.loads(out)["edges"], [
         [7e153, 0, 0], [-7e153, y, -z], [-7e153, -y, z], [7e153, 0, 0]],
         rtol=1e-15, atol=1e-15)
+
+
+def test_bend_reads_a_square_whose_perimeter_overflows(tmp_path, capsys):
+    # every edge, side and diagonal is finite, the perimeter sum is not:
+    # closure is tested on the edges times a power of 2
+    src = tmp_path / "square308.json"
+    src.write_text('{"dim": 3, "edges": [[1e308, 0, 0], [0, 1e308, 0], '
+                   '[-1e308, 0, 0], [0, -1e308, 0]]}')
+    code, out = run(capsys, "bend", "--in", str(src), "--range", "1,2",
+                    "--angle", "0.5")
+    assert code == 0
+    unit = pg.Polygon(3, [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
+    want = bending.bend_range(unit, (1, 2), 0.5).edges * 1e308
+    assert np.allclose(json.loads(out)["edges"], want, rtol=1e-15,
+                       atol=1e-15 * 1e308)
 
 
 def test_closure_tolerance_is_fixed(tmp_path, capsys):
@@ -907,10 +922,8 @@ def test_overflowing_polygon_exits_1(capsys):
     "sample --dim 2 --alpha 1e-400,1e-400,1e-400,1e-400,1e-400",
     "sample --alpha 2e-324,2e-324,2e-324,2e-324 --dim 2 --count 2",
     "reconstruct --alpha 1e-400,1e-400,1e-400,1e-400 --diag 1e-400",
-    # polygon files: edges of 1e-170 that do not close, and a square
-    # whose perimeter is beyond the float range
+    # a polygon file: edges of 1e-170 that do not close
     "bend --in {tmp}/open170.json --range 1,2 --angle 0.5",
-    "bend --in {tmp}/square308.json --range 1,2 --angle 0.5",
     # the CSV form checks that the polygons are finite, as JSON does: an
     # edge along a side of the largest float rounds past it
     f"sample --alpha {MAX},{MAX},{MAX},1 --count 1 --format csv --dim 2",
@@ -931,16 +944,11 @@ def test_bad_input_exits_1_without_traceback(tmp_path, capsys, argv):
     (tmp_path / "open170.json").write_text(
         '{"dim": 3, "edges": [[1e-170, 0, 0], [0, 1e-170, 0], '
         '[0, 0, 1e-170], [1e-170, 1e-170, 0]]}')
-    (tmp_path / "square308.json").write_text(
-        '{"dim": 3, "edges": [[1e308, 0, 0], [0, 1e308, 0], '
-        '[-1e308, 0, 0], [0, -1e308, 0]]}')
     err = run_input_error(capsys, *argv.format(tmp=tmp_path).split())
     if "0,0,0,0" in argv or "e-4" in argv or "e-3" in argv:
         assert err == "error: the side lengths sum to 0\n"
     if "open170" in argv:
         assert err == "error: polygon document is not closed\n"
-    if "square308" in argv:
-        assert err == "error: polygon document is beyond the float range\n"
     if MAX in argv:
         assert err.startswith("error: the polygon is not finite")
     if any(f"e{k}" in argv for k in (4300, 5000, 10000000)):

@@ -324,3 +324,21 @@ def test_frame_from_polygon_deterministic():
     f = frames.frame_from_polygon(p)
     g = frames.frame_from_polygon(p)
     assert np.array_equal(f.a, g.a) and np.array_equal(f.b, g.b)
+
+
+# Test-only oracle: random_frame's draw as four calls, Re a, Im a, Re b and
+# Im b, as it was before they became one call.
+def four_call_frame(m, rng):
+    a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return frames.frame_orthonormalize(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 17, 2**63])
+def test_random_frame_draws_as_four_calls(seed):
+    for m in range(3, 11):
+        got, want = (np.random.default_rng([seed, m]) for _ in range(2))
+        f, g = frames.random_frame(m, got), four_call_frame(m, want)
+        assert np.array_equal(f.a, g.a) and np.array_equal(f.b, g.b)
+        # and the generator is left where the four calls leave it
+        assert got.random() == want.random()

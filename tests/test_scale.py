@@ -68,12 +68,12 @@ def _assert_document_scaled(doc_k, doc, k):
                        SQUARE_NORMAL)
 
 
-def _assert_covariant(capsys, argv_at):
-    """``argv_at(k)`` exits as at k = 0 at every k in WIDE, and its output
-    is the unit-scale one times 2^k."""
+def _assert_covariant(capsys, argv_at, scales=WIDE):
+    """``argv_at(k)`` exits as at k = 0 at every k in ``scales``, and its
+    output is the unit-scale one times 2^k."""
     code, doc = _run(capsys, *argv_at(0))
     docs = doc if isinstance(doc, list) else [doc]
-    for k in WIDE:
+    for k in scales:
         code_k, doc_k = _run(capsys, *argv_at(k))
         assert code_k == code, (k, argv_at(k))
         if code == 0:
@@ -148,6 +148,19 @@ def test_sample_and_bend_are_scale_covariant(capsys, tmp_path):
             _assert_covariant(capsys, lambda k: [
                 "bend", "--in", tmp_path / f"{k}.json", "--range",
                 f"2,{m - 1}", "--angle", 1.1])
+
+
+def test_bend_reads_every_file_sample_writes(capsys, tmp_path):
+    # up to k = 1020, where the perimeter sum overflows though every side
+    # and diagonal is finite: the bend is the unit-scale one times 2^k
+    scales = [*WIDE, 1020]
+    sample = _sample_argv((3, 4, 5, 6, 2, 7), 3, 11)
+    for k in [0, *scales]:
+        out = ["--out", str(tmp_path / f"{k}.json")]
+        assert cli.main([str(a) for a in sample(k)] + out) == 0
+    assert _assert_covariant(capsys, lambda k: [
+        "bend", "--in", tmp_path / f"{k}.json", "--range", "2,5",
+        "--angle", 1.1], scales) == 0
 
 
 @pytest.mark.parametrize("dim", (2, 3))

@@ -1,5 +1,6 @@
 """Verify suites: regressions, the suites' power to fail, bounded sampling."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -319,6 +320,41 @@ def test_roundtrip_suite_builds_one_stack_per_size(monkeypatch, trials, seed):
             poly = reconstruct.sample_moduli(alpha, 3, 1,
                                              verify.mix_seed(seed, k))[0]
             assert np.array_equal(row, poly.edges)
+
+
+def test_roundtrip_suite_replays_each_trial_generator(monkeypatch):
+    # the lengths and the sample of trial k come from one generator, set
+    # back to its start between them: as from two fresh trial_rng(seed, k)
+    draw = reconstruct.draw_sample
+    drawn = _counted(monkeypatch, reconstruct, "draw_sample")
+    for seed in (0, 5):
+        drawn.clear()
+        verify.suite_roundtrip(9, seed)
+        assert len(drawn) == 9
+        for k, (ld, turns) in enumerate(drawn):
+            alpha = verify.random_rational_lengths(verify.trial_rng(seed, k),
+                                                   4 + k % 3)
+            want_ld, want_turns = draw(alpha, 3, verify.trial_rng(seed, k))
+            assert ld == want_ld and np.array_equal(turns, want_turns)
+
+
+# sha256 of every suite's document less its wall clock at seeds 0-2, with
+# trial counts that reach every frame size m = 3..10, every roundtrip size
+# m = 4..6 and rejected length draws
+PIN_TRIALS = {"hopf": 64, "gc": 24, "bend": 1, "kahler": 64, "dh": 32,
+              "hexcount": 1, "roundtrip": 12}
+PIN_DIGEST = "39a66e3831d91b73ac8a6f96f2ce3b4fd5184fdb5cc19023d0beca1bdec5ff86"
+
+
+def test_suite_documents_are_pinned():
+    assert list(PIN_TRIALS) == list(verify.SUITES)
+    digest = hashlib.sha256()
+    for seed in range(3):
+        for name, trials in PIN_TRIALS.items():
+            doc = verify.run_suite(name, trials, seed).to_json_dict()
+            del doc["wall_clock"]
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == PIN_DIGEST
 
 
 def test_trial_rng_draws_as_default_rng():
