@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import InputError, ZeroDiagonal
-from .polygon import Polygon, is_zero, norm, perimeter
+from .polygon import Polygon, is_zero, norm, perimeter, unit_scaled
 
 _CROSS_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
 # the least S whose one-turn RK4 error tau (tau/S)^4 / 120 is <= 1e-10: 951
@@ -45,13 +45,11 @@ def bend_range(poly: Polygon, block: tuple[int, int],
         raise InputError(f"block {p},{q} must be a proper subset of the "
                          f"edges: need 1 <= p <= q <= {poly.m}, not all")
     lo, hi = p - 1, q
-    # the axis and the perimeter of the edges times 2^-top, their largest
-    # |coordinate| in [0.5, 1): exact, and neither sum overflows
+    # the axis and perimeter of the unit_scaled edges: neither sum overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        top = math.frexp(np.abs(poly.edges).max())[1]
-        unit = Polygon(poly.dim, np.ldexp(poly.edges, -top))
-        axis = unit.edges[lo:hi].sum(axis=0)
-        size, per = norm(axis), perimeter(unit)
+        unit, top = unit_scaled(poly.edges)
+        axis = unit[lo:hi].sum(axis=0)
+        size, per = norm(axis), perimeter(Polygon(poly.dim, unit))
         diagonal = np.ldexp(size, top)
     if not np.isfinite(diagonal):
         raise InputError(f"diagonal {(p, q)} is beyond the float range")

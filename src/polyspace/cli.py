@@ -22,7 +22,7 @@ from . import verify
 from .bending import bend_range
 from .errors import EmptyPolytope, Infeasible, InputError, PolyspaceError
 from .polygon import (Polygon, as_fraction, closure_defect, is_zero, norm,
-                      perimeter)
+                      perimeter, unit_scaled)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -118,10 +118,8 @@ def polygon_from_doc(doc: dict) -> Polygon:
         raise InputError(f"bad polygon document: {exc}") from exc
     if not np.isfinite(poly.edges).all():
         raise InputError("polygon document has a non-finite edge")
-    # closure of the edges times 2^-top, their largest |coordinate| in
-    # [0.5, 1): exact, and the perimeter sum stays finite
-    top = math.frexp(np.abs(poly.edges).max())[1]
-    unit = Polygon(poly.dim, np.ldexp(poly.edges, -top))
+    # closure of the unit_scaled edges: the perimeter sum stays finite
+    unit = Polygon(poly.dim, unit_scaled(poly.edges)[0])
     per, defect = perimeter(unit), closure_defect(unit)
     if not is_zero(defect, per):
         raise InputError("polygon document is not closed")

@@ -95,15 +95,23 @@ class Polygon:
         return Polygon(3, padded)
 
 
+def unit_scaled(x, axis=None):
+    """(x times 2^-top, top), top kept along axis: the exponent of the largest
+    |x| there, so that no square or sum of the product leaves the float
+    range. The package's one float-range rescale; exact where not subnormal."""
+    top = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
+    return np.ldexp(x, -top), top
+
+
 def norm(x, axis=None):
     """np.linalg.norm(x, axis=axis) by its formula; where its squares may
-    have left the float range, from each row scaled by a power of 2."""
-    n = np.sqrt(x.dot(x) if axis is None else np.add.reduce(x * x, axis))
-    if 2.0 ** -500 <= np.add.reduce(n, None) < math.inf:
-        return n
-    top = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
-    redo = np.linalg.norm(np.ldexp(x, -top), axis=axis)
-    return np.ldexp(redo, top.squeeze(axis))
+    have left the float range, from each row's ``unit_scaled``."""
+    with np.errstate(over="ignore"):
+        n = np.sqrt(x.dot(x) if axis is None else np.add.reduce(x * x, axis))
+        if 2.0 ** -500 <= np.add.reduce(n, None) < math.inf:
+            return n
+    unit, top = unit_scaled(x, axis)
+    return np.ldexp(np.linalg.norm(unit, axis=axis), top.squeeze(axis))
 
 
 def closure_defect(p: Polygon) -> float:
@@ -130,16 +138,16 @@ def is_zero(x, scale):
 
 
 def _finite(p: Polygon) -> Polygon:
-    """p itself, if its edges are finite; a NaN or inf edge is refused."""
+    """p's ``unit_scaled`` copy; a NaN or inf edge is refused."""
     if not np.isfinite(p.edges).all():
         raise InputError("polygon has an edge that is not finite")
-    return p
+    return Polygon(p.dim, unit_scaled(p.edges)[0])
 
 
 def stratum_index(p: Polygon) -> int:
     """m minus the number of zero edges: the smallest j with p in E_j."""
-    lengths = side_lengths(_finite(p))
-    return int(p.m - np.count_nonzero(is_zero(lengths, perimeter(p))))
+    q = _finite(p)
+    return int(p.m - np.count_nonzero(is_zero(side_lengths(q), perimeter(q))))
 
 
 def is_proper(p: Polygon) -> bool:
@@ -148,16 +156,17 @@ def is_proper(p: Polygon) -> bool:
 
 def is_lined(p: Polygon) -> bool:
     """True if all edges span a line (or less)."""
-    sv = np.linalg.svd(_finite(p).edges.T, compute_uv=False)
+    q = _finite(p)
+    sv = np.linalg.svd(q.edges.T, compute_uv=False)
     if len(sv) < 2:
         return True
-    return bool(is_zero(sv[1], perimeter(p)))
+    return bool(is_zero(sv[1], perimeter(q)))
 
 
 def is_prodigal(p: Polygon) -> bool:
     """No diagonal returns to the origin prematurely."""
-    d = diagonals(_finite(p))[: p.m - 1]
-    return not is_zero(d, perimeter(p)).any()
+    q = _finite(p)
+    return not is_zero(diagonals(q)[: p.m - 1], perimeter(q)).any()
 
 
 def even_step(p: Polygon) -> Polygon:

@@ -17,7 +17,8 @@ import numpy as np
 from .bending import rodrigues
 from .errors import (EmptyPolytope, Infeasible, InputError, TriangleViolation,
                      ZeroDiagonal)
-from .polygon import Polygon, integer_lengths, is_feasible_lengths, is_zero
+from .polygon import (Polygon, integer_lengths, is_feasible_lengths, is_zero,
+                      unit_scaled)
 from .polytope import _TRIANGLE_TERMS, _in_hypersimplex, _interval_pair
 
 _GRID = 720720
@@ -92,7 +93,9 @@ def reconstruct(ld: LDPoint, k: int = 3) -> Polygon:
         raise InputError("k must be 2 or 3")
     if error := _check_triangles([ld])[1]:
         raise error
-    return Polygon(k, _place([ld])[0][:, :k])
+    unit, top = _place([ld])
+    with np.errstate(over="ignore"):   # an edge past the float range is inf
+        return Polygon(k, np.ldexp(unit[0, :, :k], top[0]))
 
 
 def fiber_sample(ld: LDPoint, angles) -> Polygon:
@@ -101,25 +104,25 @@ def fiber_sample(ld: LDPoint, angles) -> Polygon:
     if len(angles) != ld.m - 3:
         raise InputError(f"need {ld.m - 3} bending angles, one per free "
                          f"diagonal, for m = {ld.m}, got {len(angles)}")
-    edges, fallen = _bend(reconstruct(ld, 3).edges[None], [angles])
+    if error := _check_triangles([ld])[1]:
+        raise error
+    edges, fallen = _bend(*_place([ld]), [angles])
     if fallen[0]:
         raise ZeroDiagonal(int(fallen[0]))
     return Polygon(3, edges[0])
 
 
 @np.errstate(all="ignore")
-def _place(lds) -> np.ndarray:
-    """``reconstruct``'s vertex loop on a stack of LDPoints of one m: their
-    edges as an (N, m, 3) array in the xy-plane. A circle of radius below
-    1e-12 times the perimeter sum |alpha_i| is degenerate. A zero side
-    alpha_{i+1} takes h = 0, so vertex i+1 stays on vertex i: the root of
-    the one-ulp h^2 that d_{i+1} = d_i leaves would be about 1e-8 d_i."""
-    alpha = np.array([ld.alpha for ld in lds]).T
+def _place(lds):
+    """``reconstruct``'s vertex loop on a stack of LDPoints of one m, each at
+    its ``unit_scaled`` lengths. Returns (unit, top): the edges times 2^-top
+    as an (N, m, 3) array in the xy-plane, and top, (N, 1, 1). A circle
+    of radius below 1e-12 times the perimeter sum |alpha_i| is degenerate.
+    A zero side alpha_{i+1} takes h = 0, so vertex i+1 stays on vertex i:
+    the root of the one-ulp h^2 that d_{i+1} = d_i leaves would be 1e-8 d_i."""
+    alpha, top = unit_scaled(np.array([ld.alpha for ld in lds]).T, 0)
     d = np.array([ld.full_diagonals() for ld in lds]).T[..., None]
-    # each member times 2^-top, its largest length in [0.5, 1), till its
-    # edges are scaled back: exact, and no square leaves the float range
-    top = np.frexp(np.abs(alpha).max(axis=0))[1]
-    alpha, d = np.ldexp(alpha, -top), np.ldexp(d, -top[:, None])
+    d = np.ldexp(d, -top[..., None])
     # rows are steps i, columns members; False where circle i degenerates
     proper = ~(d < 1e-12 * np.abs(alpha).sum(axis=0)[:, None])
     # vertex i starts at (d_i, 0): vertices 0, 1 and m stay there, and so
@@ -137,28 +140,25 @@ def _place(lds) -> np.ndarray:
         cand1, cand2 = tn + hp, tn - hp
         v = np.where(cand1[:, 1:] >= cand2[:, 1:], cand1, cand2)
         np.copyto(verts[i + 1, :, :2], v, where=proper[i])
-    edges = np.ldexp(verts[1:] - verts[:-1], top[:, None])
-    return np.ascontiguousarray(edges.transpose(1, 0, 2))
+    unit = np.ascontiguousarray((verts[1:] - verts[:-1]).transpose(1, 0, 2))
+    return unit, top.T[..., None]
 
 
 @np.errstate(all="ignore")
-def _bend(edges: np.ndarray, angles):
-    """``fiber_sample``'s bends on a stack: edges (N, m, 3), angles (N, m-3).
+def _bend(unit: np.ndarray, top: np.ndarray, angles):
+    """``fiber_sample``'s bends on a stack: ``_place``'s (unit, top), angles
+    (N, m-3). Returns the bent edges, scaled back by 2^top.
 
     A bend about d_i fixes each d_j, j >= i, so every axis is an unbent
     d_i and edge r ends as R_{m-2} ... R_{max(r,2)} e_r, a suffix product.
     A bend by 0 is skipped, its axis unchecked; one by pi about an axis in
-    the plane flips across it. Each member is bent at 2^-top times its
-    size, its largest |coordinate| in [0.5, 1), and scaled back. Also
-    returns per member the first bent diagonal that is zero beside the
-    perimeter, or 0: it stays unbent.
+    the plane flips across it. Also returns per member the first bent
+    diagonal that is zero beside the perimeter, or 0: it stays unbent.
     """
-    m, angles = edges.shape[1], np.asarray(angles, dtype=float)
-    fallen = np.zeros(len(edges), dtype=int)
+    m, angles = unit.shape[1], np.asarray(angles, dtype=float)
+    fallen = np.zeros(len(unit), dtype=int)
     if m < 4:
-        return edges, fallen
-    top = np.frexp(np.abs(edges).max(axis=(1, 2)))[1][:, None, None]
-    unit = np.ldexp(edges, -top)
+        return np.ldexp(unit, top), fallen
     axes = np.cumsum(unit, axis=1)[:, 1:m - 2]
     norm = np.sqrt((axes * axes).sum(axis=-1))
     per = np.sqrt((unit * unit).sum(axis=-1)).sum(axis=-1)[:, None]
@@ -173,10 +173,10 @@ def _bend(edges: np.ndarray, angles):
         rot[:, j] = rot[:, j + 1] @ rot[:, j]
     # edges 1 and 2 both turn by the whole product
     head = np.concatenate([rot[:, :1], rot], axis=1)
-    unit[:, :m - 2] = (head @ unit[:, :m - 2, :, None])[..., 0]
-    out = np.ldexp(unit, top)
-    out[fallen > 0] = edges[fallen > 0]
-    return out, fallen
+    out = unit.copy()
+    out[:, :m - 2] = (head @ unit[:, :m - 2, :, None])[..., 0]
+    out[fallen > 0] = unit[fallen > 0]   # with their -0.0s
+    return np.ldexp(out, top), fallen
 
 
 def section_sigma(alpha) -> Polygon:
@@ -254,7 +254,7 @@ def sample_ld(alpha, rng) -> LDPoint:
 def draw_sample(alpha, k: int, rng) -> tuple[LDPoint, np.ndarray]:
     """One sample's draws from rng, in order: its ``sample_ld`` point, then
     its m - 3 bending angles, uniform (k = 3) or 0 or pi (k = 2).
-    ``_bend(_place(lds), angles)`` builds a stack of them that passes
+    ``_bend(*_place(lds), angles)`` builds a stack of them that passes
     ``_check_triangles``."""
     ld = sample_ld(alpha, rng)
     return ld, _angles(ld.m, k, rng)
@@ -292,7 +292,7 @@ def sample_moduli(alpha, k: int, count: int, seed: int) -> list[Polygon]:
     finally:
         # built on an error too, so that an earlier sample's error wins
         n, error = _check_triangles(lds) if lds else (0, None)
-        edges = _bend(_place(lds[:n]), turns[:n])[0] if n else []
+        edges = _bend(*_place(lds[:n]), turns[:n])[0] if n else []
         if error:
             raise error
     return [Polygon(k, e[:, :k]) for e in edges]

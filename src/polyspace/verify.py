@@ -303,7 +303,7 @@ def suite_roundtrip(trials: int, seed: int) -> RunReport:
     # row k: trial k's three deviations, from one stacked pass per size m
     devs = np.empty((trials, 3))
     for first, (lds, turns) in enumerate(stacks):
-        edges = reconstruct._bend(reconstruct._place(lds), turns)[0]
+        edges = reconstruct._bend(*reconstruct._place(lds), turns)[0]
         ell = np.linalg.norm(edges, axis=-1)
         d = np.linalg.norm(np.cumsum(edges, axis=-2), axis=-1)
         scale = 2.0 / ell.sum(axis=-1)[:, None]

@@ -314,7 +314,7 @@ def test_sample_moduli_draws_from_default_rng():
             rng = np.random.default_rng(seed)
             lds, turns = zip(*(rec.draw_sample(alpha, k, rng)
                                for _ in range(2)))
-            edges = rec._bend(rec._place(lds), turns)[0]
+            edges = rec._bend(*rec._place(lds), turns)[0]
             for p, e in zip(rec.sample_moduli(alpha, k, 2, seed), edges):
                 assert np.array_equal(p.edges, e[:, :k])
 
@@ -609,7 +609,7 @@ def test_a_vanishing_axis_unbends_only_its_member():
     # d_3 of the second member vanishes; the third one bends by 0 about it,
     # so that axis is not checked
     angles = [(0.5, 0.7), (0.5, 0.7), (0.5, 0.0), (0.9, -0.4)]
-    edges, fallen = rec._bend(rec._place(lds), angles)
+    edges, fallen = rec._bend(*rec._place(lds), angles)
     assert fallen.tolist() == [0, 3, 0, 0]
     assert np.array_equal(edges[1], rec.reconstruct(lds[1], 3).edges)
     for b in (0, 2, 3):

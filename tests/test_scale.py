@@ -248,6 +248,10 @@ def test_polygon_predicates_are_scale_invariant(rng):
     assert [_predicates(pg.Polygon(3, e)) for e in polygons[:4]] == [
         (4, False, True), (4, False, True), (3, True, True),
         (4, False, False)]
+    # a square whose perimeter sum overflows reads as its 2^-1024 copy
+    huge = np.multiply(square, 1e308)
+    for edges in (huge, np.ldexp(huge, -1024)):
+        assert _predicates(pg.Polygon(3, edges)) == (4, False, True)
 
 
 def test_flow_matches_bend_at_every_scale(rng):

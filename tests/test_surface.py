@@ -114,6 +114,15 @@ def test_no_module_imports_a_name_it_never_reads():
     assert not unread, ", ".join(unread)
 
 
+def test_one_function_takes_a_float_exponent():
+    # the power-of-two rescale at the float boundary is written once: no
+    # statement but polygon.unit_scaled reads frexp, math's or numpy's
+    sites = {f"{name}.{getattr(stmt, 'name', stmt.lineno)}"
+             for name, tree in MODULES.items() for stmt in tree.body
+             if "frexp" in _read(stmt)}
+    assert sites == {"polygon.unit_scaled"}
+
+
 def _raised(node):
     """The name a ``raise`` statement raises, called or not, else None."""
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
